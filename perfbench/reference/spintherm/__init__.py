@@ -1,0 +1,86 @@
+"""Finite-temperature spin-1/2 chain observables from random product states.
+
+The package samples random initial states (Haar vectors or random-phase
+product states scrambled by a few Trotter layers), filters them with
+exp(-beta H / 2) applied matrix-free, and averages observables with
+norm weights.  See the module docstrings for conventions; README.md for
+the command-line interface.
+"""
+
+from .estimators import (
+    EfficiencyReport,
+    SampleRecord,
+    bootstrap_sigma,
+    efficiency,
+    entanglement_entropy,
+    simple_expectation,
+    trace_prefactor,
+    weighted_expectation,
+    weights,
+)
+from .hamiltonian import (
+    HamiltonianTerms,
+    ModelSpec,
+    apply_h,
+    build_hamiltonian,
+    expectation,
+    spectral_bound,
+)
+from .hilbert import StateVector, basis_state, inner, normalize, schmidt_spectrum
+from .imagtime import (
+    BetaGrid,
+    OrderExhaustedError,
+    PropagatorConfig,
+    evolve,
+    evolve_with_checkpoints,
+)
+from .oracle import DenseOperator, dense_build, exact_evolve, exact_thermal
+from .state_prep import (
+    SampleSeed,
+    TrotterCircuit,
+    apply_circuit,
+    build_trotter_circuit,
+    sample_haar,
+    sample_rpps,
+)
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "StateVector",
+    "basis_state",
+    "normalize",
+    "inner",
+    "schmidt_spectrum",
+    "ModelSpec",
+    "HamiltonianTerms",
+    "build_hamiltonian",
+    "apply_h",
+    "expectation",
+    "spectral_bound",
+    "SampleSeed",
+    "TrotterCircuit",
+    "sample_rpps",
+    "sample_haar",
+    "build_trotter_circuit",
+    "apply_circuit",
+    "PropagatorConfig",
+    "BetaGrid",
+    "OrderExhaustedError",
+    "evolve",
+    "evolve_with_checkpoints",
+    "SampleRecord",
+    "EfficiencyReport",
+    "weights",
+    "efficiency",
+    "weighted_expectation",
+    "simple_expectation",
+    "entanglement_entropy",
+    "bootstrap_sigma",
+    "trace_prefactor",
+    "DenseOperator",
+    "dense_build",
+    "exact_thermal",
+    "exact_evolve",
+    "__version__",
+]

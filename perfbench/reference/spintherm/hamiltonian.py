@@ -1,0 +1,211 @@
+"""Bond/field representation of open-chain spin-1/2 Hamiltonians.
+
+Operators are kept as a catalog of local terms: 4x4 matrices on bonds
+(i, i+1) and 2x2 matrices on single sites.  Applying them to a state
+iterates over those terms; the full 2**L x 2**L matrix is never formed.
+Spin operators are S = sigma/2 and couplings are measured in units of
+the exchange J, so inverse temperatures are in 1/J.
+
+Model catalog (all open boundary, L >= 2 sites):
+
+``heisenberg``
+    J * sum_i (Sx Sx + Sy Sy + Sz Sz) on neighboring sites.
+``xxz_staggered``
+    J * sum_i (Sx Sx + Sy Sy + delta Sz Sz) plus a staggered field
+    h_stag * (-1)**i * Sz_i (sign -1 on site 1).
+``transverse_ising``
+    J * sum_i Sz Sz plus a uniform h_x * Sx_i field.
+``mixed_ising``
+    J * sum_i Sz Sz plus uniform h_x * Sx_i + h_z * Sz_i fields.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .hilbert import StateVector, apply_single_site, apply_two_site
+
+__all__ = [
+    "SX",
+    "SY",
+    "SZ",
+    "ID2",
+    "MODEL_KINDS",
+    "ModelSpec",
+    "HamiltonianTerms",
+    "build_hamiltonian",
+    "apply_terms",
+    "apply_h",
+    "expectation",
+    "spectral_bound",
+    "trace_mean",
+]
+
+SX = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=np.complex128)
+SY = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=np.complex128)
+SZ = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=np.complex128)
+ID2 = np.eye(2, dtype=np.complex128)
+
+MODEL_KINDS = ("heisenberg", "xxz_staggered", "transverse_ising", "mixed_ising")
+
+
+@dataclass
+class ModelSpec:
+    """Parameters selecting a catalog Hamiltonian.
+
+    Fields not used by ``kind`` are stored but ignored (e.g. ``delta``
+    for the Heisenberg chain).
+    """
+
+    kind: str
+    L: int
+    J: float = 1.0
+    delta: float = 0.0
+    h_stag: float = 0.0
+    h_x: float = 0.0
+    h_z: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.kind not in MODEL_KINDS:
+            raise ValueError(f"unknown model kind {self.kind!r}, expected one of {MODEL_KINDS}")
+        if self.L < 2:
+            raise ValueError(f"L must be >= 2, got {self.L}")
+        if self.J == 0.0:
+            raise ValueError("J must be nonzero")
+
+
+@dataclass
+class HamiltonianTerms:
+    """Local-term form of a Hermitian operator on an L-site chain.
+
+    ``bonds`` holds (i, mat4) pairs acting on sites (i, i+1) in the
+    |s_i, s_i+1> product basis with the left site as the major index;
+    ``fields`` holds (i, mat2) single-site pairs.  Every matrix must be
+    Hermitian.
+    """
+
+    L: int
+    bonds: list[tuple[int, np.ndarray]] = field(default_factory=list)
+    fields: list[tuple[int, np.ndarray]] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if self.L < 2:
+            raise ValueError(f"L must be >= 2, got {self.L}")
+        checked_bonds = []
+        for i, mat in self.bonds:
+            if not 1 <= i <= self.L - 1:
+                raise ValueError(f"bond index {i} outside [1, {self.L - 1}]")
+            mat = np.asarray(mat, dtype=np.complex128)
+            if mat.shape != (4, 4):
+                raise ValueError(f"bond matrix at {i} has shape {mat.shape}, expected (4, 4)")
+            if np.max(np.abs(mat - mat.conj().T)) > 1e-14 * max(1.0, np.max(np.abs(mat))):
+                raise ValueError(f"bond matrix at {i} is not Hermitian")
+            checked_bonds.append((int(i), mat))
+        checked_fields = []
+        for i, mat in self.fields:
+            if not 1 <= i <= self.L:
+                raise ValueError(f"field index {i} outside [1, {self.L}]")
+            mat = np.asarray(mat, dtype=np.complex128)
+            if mat.shape != (2, 2):
+                raise ValueError(f"field matrix at {i} has shape {mat.shape}, expected (2, 2)")
+            if np.max(np.abs(mat - mat.conj().T)) > 1e-14 * max(1.0, np.max(np.abs(mat))):
+                raise ValueError(f"field matrix at {i} is not Hermitian")
+            checked_fields.append((int(i), mat))
+        self.bonds = checked_bonds
+        self.fields = checked_fields
+
+
+def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.kron(a, b)
+
+
+def build_hamiltonian(spec: ModelSpec) -> HamiltonianTerms:
+    """Assemble the bond/field terms for a catalog model."""
+    J = spec.J
+    bonds: list[tuple[int, np.ndarray]] = []
+    fields: list[tuple[int, np.ndarray]] = []
+    if spec.kind == "heisenberg":
+        mat = J * (_pair(SX, SX) + _pair(SY, SY) + _pair(SZ, SZ))
+        bonds = [(i, mat) for i in range(1, spec.L)]
+    elif spec.kind == "xxz_staggered":
+        mat = J * (_pair(SX, SX) + _pair(SY, SY) + spec.delta * _pair(SZ, SZ))
+        bonds = [(i, mat) for i in range(1, spec.L)]
+        for i in range(1, spec.L + 1):
+            f = spec.h_stag * (-1) ** i * SZ
+            if np.any(f):
+                fields.append((i, f))
+    elif spec.kind == "transverse_ising":
+        mat = J * _pair(SZ, SZ)
+        bonds = [(i, mat) for i in range(1, spec.L)]
+        f = spec.h_x * SX
+        if np.any(f):
+            fields = [(i, f) for i in range(1, spec.L + 1)]
+    elif spec.kind == "mixed_ising":
+        mat = J * _pair(SZ, SZ)
+        bonds = [(i, mat) for i in range(1, spec.L)]
+        f = spec.h_x * SX + spec.h_z * SZ
+        if np.any(f):
+            fields = [(i, f) for i in range(1, spec.L + 1)]
+    return HamiltonianTerms(L=spec.L, bonds=bonds, fields=fields)
+
+
+def apply_terms(terms: HamiltonianTerms, amps: np.ndarray) -> np.ndarray:
+    """Raw-array form of apply_h, for inner loops that skip the wrapper."""
+    out = np.zeros_like(amps)
+    for i, mat in terms.bonds:
+        out += apply_two_site(amps, mat, i, terms.L)
+    for i, mat in terms.fields:
+        out += apply_single_site(amps, mat, i, terms.L)
+    return out
+
+
+def apply_h(terms: HamiltonianTerms, state: StateVector) -> StateVector:
+    """Apply the operator to a state, term by term.
+
+    The log_norm_offset is copied unchanged; the result is generally not
+    normalized.
+    """
+    if terms.L != state.num_sites:
+        raise ValueError(f"size mismatch: operator on {terms.L} sites, state on {state.num_sites}")
+    return StateVector(apply_terms(terms, state.amplitudes), state.log_norm_offset, state.num_sites)
+
+
+def expectation(terms: HamiltonianTerms, state: StateVector) -> float:
+    """<psi|H|psi> / <psi|psi> of the stored amplitudes (a real number)."""
+    if terms.L != state.num_sites:
+        raise ValueError(f"size mismatch: operator on {terms.L} sites, state on {state.num_sites}")
+    amps = state.amplitudes
+    sq = float(np.vdot(amps, amps).real)
+    if sq == 0.0:
+        raise ValueError("degenerate state: zero norm")
+    return float(np.vdot(amps, apply_terms(terms, amps)).real) / sq
+
+
+def spectral_bound(terms: HamiltonianTerms) -> float:
+    """Sum of the spectral norms of all local terms.
+
+    An inexpensive upper bound on the spectral norm of the full
+    operator, used to pick imaginary-time substep counts.
+    """
+    total = 0.0
+    for _, mat in terms.bonds:
+        total += float(np.max(np.abs(np.linalg.eigvalsh(mat))))
+    for _, mat in terms.fields:
+        total += float(np.max(np.abs(np.linalg.eigvalsh(mat))))
+    return total
+
+
+def trace_mean(terms: HamiltonianTerms) -> float:
+    """Tr H / 2**L from local-term traces (no big matrix involved).
+
+    Each bond contributes tr(mat4)/4 and each field tr(mat2)/2 to the
+    mean; the catalog models are all traceless.
+    """
+    mu = 0.0
+    for _, mat in terms.bonds:
+        mu += float(np.trace(mat).real) / 4.0
+    for _, mat in terms.fields:
+        mu += float(np.trace(mat).real) / 2.0
+    return mu

@@ -1,0 +1,152 @@
+"""State vectors and basis conventions for open spin-1/2 chains.
+
+Basis convention used throughout the package: a chain of L sites is
+stored as a flat array of 2**L complex amplitudes indexed by an integer
+b whose bit (i - 1) holds the configuration of site i (sites are
+1-based).  Bit value 0 means spin up (S^z = +1/2), bit value 1 means
+spin down.  Site 1 is therefore the fastest-running index of the
+amplitude array.  All logarithms are natural.
+
+A StateVector keeps its amplitudes near unit norm and tracks the true
+magnitude separately in ``log_norm_offset``: the represented vector is
+exp(log_norm_offset) * amplitudes.  This keeps imaginary-time weights
+exp(-beta*E) representable far beyond float range.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+__all__ = [
+    "StateVector",
+    "basis_state",
+    "normalize",
+    "inner",
+    "schmidt_spectrum",
+    "apply_single_site",
+    "apply_two_site",
+]
+
+
+@dataclass
+class StateVector:
+    """Amplitudes of a pure state plus a logarithmic scale factor.
+
+    Attributes
+    ----------
+    amplitudes : np.ndarray
+        Complex array of length 2**num_sites.
+    log_norm_offset : float
+        Natural log of the scale carried outside the amplitudes.
+    num_sites : int
+        Chain length L >= 2.
+    """
+
+    amplitudes: np.ndarray
+    log_norm_offset: float
+    num_sites: int
+
+    def __post_init__(self) -> None:
+        if self.num_sites < 2:
+            raise ValueError(f"num_sites must be >= 2, got {self.num_sites}")
+        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
+        if self.amplitudes.shape != (2**self.num_sites,):
+            raise ValueError(
+                f"amplitude array of shape {self.amplitudes.shape} does not match "
+                f"2**{self.num_sites} sites"
+            )
+        if not np.isfinite(self.log_norm_offset):
+            raise ValueError("log_norm_offset must be finite")
+
+
+def basis_state(num_sites: int, down_sites: tuple[int, ...] = ()) -> StateVector:
+    """Computational basis state with the given sites flipped down.
+
+    Sites are 1-based; all sites not listed point up.
+    """
+    for i in down_sites:
+        if not 1 <= i <= num_sites:
+            raise ValueError(f"site {i} outside chain of {num_sites} sites")
+    index = 0
+    for i in down_sites:
+        index |= 1 << (i - 1)
+    amps = np.zeros(2**num_sites, dtype=np.complex128)
+    amps[index] = 1.0
+    return StateVector(amps, 0.0, num_sites)
+
+
+def normalize(state: StateVector) -> StateVector:
+    """Return a unit-norm copy, folding the norm into log_norm_offset.
+
+    Raises ValueError on a zero (degenerate) state.
+    """
+    nrm = float(np.linalg.norm(state.amplitudes))
+    if nrm == 0.0 or not np.isfinite(nrm):
+        raise ValueError("degenerate state: cannot normalize zero or non-finite norm")
+    return StateVector(
+        state.amplitudes / nrm,
+        state.log_norm_offset + np.log(nrm),
+        state.num_sites,
+    )
+
+
+def inner(bra: StateVector, ket: StateVector) -> complex:
+    """Inner product <bra|ket> of the stored amplitudes.
+
+    The log_norm_offsets are deliberately not applied; callers doing
+    weighted sums combine offsets themselves in log space.
+    """
+    if bra.num_sites != ket.num_sites:
+        raise ValueError(
+            f"size mismatch: {bra.num_sites} vs {ket.num_sites} sites"
+        )
+    return complex(np.vdot(bra.amplitudes, ket.amplitudes))
+
+
+def schmidt_spectrum(state: StateVector, cut_after: int) -> np.ndarray:
+    """Squared Schmidt coefficients across the cut after site ``cut_after``.
+
+    The left block holds sites 1..cut_after, the right block the rest.
+    Returns the descending eigenvalues of either reduced density matrix;
+    they sum to the squared norm of the amplitudes (1 for a normalized
+    state).
+    """
+    L = state.num_sites
+    if not 1 <= cut_after <= L - 1:
+        raise ValueError(f"cut_after must be in [1, {L - 1}], got {cut_after}")
+    # Left sites live in the low bits, so the row index of the reshape
+    # enumerates the right block.
+    mat = state.amplitudes.reshape(2 ** (L - cut_after), 2**cut_after)
+    svals = np.linalg.svd(mat, compute_uv=False)
+    return svals**2
+
+
+def apply_single_site(amps: np.ndarray, mat2: np.ndarray, site: int, num_sites: int) -> np.ndarray:
+    """Apply a 2x2 operator to one site of a flat amplitude array."""
+    if not 1 <= site <= num_sites:
+        raise ValueError(f"site {site} outside chain of {num_sites} sites")
+    inner_dim = 1 << (site - 1)
+    outer_dim = 1 << (num_sites - site)
+    work = amps.reshape(outer_dim, 2, inner_dim)
+    return np.matmul(mat2, work).reshape(amps.shape)
+
+
+def apply_two_site(amps: np.ndarray, mat4: np.ndarray, site: int, num_sites: int) -> np.ndarray:
+    """Apply a 4x4 operator to sites (site, site+1) of a flat array.
+
+    ``mat4`` is given in the two-site basis |s_site, s_site+1> ordered
+    with the left site as the major index (index 2*s_site + s_site+1).
+    """
+    if not 1 <= site <= num_sites - 1:
+        raise ValueError(f"bond ({site},{site + 1}) outside chain of {num_sites} sites")
+    # Storage puts site+1 in the higher bit, so permute the operator to
+    # the memory ordering before the contraction.
+    mem = np.ascontiguousarray(
+        mat4.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+    )
+    inner_dim = 1 << (site - 1)
+    outer_dim = 1 << (num_sites - site - 1)
+    work = amps.reshape(outer_dim, 4, inner_dim)
+    return np.matmul(mem, work).reshape(amps.shape)
