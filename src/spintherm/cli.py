@@ -13,11 +13,15 @@ byte-identical no matter how many worker processes ran.  Error bars are
 bootstrapped with generators seeded from (master_seed, L, beta index,
 quantity), which keeps them reproducible from samples.csv alone.
 
-Config files are flat ``key = value`` text; nested model fields use
-dotted keys (``system.kind``, ``trotter.h_x``).  Unknown keys are
-rejected.  Chain lengths above FULL_SCALE_LIMIT sites demand
-``full_scale = true`` (CLI ``--full-scale``) and print a runtime
-warning; everything else is desk scale.
+One schema reads every RunConfig: a table of keys (model fields are
+dotted, ``system.kind``, ``trotter.h_x``), each with a text-to-value and
+a value-to-text conversion.  Config files (flat ``key = value`` text),
+run.json (a JSON object of the same keys and texts), the presets (a
+desk base plus each variant's changes) and the run command's overrides
+are key -> text maps given to one reader, which names the key of every
+bad value and ends in validate_config.  Chain lengths above
+FULL_SCALE_LIMIT sites demand ``full_scale = true`` (CLI
+``--full-scale``) and print a warning; everything else is desk scale.
 """
 
 from __future__ import annotations
@@ -67,7 +71,6 @@ __all__ = [
 INIT_CLASSES = ("haar", "rpps", "trotter_rpps")
 FULL_SCALE_LIMIT = 14
 THREADS_ENV_VAR = "SPINTHERM_THREADS"
-PRESET_NAMES = ("fig1", "fig2", "fig3", "fig4")
 
 
 class ConfigError(ValueError):
@@ -84,11 +87,10 @@ class RunConfig:
     L_list: tuple[int, ...]
     M: int
     master_seed: int
-    output_path: str
+    output_path: str = "runs/out"
     trotter: ModelSpec | None = None
     tau: float = 10.0
-    n_reps_rule: str = "2L"
-    n_reps: int = 0
+    n_reps: int | str = "2L"
     n_resamples: int = 4000
     threads: int | None = None
     label: str = ""
@@ -98,7 +100,7 @@ class RunConfig:
         return self.label if self.label else self.init_class
 
     def reps_for(self, L: int) -> int:
-        return 2 * L if self.n_reps_rule == "2L" else self.n_reps
+        return 2 * L if self.n_reps == "2L" else self.n_reps
 
 
 def validate_config(cfg: RunConfig) -> None:
@@ -125,10 +127,8 @@ def validate_config(cfg: RunConfig) -> None:
         problems.append(f"n_resamples: must be >= 0, got {cfg.n_resamples}")
     if not (cfg.tau >= 0.0 and np.isfinite(cfg.tau)):
         problems.append(f"tau: must be finite and >= 0, got {cfg.tau}")
-    if cfg.n_reps_rule not in ("2L", "explicit"):
-        problems.append(f"n_reps_rule: {cfg.n_reps_rule!r} not in ('2L', 'explicit')")
-    elif cfg.n_reps_rule == "explicit" and cfg.n_reps < 0:
-        problems.append(f"n_reps: must be >= 0, got {cfg.n_reps}")
+    if cfg.n_reps != "2L" and not (isinstance(cfg.n_reps, int) and cfg.n_reps >= 1):
+        problems.append(f"n_reps: must be 2L or an integer >= 1, got {cfg.n_reps!r}")
     if cfg.threads is not None and cfg.threads < 1:
         problems.append(f"threads: must be >= 1 or unset, got {cfg.threads}")
     if not cfg.output_path:
@@ -138,47 +138,94 @@ def validate_config(cfg: RunConfig) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Flat key = value config files
+# The config schema: one reader and one writer for every source
 
 
-_MODEL_KEYS = ("kind", "J", "delta", "h_stag", "h_x", "h_z")
-_SCALAR_KEYS = (
-    "init_class",
-    "tau",
-    "n_reps_rule",
-    "n_reps",
-    "beta_grid",
-    "L_list",
-    "M",
-    "master_seed",
-    "n_resamples",
-    "output_path",
-    "threads",
-    "label",
-    "full_scale",
-)
-
-
-def _parse_beta_grid(text: str) -> BetaGrid:
-    if ":" in text:
-        parts = [p.strip() for p in text.split(":")]
-        if len(parts) != 3:
-            raise ConfigError(f"beta_grid: range form is start:stop:step, got {text!r}")
-        return BetaGrid.uniform(float(parts[0]), float(parts[1]), float(parts[2]))
-    return BetaGrid(tuple(float(p) for p in text.split(",")))
-
-
-def _parse_bool(key: str, text: str) -> bool:
+def _bool(text: str) -> bool:
     low = text.strip().lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"{key}: expected true/false, got {text!r}")
+    if low not in ("true", "yes", "1", "false", "no", "0"):
+        raise ValueError(f"expected true/false, got {text!r}")
+    return low in ("true", "yes", "1")
 
 
-def parse_config(text: str) -> RunConfig:
-    """Build a RunConfig from flat key = value lines ('#' starts a comment)."""
+def _beta_grid(text: str) -> BetaGrid:
+    if ":" in text:
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"range form is start:stop:step, got {text!r}")
+        return BetaGrid.uniform(*map(float, parts))
+    return BetaGrid(tuple(map(float, text.split(","))))
+
+
+_TEXT = (str, str)
+_INT = (int, str)
+_FLOAT = (float, lambda value: repr(float(value)))
+_MODEL = {"kind": _TEXT, "J": _FLOAT, "delta": _FLOAT, "h_stag": _FLOAT, "h_x": _FLOAT, "h_z": _FLOAT}
+
+# key -> (text to value, value to text).  Dotted keys are ModelSpec fields.
+_FIELDS = {
+    "init_class": _TEXT,
+    "tau": _FLOAT,
+    "n_reps": (lambda text: "2L" if text.strip() == "2L" else int(text), str),
+    "beta_grid": (_beta_grid, lambda grid: ",".join(repr(float(b)) for b in grid.checkpoints)),
+    "L_list": (lambda text: tuple(int(p) for p in text.split(",")), lambda Ls: ",".join(map(str, Ls))),
+    "M": _INT,
+    "master_seed": _INT,
+    "n_resamples": _INT,
+    "output_path": _TEXT,
+    "threads": _INT,
+    "label": _TEXT,
+    "full_scale": (_bool, lambda flag: "true" if flag else "false"),
+    **{f"{model}.{name}": conv for model in ("system", "trotter") for name, conv in _MODEL.items()},
+}
+_REQUIRED = ("system.kind", "init_class", "beta_grid", "L_list", "M", "master_seed")
+
+
+def _read(raw: dict[str, str]) -> RunConfig:
+    """Build and validate a RunConfig from a map of schema keys to value texts."""
+    unknown = sorted(set(raw) - set(_FIELDS))
+    if unknown:
+        raise ConfigError("unknown keys: " + ", ".join(unknown))
+    missing = [k for k in _REQUIRED if k not in raw]
+    if "trotter.kind" not in raw and any(k.startswith("trotter.") for k in raw):
+        missing.append("trotter.kind")
+    if missing:
+        raise ConfigError("missing keys: " + ", ".join(missing))
+
+    values: dict[str, object] = {}
+    problems: list[str] = []
+    for key, text in raw.items():
+        try:
+            values[key] = _FIELDS[key][0](text)
+        except (ValueError, OverflowError) as exc:
+            problems.append(f"{key}: {exc}")
+    fields = {k: v for k, v in values.items() if "." not in k}
+    for model in ("system", "trotter"):
+        spec = {k.split(".", 1)[1]: v for k, v in values.items() if k.startswith(model + ".")}
+        if spec and "L_list" in fields:
+            try:
+                fields[model] = ModelSpec(L=min(fields["L_list"]), **spec)
+            except ValueError as exc:
+                problems.append(f"{model}: {exc}")
+    if problems:
+        raise ConfigError("; ".join(problems))
+    cfg = RunConfig(**fields)
+    validate_config(cfg)
+    return cfg
+
+
+def _write(cfg: RunConfig) -> dict[str, str]:
+    """The schema's key -> text map of cfg; unset values (no trotter, no threads) are left out."""
+    out = {}
+    for key, (_, to_text) in _FIELDS.items():
+        model, _, name = key.rpartition(".")
+        value = getattr(getattr(cfg, model) if model else cfg, name, None)
+        if value is not None:
+            out[key] = to_text(value)
+    return out
+
+
+def _parse_lines(text: str) -> dict[str, str]:
     raw: dict[str, str] = {}
     for ln, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -190,72 +237,12 @@ def parse_config(text: str) -> RunConfig:
         if key in raw:
             raise ConfigError(f"{key}: duplicated")
         raw[key] = value
+    return raw
 
-    known = set(_SCALAR_KEYS)
-    known.update(f"system.{k}" for k in _MODEL_KEYS)
-    known.update(f"trotter.{k}" for k in _MODEL_KEYS)
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ConfigError("unknown keys: " + ", ".join(unknown))
 
-    required = ["system.kind", "init_class", "beta_grid", "L_list", "M", "master_seed"]
-    missing = [k for k in required if k not in raw]
-    if missing:
-        raise ConfigError("missing keys: " + ", ".join(missing))
-
-    try:
-        L_list = tuple(int(p) for p in raw["L_list"].split(","))
-    except ValueError as exc:
-        raise ConfigError(f"L_list: {exc}") from exc
-    if not L_list:
-        raise ConfigError("L_list: must be nonempty")
-
-    def model_from(prefix: str) -> ModelSpec:
-        kw: dict[str, float | str | int] = {"L": min(L_list)}
-        for field_name in _MODEL_KEYS:
-            key = f"{prefix}.{field_name}"
-            if key in raw:
-                kw[field_name] = raw[key] if field_name == "kind" else float(raw[key])
-        try:
-            return ModelSpec(**kw)  # type: ignore[arg-type]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{prefix}: {exc}") from exc
-
-    system = model_from("system")
-    trotter = model_from("trotter") if any(k.startswith("trotter.") for k in raw) else None
-
-    def intval(key: str, default: int) -> int:
-        if key not in raw:
-            return default
-        try:
-            return int(raw[key])
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
-
-    try:
-        grid = _parse_beta_grid(raw["beta_grid"])
-    except (ValueError, ConfigError) as exc:
-        raise ConfigError(f"beta_grid: {exc}") from exc
-
-    cfg = RunConfig(
-        system=system,
-        trotter=trotter,
-        init_class=raw["init_class"],
-        tau=float(raw.get("tau", 10.0)),
-        n_reps_rule=raw.get("n_reps_rule", "2L"),
-        n_reps=intval("n_reps", 0),
-        beta_grid=grid,
-        M=intval("M", 0),
-        master_seed=intval("master_seed", 0),
-        n_resamples=intval("n_resamples", 4000),
-        L_list=L_list,
-        output_path=raw.get("output_path", "runs/out"),
-        threads=intval("threads", 0) or None if "threads" in raw else None,
-        label=raw.get("label", ""),
-        full_scale=_parse_bool("full_scale", raw["full_scale"]) if "full_scale" in raw else False,
-    )
-    validate_config(cfg)
-    return cfg
+def parse_config(text: str) -> RunConfig:
+    """Build a RunConfig from flat key = value lines ('#' starts a comment)."""
+    return _read(_parse_lines(text))
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -263,22 +250,40 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Presets mirroring the four desk-scale experiments
+# Presets mirroring the four desk-scale experiments, as changes to one base
+
+_DESK = {
+    "system.kind": "heisenberg",
+    "init_class": "trotter_rpps",
+    "beta_grid": "3.0",
+    "L_list": "6,8,10,12",
+    "M": "1024",
+    "master_seed": "42",
+}
+# Each variant's changes to its preset's base; the key is also its label.
+_VARIANTS = {
+    "xxz_stagger": {"trotter.kind": "xxz_staggered", "trotter.delta": "5.0", "trotter.h_stag": "1.0"},
+    "xxz_nostagger": {"trotter.kind": "xxz_staggered", "trotter.delta": "5.0", "trotter.h_stag": "0.0"},
+    "ising_mixed": {"trotter.kind": "mixed_ising", "trotter.h_x": "1.0", "trotter.h_z": "1.0"},
+    "ising_transverse": {"trotter.kind": "transverse_ising", "trotter.h_x": "1.0"},
+    "haar": {"init_class": "haar"},
+}
+# preset -> (changes to the desk base, variant labels with the headline first)
+_PRESETS = {
+    "fig1": ({}, ("xxz_stagger", "xxz_nostagger", "haar")),
+    "fig2": ({}, ("ising_mixed", "ising_transverse", "haar")),
+    "fig3": ({"beta_grid": "0.1:3.0:0.1", "L_list": "12"}, ("ising_mixed", "ising_transverse")),
+    "fig4": ({"beta_grid": "0.1:3.0:0.1", "L_list": "10,12"}, ("ising_mixed",)),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
-def _desk_base(**over) -> dict:
-    base = dict(
-        init_class="trotter_rpps",
-        tau=10.0,
-        n_reps_rule="2L",
-        beta_grid=BetaGrid((3.0,)),
-        M=1024,
-        master_seed=42,
-        n_resamples=4000,
-        L_list=(6, 8, 10, 12),
-    )
-    base.update(over)
-    return base
+def _preset_maps(name: str) -> list[dict[str, str]]:
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown preset {name!r}, expected one of {PRESET_NAMES}")
+    changes, labels = _PRESETS[name]
+    base = {**_DESK, **changes, "output_path": f"runs/{name}"}
+    return [{**base, **_VARIANTS[label], "label": label} for label in labels]
 
 
 def preset(name: str) -> RunConfig:
@@ -291,72 +296,12 @@ def preset(name: str) -> RunConfig:
     Companion runs (Haar baseline, integrable scrambler) come from
     preset_variants().
     """
-    if name == "fig1":
-        return RunConfig(
-            system=ModelSpec(kind="heisenberg", L=6, J=1.0, delta=5.0),
-            trotter=ModelSpec(kind="xxz_staggered", L=6, J=1.0, delta=5.0, h_stag=1.0),
-            label="xxz_stagger",
-            output_path="runs/fig1",
-            **_desk_base(),
-        )
-    if name == "fig2":
-        return RunConfig(
-            system=ModelSpec(kind="heisenberg", L=6, J=1.0),
-            trotter=ModelSpec(kind="mixed_ising", L=6, J=1.0, h_x=1.0, h_z=1.0),
-            label="ising_mixed",
-            output_path="runs/fig2",
-            **_desk_base(),
-        )
-    if name == "fig3":
-        return RunConfig(
-            system=ModelSpec(kind="heisenberg", L=12, J=1.0),
-            trotter=ModelSpec(kind="mixed_ising", L=12, J=1.0, h_x=1.0, h_z=1.0),
-            label="ising_mixed",
-            output_path="runs/fig3",
-            **_desk_base(beta_grid=BetaGrid.uniform(0.1, 3.0, 0.1), L_list=(12,)),
-        )
-    if name == "fig4":
-        return RunConfig(
-            system=ModelSpec(kind="heisenberg", L=10, J=1.0),
-            trotter=ModelSpec(kind="mixed_ising", L=10, J=1.0, h_x=1.0, h_z=1.0),
-            label="ising_mixed",
-            output_path="runs/fig4",
-            **_desk_base(beta_grid=BetaGrid.uniform(0.1, 3.0, 0.1), L_list=(10, 12)),
-        )
-    raise ConfigError(f"unknown preset {name!r}, expected one of {PRESET_NAMES}")
+    return preset_variants(name)[0]
 
 
 def preset_variants(name: str) -> list[RunConfig]:
     """Headline config plus the comparison runs of the same experiment."""
-    head = preset(name)
-    out = [head]
-    if name == "fig1":
-        out.append(
-            dataclasses.replace(
-                head,
-                trotter=dataclasses.replace(head.trotter, h_stag=0.0),
-                label="xxz_nostagger",
-            )
-        )
-        out.append(dataclasses.replace(head, trotter=None, init_class="haar", label="haar"))
-    elif name == "fig2":
-        out.append(
-            dataclasses.replace(
-                head,
-                trotter=ModelSpec(kind="transverse_ising", L=head.trotter.L, J=1.0, h_x=1.0),
-                label="ising_transverse",
-            )
-        )
-        out.append(dataclasses.replace(head, trotter=None, init_class="haar", label="haar"))
-    elif name == "fig3":
-        out.append(
-            dataclasses.replace(
-                head,
-                trotter=ModelSpec(kind="transverse_ising", L=head.trotter.L, J=1.0, h_x=1.0),
-                label="ising_transverse",
-            )
-        )
-    return out
+    return [_read(raw) for raw in _preset_maps(name)]
 
 
 # ---------------------------------------------------------------------------
@@ -536,27 +481,20 @@ def emit_results(
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
     with json_path.open("w") as fh:
-        json.dump(_config_to_dict(cfg), fh, indent=2, sort_keys=True)
+        json.dump(_write(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return {"summary": summary_path, "samples": samples_path, "run_json": json_path}
 
 
-def _config_to_dict(cfg: RunConfig) -> dict:
-    d = dataclasses.asdict(cfg)
-    d["beta_grid"] = list(cfg.beta_grid.checkpoints)
-    d["L_list"] = list(cfg.L_list)
-    return d
-
-
 def load_run_json(path: str | Path) -> RunConfig:
-    """Rebuild the RunConfig echoed into run.json."""
-    d = json.loads(Path(path).read_text())
-    d["system"] = ModelSpec(**d["system"])
-    if d["trotter"] is not None:
-        d["trotter"] = ModelSpec(**d["trotter"])
-    d["beta_grid"] = BetaGrid(tuple(d["beta_grid"]))
-    d["L_list"] = tuple(d["L_list"])
-    return RunConfig(**d)
+    """Rebuild and validate the RunConfig echoed into run.json."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    if not (isinstance(raw, dict) and all(isinstance(text, str) for text in raw.values())):
+        raise ConfigError(f"{path}: expected a JSON object of config keys and value texts")
+    return _read(raw)
 
 
 def run_experiment(cfg: RunConfig, out_dir: str | Path | None = None) -> dict[str, Path]:
@@ -585,20 +523,6 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path | None = None) -> dict[st
 # Command line
 
 
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if args.L:
-        cfg = dataclasses.replace(cfg, L_list=tuple(int(p) for p in args.L.split(",")))
-    if args.samples is not None:
-        cfg = dataclasses.replace(cfg, M=args.samples)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, master_seed=args.seed)
-    if args.threads is not None:
-        cfg = dataclasses.replace(cfg, threads=args.threads)
-    if args.full_scale:
-        cfg = dataclasses.replace(cfg, full_scale=True)
-    return cfg
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="spintherm",
@@ -610,42 +534,35 @@ def main(argv: list[str] | None = None) -> int:
     src = run_p.add_mutually_exclusive_group(required=True)
     src.add_argument("--config", help="path to a flat key = value config file")
     src.add_argument("--preset", choices=PRESET_NAMES, help="named desk-scale experiment")
-    run_p.add_argument("--L", help="comma-separated chain lengths overriding L_list")
-    run_p.add_argument("--samples", type=int, help="samples per (L, class)")
-    run_p.add_argument("--seed", type=int, help="master seed")
+    # Overrides are stored under their schema keys.
+    run_p.add_argument("--L", dest="L_list", help="comma-separated chain lengths overriding L_list")
+    run_p.add_argument("--samples", dest="M", help="samples per (L, class)")
+    run_p.add_argument("--seed", dest="master_seed", help="master seed")
     run_p.add_argument("--out", help="output directory")
-    run_p.add_argument("--threads", type=int, help="worker process count")
-    run_p.add_argument("--full-scale", action="store_true", help="allow chains above the desk-scale limit")
+    run_p.add_argument("--threads", help="worker process count")
+    run_p.add_argument("--full-scale", action="store_const", const="true",
+                       help="allow chains above the desk-scale limit")
 
     val_p = sub.add_parser("validate", help="check a config file without running it")
     val_p.add_argument("--config", required=True)
 
     args = parser.parse_args(argv)
 
-    if args.command == "validate":
-        try:
-            load_config(args.config)
-        except (ConfigError, OSError) as exc:
-            print(f"invalid: {exc}", file=sys.stderr)
-            return 2
-        print("ok")
-        return 0
-
     try:
-        if args.config:
-            cfg = _apply_overrides(load_config(args.config), args)
-            validate_config(cfg)
-            out = Path(args.out) if args.out else Path(cfg.output_path)
+        if args.command == "validate":
+            load_config(args.config)
+            print("ok")
+            return 0
+        over = {key: text for key, text in vars(args).items() if key in _FIELDS and text is not None}
+        raws = [_parse_lines(Path(args.config).read_text())] if args.config else _preset_maps(args.preset)
+        cfgs = [_read({**raw, **over}) for raw in raws]
+        for cfg in cfgs:
+            out = Path(args.out or cfg.output_path)
+            if args.preset:
+                out = out / cfg.resolved_label()
             paths = run_experiment(cfg, out)
             print(f"{cfg.resolved_label()}: {paths['summary']}")
-        else:
-            base_out = Path(args.out) if args.out else Path(preset(args.preset).output_path)
-            for variant in preset_variants(args.preset):
-                variant = _apply_overrides(variant, args)
-                validate_config(variant)
-                paths = run_experiment(variant, base_out / variant.resolved_label())
-                print(f"{variant.resolved_label()}: {paths['summary']}")
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 2
     return 0

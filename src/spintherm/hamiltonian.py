@@ -48,15 +48,23 @@ SY = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=np.complex128)
 SZ = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=np.complex128)
 ID2 = np.eye(2, dtype=np.complex128)
 
-MODEL_KINDS = ("heisenberg", "xxz_staggered", "transverse_ising", "mixed_ising")
+_KIND_FIELDS = {
+    "heisenberg": ("J",),
+    "xxz_staggered": ("J", "delta", "h_stag"),
+    "transverse_ising": ("J", "h_x"),
+    "mixed_ising": ("J", "h_x", "h_z"),
+}
+MODEL_KINDS = tuple(_KIND_FIELDS)
 
 
 @dataclass
 class ModelSpec:
     """Parameters selecting a catalog Hamiltonian.
 
-    Fields not used by ``kind`` are stored but ignored (e.g. ``delta``
-    for the Heisenberg chain).
+    ``heisenberg`` reads J; ``xxz_staggered`` J, delta and h_stag;
+    ``transverse_ising`` J and h_x; ``mixed_ising`` J, h_x and h_z.  A
+    nonzero value in a coupling the kind does not read (e.g. ``delta`` for
+    the Heisenberg chain) raises ValueError instead of being ignored.
     """
 
     kind: str
@@ -74,6 +82,15 @@ class ModelSpec:
             raise ValueError(f"L must be >= 2, got {self.L}")
         if self.J == 0.0:
             raise ValueError("J must be nonzero")
+        if not np.all(np.isfinite([self.J, self.delta, self.h_stag, self.h_x, self.h_z])):
+            raise ValueError("couplings must be finite")
+        unused = [
+            name
+            for name in ("delta", "h_stag", "h_x", "h_z")
+            if name not in _KIND_FIELDS[self.kind] and getattr(self, name) != 0.0
+        ]
+        if unused:
+            raise ValueError(f"{', '.join(unused)} not used by kind {self.kind!r}; leave unset")
 
 
 @dataclass

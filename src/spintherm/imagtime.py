@@ -113,13 +113,23 @@ def evolve(
     """
     if terms.L != state.num_sites:
         raise ValueError(f"size mismatch: operator on {terms.L} sites, state on {state.num_sites}")
+    return _evolve(state, terms, theta, cfg, trace_mean(terms), spectral_bound(terms))
+
+
+def _evolve(
+    state: StateVector,
+    terms: HamiltonianTerms,
+    theta: float,
+    cfg: PropagatorConfig,
+    mu: float,
+    bound: float,
+) -> StateVector:
+    """evolve() with the operator's trace mean and spectral bound supplied by the caller."""
     if theta < 0.0 or not np.isfinite(theta):
         raise ValueError(f"theta must be finite and >= 0, got {theta}")
     if theta == 0.0:
         return StateVector(state.amplitudes.copy(), state.log_norm_offset, state.num_sites)
 
-    mu = trace_mean(terms)
-    bound = spectral_bound(terms)
     n_sub = max(1, math.ceil(theta * bound / cfg.substep_cap))
     step = theta / n_sub
 
@@ -162,8 +172,9 @@ def evolve_with_checkpoints(
     rows: list[tuple[float, float, float]] = []
     half_prev = 0.0
     current = state
+    mu, bound = trace_mean(terms), spectral_bound(terms)
     for beta in grid.checkpoints:
-        current = evolve(current, terms, beta / 2.0 - half_prev, cfg)
+        current = _evolve(current, terms, beta / 2.0 - half_prev, cfg, mu, bound)
         half_prev = beta / 2.0
         log_sq_norm = 2.0 * (current.log_norm_offset - base_offset)
         rows.append((beta, log_sq_norm, expectation(observable, current)))

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +59,7 @@ def test_parse_minimal_config_defaults():
     assert cfg.M == 8
     assert cfg.master_seed == 3
     assert cfg.tau == 10.0
-    assert cfg.n_reps_rule == "2L"
+    assert cfg.n_reps == "2L"
     assert cfg.n_resamples == 4000
     assert cfg.threads is None
     assert cfg.full_scale is False
@@ -128,12 +129,12 @@ def test_validate_rejects_tiny_chain():
 def test_preset_fields():
     cfg = preset("fig1")
     assert cfg.system.kind == "heisenberg"
-    assert cfg.system.delta == 5.0
+    assert cfg.system.delta == 0.0
     assert cfg.trotter.kind == "xxz_staggered"
     assert cfg.trotter.delta == 5.0
     assert cfg.trotter.h_stag == 1.0
     assert cfg.tau == 10.0
-    assert cfg.n_reps_rule == "2L"
+    assert cfg.n_reps == "2L"
     assert cfg.M == 1024
     assert cfg.n_resamples == 4000
     assert cfg.L_list == (6, 8, 10, 12)
@@ -297,3 +298,49 @@ def test_main_run_preset_writes_variant_directories(tmp_path):
         assert (base / "samples.csv").exists()
         cfg = load_run_json(base / "run.json")
         assert cfg.resolved_label() == label
+
+
+@pytest.mark.parametrize("line,reason", [
+    ("tau = abc", "tau: could not convert"),
+    ("system.J = abc", "system.J: could not convert"),
+    ("threads = 0", "threads: must be >= 1"),
+    ("n_reps = 0", "n_reps: must be 2L or an integer >= 1"),
+    ("n_reps_rule = explicit", "unknown keys: n_reps_rule"),
+    ("system.delta = 5.0", "system: delta not used by kind 'heisenberg'"),
+])
+def test_main_validate_names_the_bad_key(tmp_path, capsys, line, reason):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(TINY_RUN + line + "\n")
+    assert main(["validate", "--config", str(cfg_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid: {reason}")
+    assert "Traceback" not in err
+
+
+def test_main_run_names_the_bad_override(tmp_path, capsys):
+    rc = main(["run", "--preset", "fig2", "--L", "4,x", "--out", str(tmp_path / "none")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("invalid: L_list: ")
+    assert not (tmp_path / "none").exists()
+
+
+def test_n_reps_is_2L_or_a_positive_integer():
+    assert parse_config(TINY_RUN).reps_for(5) == 10
+    assert parse_config(TINY_RUN + "n_reps = 3").reps_for(5) == 3
+    assert parse_config(TINY_RUN + "n_reps = 2L").n_reps == "2L"
+    with pytest.raises(ConfigError, match="n_reps"):
+        parse_config(TINY_RUN + "n_reps = 2.5")
+
+
+def test_load_run_json_validates(tmp_path):
+    path = emit_results([], [], tiny_config(tmp_path / "v"), tmp_path / "v")["run_json"]
+    raw = json.loads(path.read_text())
+    path.write_text(json.dumps({**raw, "M": "-5"}))
+    with pytest.raises(ConfigError, match="M: must be >= 1, got -5"):
+        load_run_json(path)
+    path.write_text(json.dumps({**raw, "n_reps_rule": "2L"}))
+    with pytest.raises(ConfigError, match="unknown keys: n_reps_rule"):
+        load_run_json(path)
+    path.write_text(json.dumps({**raw, "M": 8}))
+    with pytest.raises(ConfigError, match="JSON object"):
+        load_run_json(path)

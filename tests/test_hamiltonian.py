@@ -188,3 +188,18 @@ def test_terms_validation():
         HamiltonianTerms(L=3, fields=[(4, np.eye(2))])
     with pytest.raises(ValueError, match="shape"):
         HamiltonianTerms(L=3, bonds=[(1, np.eye(2))])
+
+
+@pytest.mark.parametrize("kind,unused", [
+    ("heisenberg", ("delta", "h_stag", "h_x", "h_z")),
+    ("xxz_staggered", ("h_x", "h_z")),
+    ("transverse_ising", ("delta", "h_stag", "h_z")),
+    ("mixed_ising", ("delta", "h_stag")),
+])
+def test_model_spec_rejects_couplings_its_kind_ignores(kind, unused):
+    for name in unused:
+        with pytest.raises(ValueError, match=f"{name} not used by kind '{kind}'"):
+            ModelSpec(kind=kind, L=4, **{name: 0.5})
+        ModelSpec(kind=kind, L=4, **{name: 0.0})
+    with pytest.raises(ValueError, match="finite"):
+        ModelSpec(kind=kind, L=4, J=float("nan"))

@@ -89,6 +89,29 @@ def test_single_checkpoint_equals_direct_evolve():
     assert obs == expectation(terms, direct)
 
 
+def test_walk_equals_chained_evolve_and_bounds_the_operator_once(monkeypatch):
+    import spintherm.imagtime as imagtime
+
+    spec = ModelSpec(kind="mixed_ising", L=6, J=1.0, h_x=1.0, h_z=1.0)
+    terms = build_hamiltonian(spec)
+    state = sample_haar(6, SampleSeed(8, 1))
+    grid = BetaGrid((0.5, 1.0, 3.0))
+    chained, half_prev = [], 0.0
+    current = state
+    for beta in grid.checkpoints:
+        current = evolve(current, terms, beta / 2.0 - half_prev)
+        half_prev = beta / 2.0
+        chained.append((beta, 2.0 * (current.log_norm_offset - state.log_norm_offset),
+                        expectation(terms, current)))
+
+    calls = []
+    for name in ("spectral_bound", "trace_mean"):
+        original = getattr(imagtime, name)
+        monkeypatch.setattr(imagtime, name, lambda t, f=original, n=name: calls.append(n) or f(t))
+    assert evolve_with_checkpoints(state, terms, grid, terms) == chained
+    assert sorted(calls) == ["spectral_bound", "trace_mean"]
+
+
 def test_checkpoint_log_norms_match_dense_boltzmann_factor():
     spec = ModelSpec(kind="heisenberg", L=8, J=1.0)
     terms = build_hamiltonian(spec)
