@@ -25,15 +25,10 @@ from .hamiltonian import (
     build_hamiltonian,
     expectation,
     spectral_bound,
+    spectral_interval,
 )
 from .hilbert import StateVector, basis_state, inner, normalize, schmidt_spectrum
-from .imagtime import (
-    BetaGrid,
-    OrderExhaustedError,
-    PropagatorConfig,
-    evolve,
-    evolve_with_checkpoints,
-)
+from .imagtime import BetaGrid, evolve, evolve_with_checkpoints
 from .oracle import DenseOperator, dense_build, exact_evolve, exact_thermal
 from .state_prep import (
     SampleSeed,
@@ -58,15 +53,14 @@ __all__ = [
     "apply_h",
     "expectation",
     "spectral_bound",
+    "spectral_interval",
     "SampleSeed",
     "TrotterCircuit",
     "sample_rpps",
     "sample_haar",
     "build_trotter_circuit",
     "apply_circuit",
-    "PropagatorConfig",
     "BetaGrid",
-    "OrderExhaustedError",
     "evolve",
     "evolve_with_checkpoints",
     "SampleRecord",

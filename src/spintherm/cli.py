@@ -47,8 +47,8 @@ from .estimators import (
     weighted_expectation,
     weights,
 )
-from .hamiltonian import ModelSpec, build_hamiltonian
-from .imagtime import BetaGrid, PropagatorConfig, evolve_with_checkpoints
+from .hamiltonian import ModelSpec, build_hamiltonian, spectral_interval
+from .imagtime import BetaGrid, evolve_with_checkpoints
 from .state_prep import SampleSeed, apply_circuit, build_trotter_circuit, sample_haar, sample_rpps
 
 __all__ = [
@@ -315,7 +315,7 @@ def _run_one_sample(
     circuit,
     system_terms,
     grid: BetaGrid,
-    prop_cfg: PropagatorConfig,
+    interval: tuple[float, float],
     sample_index: int,
 ) -> tuple[int, float, list[float], list[float]]:
     seed = SampleSeed(master_seed, sample_index)
@@ -326,7 +326,7 @@ def _run_one_sample(
         if init_class == "trotter_rpps":
             state = apply_circuit(state, circuit)
     s_ini = entanglement_entropy(state)
-    rows = evolve_with_checkpoints(state, system_terms, grid, system_terms, prop_cfg)
+    rows = evolve_with_checkpoints(state, system_terms, grid, interval)
     return (
         sample_index,
         s_ini,
@@ -364,7 +364,7 @@ def _collect_records(cfg: RunConfig, L: int, threads: int) -> list[SampleRecord]
         circuit,
         system_terms,
         cfg.beta_grid,
-        PropagatorConfig(),
+        spectral_interval(system_terms),  # once per (variant, L), the same for every worker
     )
     indices = range(cfg.M)
     if threads > 1:

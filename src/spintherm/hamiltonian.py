@@ -40,6 +40,7 @@ __all__ = [
     "apply_h",
     "expectation",
     "spectral_bound",
+    "spectral_interval",
     "trace_mean",
 ]
 
@@ -47,6 +48,9 @@ SX = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=np.complex128)
 SY = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=np.complex128)
 SZ = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=np.complex128)
 ID2 = np.eye(2, dtype=np.complex128)
+
+LANCZOS_STEPS = 20
+INTERVAL_MARGIN = 0.05
 
 _KIND_FIELDS = {
     "heisenberg": ("J",),
@@ -204,7 +208,7 @@ def spectral_bound(terms: HamiltonianTerms) -> float:
     """Sum of the spectral norms of all local terms.
 
     An inexpensive upper bound on the spectral norm of the full
-    operator, used to pick imaginary-time substep counts.
+    operator: the spectrum lies in [-bound, bound].
     """
     total = 0.0
     for _, mat in terms.bonds:
@@ -226,3 +230,31 @@ def trace_mean(terms: HamiltonianTerms) -> float:
     for _, mat in terms.fields:
         mu += float(np.trace(mat).real) / 2.0
     return mu
+
+
+
+def spectral_interval(terms: HamiltonianTerms) -> tuple[float, float]:
+    """An interval (lo, hi) holding the spectrum, for Chebyshev expansions.
+
+    The extreme Ritz values of LANCZOS_STEPS Lanczos steps, widened by
+    INTERVAL_MARGIN of their spread on each side.  The start vector is
+    drawn from a fixed seed (the all-ones vector is an eigenvector of
+    the Heisenberg chain), so the interval depends on the operator alone.
+    It is an estimate, not a bound; spectral_bound gives a bound.
+    """
+    vec = np.random.default_rng(0).standard_normal(2 ** (terms.L + 1)).view(np.complex128)
+    vec /= np.linalg.norm(vec)
+    prev, off = np.zeros_like(vec), 0.0
+    alphas, offs = [], []
+    for _ in range(LANCZOS_STEPS):
+        w = apply_terms(terms, vec)
+        alphas.append(float(np.vdot(vec, w).real))
+        w -= alphas[-1] * vec + off * prev
+        off = float(np.linalg.norm(w))
+        if off <= 1e-10 * max(1.0, abs(alphas[-1])):
+            break  # the Krylov space is exhausted (at L = 2 it has dimension 4)
+        offs.append(off)
+        prev, vec = vec, w / off
+    ritz = np.linalg.eigvalsh(np.diag(alphas) + np.diag(offs[: len(alphas) - 1], -1))
+    pad = INTERVAL_MARGIN * (ritz[-1] - ritz[0]) or 1.0
+    return float(ritz[0] - pad), float(ritz[-1] + pad)

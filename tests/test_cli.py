@@ -3,6 +3,9 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,7 @@ from spintherm.cli import (
 )
 from spintherm.estimators import SampleRecord, efficiency, simple_expectation, weighted_expectation, weights
 from spintherm.hamiltonian import ModelSpec
-from spintherm.imagtime import BetaGrid
+from spintherm.imagtime import MAX_BETA_POINTS, BetaGrid
 
 MINIMAL = """
 system.kind = heisenberg
@@ -315,6 +318,23 @@ def test_main_validate_names_the_bad_key(tmp_path, capsys, line, reason):
     err = capsys.readouterr().err
     assert err.startswith(f"invalid: {reason}")
     assert "Traceback" not in err
+
+
+def test_main_validate_refuses_an_oversized_beta_grid(tmp_path, capsys):
+    # the count is checked before the grid is built: this one has 9,999,991 points
+    cfg_file = tmp_path / "huge.cfg"
+    cfg_file.write_text(TINY_RUN.replace("beta_grid = 0.5,1.0", "beta_grid = 0.001:1000:0.0001"))
+    assert main(["validate", "--config", str(cfg_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid: beta_grid: ")
+    assert f"more than {MAX_BETA_POINTS}" in err
+
+
+def test_runtime_imports_no_scipy():
+    code = "import sys, spintherm, spintherm.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_main_run_names_the_bad_override(tmp_path, capsys):

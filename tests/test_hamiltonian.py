@@ -1,5 +1,7 @@
 """Model catalog, matrix-free application, and operator bounds."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from spintherm.hamiltonian import (
     build_hamiltonian,
     expectation,
     spectral_bound,
+    spectral_interval,
     trace_mean,
 )
 from spintherm.hilbert import StateVector, basis_state, inner
@@ -152,6 +155,23 @@ def test_spectral_bound_examples():
     # a lone transverse field of strength J has norm J/2
     field_only = HamiltonianTerms(L=2, bonds=[], fields=[(1, 1.0 * SX)])
     assert spectral_bound(field_only) == pytest.approx(0.5)
+
+
+def test_spectral_interval_holds_the_spectrum():
+    for spec, matrix in CATALOG:
+        for L in (2, 3, 5, 9):
+            energies = np.linalg.eigvalsh(matrix(L))
+            lo, hi = spectral_interval(build_hamiltonian(dataclasses.replace(spec, L=L)))
+            assert lo < energies[0] and energies[-1] < hi
+            # a margin of about 5 % of the spread, not a loose bound
+            assert hi - lo <= 1.2 * (energies[-1] - energies[0])
+
+
+def test_spectral_interval_is_a_function_of_the_operator():
+    terms = build_hamiltonian(ModelSpec(kind="mixed_ising", L=7, J=1.0, h_x=1.0, h_z=1.0))
+    assert spectral_interval(terms) == spectral_interval(terms)
+    # no terms at all: a zero operator still gets an interval of nonzero width
+    assert spectral_interval(HamiltonianTerms(L=2)) == (-1.0, 1.0)
 
 
 def test_trace_mean_catalog_is_zero():

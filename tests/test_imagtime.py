@@ -1,19 +1,17 @@
-"""Imaginary-time propagation against dense matrix exponentials."""
+"""Chebyshev imaginary-time propagation and beta walks against dense references."""
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dense_reference as ref
-from spintherm.hamiltonian import ModelSpec, build_hamiltonian, expectation
+from spintherm.hamiltonian import ModelSpec, build_hamiltonian, expectation, spectral_bound
 from spintherm.hilbert import StateVector, basis_state
-from spintherm.imagtime import (
-    BetaGrid,
-    OrderExhaustedError,
-    PropagatorConfig,
-    evolve,
-    evolve_with_checkpoints,
-)
+from spintherm.imagtime import MAX_BETA_POINTS, BetaGrid, evolve, evolve_with_checkpoints
+from spintherm.oracle import dense_build, exact_evolve
 from spintherm.state_prep import SampleSeed, sample_haar
 
 CASES = [
@@ -72,44 +70,144 @@ def test_energy_decreases_along_checkpoints():
     terms = build_hamiltonian(spec)
     state = sample_haar(8, SampleSeed(5, 0))
     grid = BetaGrid.uniform(0.5, 4.0, 0.5)
-    rows = evolve_with_checkpoints(state, terms, grid, terms)
+    rows = evolve_with_checkpoints(state, terms, grid)
     obs = [row[2] for row in rows]
     assert all(b < a + 1e-12 for a, b in zip(obs, obs[1:]))
 
 
-def test_single_checkpoint_equals_direct_evolve():
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=0.0, max_value=60.0))
+def test_bessel_weights_match_scipy_ive(t):
+    from spintherm.imagtime import _bessel, _coefficients
+
+    got = _bessel(np.array([t]), 150)[:, 0]
+    want = scipy.special.ive(np.arange(150), t)
+    assert np.max(np.abs(got - want)) <= 1e-15
+    tiny = want > 1e-290
+    assert np.max(np.abs(got - want)[tiny] / want[tiny]) <= 1e-12
+    if t > 0.0:
+        # the cut series is e^{-t(x + 1)} on [-1, 1] to rounding
+        x = np.linspace(-1.0, 1.0, 101)
+        series = np.polynomial.chebyshev.chebval(x, _coefficients((t,))[:, 0])
+        assert np.max(np.abs(series - np.exp(-t * (x + 1.0)))) <= 1e-14
+
+
+def dense_walk(matrix, amps, betas):
+    """(ln <psi|e^{-beta H}|psi>, <H>_beta) at each beta from the full eigensystem."""
+    energies, vectors = np.linalg.eigh(matrix)
+    weights = np.abs(vectors.conj().T @ amps) ** 2
+    rows = []
+    for beta in betas:
+        boltz = weights * np.exp(-beta * (energies - energies[0]))
+        rows.append((np.log(boltz.sum()) - beta * energies[0], boltz @ energies / boltz.sum()))
+    return rows
+
+
+def assert_walk_matches_dense(rows, matrix, amps, betas, tol=1e-10):
+    assert [row[0] for row in rows] == list(betas)
+    for (_, log_sq_norm, energy), (want_log, want_energy) in zip(rows, dense_walk(matrix, amps, betas)):
+        assert abs(log_sq_norm - want_log) <= tol
+        assert abs(energy - want_energy) <= tol
+
+
+DENSE_MODELS = [
+    (dict(kind="heisenberg", J=1.0), lambda L: ref.heisenberg_matrix(L)),
+    (dict(kind="xxz_staggered", J=1.0, delta=5.0, h_stag=1.0),
+     lambda L: ref.xxz_staggered_matrix(L, delta=5.0, h_stag=1.0)),
+    (dict(kind="transverse_ising", J=1.0, h_x=1.0), lambda L: ref.transverse_ising_matrix(L, h_x=1.0)),
+    (dict(kind="mixed_ising", J=1.0, h_x=1.0, h_z=1.0), lambda L: ref.mixed_ising_matrix(L, h_x=1.0, h_z=1.0)),
+]
+
+
+@pytest.mark.parametrize("fields,matrix", DENSE_MODELS, ids=[m[0]["kind"] for m in DENSE_MODELS])
+def test_walk_matches_dense_oracle(fields, matrix):
+    grid = BetaGrid.uniform(0.1, 4.0, 0.1)
+    for L in (2, 4, 6, 8):
+        terms = build_hamiltonian(ModelSpec(L=L, **fields))
+        state = sample_haar(L, SampleSeed(17, L))
+        rows = evolve_with_checkpoints(state, terms, grid)
+        assert_walk_matches_dense(rows, matrix(L), state.amplitudes, grid.checkpoints)
+
+
+def test_walk_restarts_keep_large_beta_exact():
+    # At beta ~ 40 the Boltzmann sum is far below the moments' rounding, so the
+    # walk has to restart from filtered states; a single moment run is off by 1e-8.
+    spec = ModelSpec(kind="mixed_ising", L=6, J=1.0, h_x=1.0, h_z=1.0)
+    state = sample_haar(6, SampleSeed(4, 0))
+    grid = BetaGrid.uniform(2.0, 40.0, 2.0)
+    rows = evolve_with_checkpoints(state, build_hamiltonian(spec), grid)
+    assert_walk_matches_dense(rows, ref.mixed_ising_matrix(6, h_x=1.0, h_z=1.0), state.amplitudes, grid.checkpoints)
+
+
+def test_single_checkpoint_matches_dense_oracle():
     spec = ModelSpec(kind="mixed_ising", L=6, J=1.0, h_x=1.0, h_z=1.0)
     terms = build_hamiltonian(spec)
     state = sample_haar(6, SampleSeed(8, 0))
-    rows = evolve_with_checkpoints(state, terms, BetaGrid((3.0,)), terms)
+    rows = evolve_with_checkpoints(state, terms, BetaGrid((3.0,)))
+    assert_walk_matches_dense(rows, ref.mixed_ising_matrix(6, h_x=1.0, h_z=1.0), state.amplitudes, (3.0,))
     direct = evolve(state, terms, 1.5)
-    beta, log_sq_norm, obs = rows[0]
-    assert beta == 3.0
-    assert log_sq_norm == 2.0 * (direct.log_norm_offset - state.log_norm_offset)
-    assert obs == expectation(terms, direct)
+    assert rows[0][1] == pytest.approx(2.0 * (direct.log_norm_offset - state.log_norm_offset), abs=1e-10)
+    assert rows[0][2] == pytest.approx(expectation(terms, direct), abs=1e-10)
 
 
-def test_walk_equals_chained_evolve_and_bounds_the_operator_once(monkeypatch):
+def test_run_costs_one_interval_plus_the_same_walk_per_sample(monkeypatch):
+    import spintherm.hamiltonian as hamiltonian
     import spintherm.imagtime as imagtime
-
-    spec = ModelSpec(kind="mixed_ising", L=6, J=1.0, h_x=1.0, h_z=1.0)
-    terms = build_hamiltonian(spec)
-    state = sample_haar(6, SampleSeed(8, 1))
-    grid = BetaGrid((0.5, 1.0, 3.0))
-    chained, half_prev = [], 0.0
-    current = state
-    for beta in grid.checkpoints:
-        current = evolve(current, terms, beta / 2.0 - half_prev)
-        half_prev = beta / 2.0
-        chained.append((beta, 2.0 * (current.log_norm_offset - state.log_norm_offset),
-                        expectation(terms, current)))
+    from spintherm.cli import RunConfig, run_experiment
 
     calls = []
-    for name in ("spectral_bound", "trace_mean"):
-        original = getattr(imagtime, name)
-        monkeypatch.setattr(imagtime, name, lambda t, f=original, n=name: calls.append(n) or f(t))
-    assert evolve_with_checkpoints(state, terms, grid, terms) == chained
-    assert sorted(calls) == ["spectral_bound", "trace_mean"]
+    original = hamiltonian.apply_terms
+    for module in (hamiltonian, imagtime):
+        monkeypatch.setattr(module, "apply_terms", lambda t, a: calls.append(1) or original(t, a))
+    spec = ModelSpec(kind="heisenberg", L=6, J=1.0)
+    terms = build_hamiltonian(spec)
+    interval = hamiltonian.spectral_interval(terms)
+    assert len(calls) == hamiltonian.LANCZOS_STEPS
+    grid = BetaGrid((0.5, 1.0, 3.0))
+    calls.clear()
+    evolve_with_checkpoints(sample_haar(6, SampleSeed(8, 1)), terms, grid, interval)
+    per_walk = len(calls)
+    assert per_walk <= 20
+
+    cfg = RunConfig(system=spec, init_class="haar", beta_grid=grid, L_list=(6,), M=5,
+                    master_seed=8, n_resamples=0, threads=1, output_path="unused")
+    calls.clear()
+    monkeypatch.setattr("spintherm.cli.emit_results", lambda *args: {})
+    run_experiment(cfg)
+    assert len(calls) == hamiltonian.LANCZOS_STEPS + cfg.M * per_walk
+
+
+def test_narrowed_interval_is_detected_and_still_exact(monkeypatch):
+    import spintherm.imagtime as imagtime
+
+    spec = ModelSpec(kind="heisenberg", L=6, J=1.0)
+    terms = build_hamiltonian(spec)
+    matrix = ref.heisenberg_matrix(6)
+    energies = np.linalg.eigvalsh(matrix)
+    # the bottom third of the spectrum lies below the interval
+    narrowed = (energies[0] + 0.3 * (energies[-1] - energies[0]), energies[-1])
+    bounds = []
+    monkeypatch.setattr(imagtime, "spectral_bound", lambda t: bounds.append(t) or spectral_bound(t))
+    state = sample_haar(6, SampleSeed(9, 0))
+    grid = BetaGrid.uniform(0.25, 3.0, 0.25)
+    rows = evolve_with_checkpoints(state, terms, grid, narrowed)
+    assert len(bounds) == 1
+    assert_walk_matches_dense(rows, matrix, state.amplitudes, grid.checkpoints)
+
+    out = evolve(state, terms, 1.5, narrowed)
+    assert len(bounds) == 2
+    raw = scipy.linalg.expm(-1.5 * matrix) @ state.amplitudes
+    assert np.max(np.abs(out.amplitudes - raw / np.linalg.norm(raw))) <= 1e-10
+    assert out.log_norm_offset == pytest.approx(np.log(np.linalg.norm(raw)), abs=1e-10)
+
+
+def test_evolve_stays_exact_at_large_theta():
+    spec = ModelSpec(kind="xxz_staggered", L=6, J=1.0, delta=5.0, h_stag=1.0)
+    state = sample_haar(6, SampleSeed(10, 0))
+    out = evolve(state, build_hamiltonian(spec), 20.0)
+    want = exact_evolve(dense_build(build_hamiltonian(spec)), state, 20.0, "imag_time")
+    assert np.linalg.norm(out.amplitudes - want.amplitudes) <= 1e-10
+    assert out.log_norm_offset == pytest.approx(want.log_norm_offset, abs=1e-10)
 
 
 def test_checkpoint_log_norms_match_dense_boltzmann_factor():
@@ -119,7 +217,7 @@ def test_checkpoint_log_norms_match_dense_boltzmann_factor():
     energies, vectors = np.linalg.eigh(matrix)
     state = sample_haar(8, SampleSeed(40, 0))
     grid = BetaGrid.uniform(0.5, 3.0, 0.5)
-    rows = evolve_with_checkpoints(state, terms, grid, terms)
+    rows = evolve_with_checkpoints(state, terms, grid)
     coeffs = np.abs(vectors.conj().T @ state.amplitudes) ** 2
     for beta, log_sq_norm, _ in rows:
         want = np.log(np.sum(coeffs * np.exp(-beta * (energies - energies[0])))) - beta * energies[0]
@@ -130,18 +228,8 @@ def test_small_beta_limit_recovers_initial_energy():
     spec = ModelSpec(kind="heisenberg", L=6, J=1.0)
     terms = build_hamiltonian(spec)
     state = sample_haar(6, SampleSeed(3, 0))
-    rows = evolve_with_checkpoints(state, terms, BetaGrid((1e-6,)), terms)
+    rows = evolve_with_checkpoints(state, terms, BetaGrid((1e-6,)))
     assert abs(rows[0][2] - expectation(terms, state)) <= 1e-5 * 6
-
-
-def test_order_exhaustion_raises():
-    terms = build_hamiltonian(ModelSpec(kind="heisenberg", L=4, J=1.0))
-    state = sample_haar(4, SampleSeed(0, 1))
-    cfg = PropagatorConfig(max_order=8, substep_cap=50.0)
-    with pytest.raises(OrderExhaustedError) as exc:
-        evolve(state, terms, 5.0, cfg)
-    assert exc.value.max_order == 8
-    assert exc.value.residual > 0.0
 
 
 def test_evolve_input_validation():
@@ -151,14 +239,8 @@ def test_evolve_input_validation():
         evolve(state, terms, -0.1)
     with pytest.raises(ValueError, match="sites"):
         evolve(sample_haar(5, SampleSeed(0, 0)), terms, 1.0)
-    with pytest.raises(ValueError):
-        PropagatorConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        PropagatorConfig(tolerance=1e-3)
-    with pytest.raises(ValueError):
-        PropagatorConfig(max_order=4)
-    with pytest.raises(ValueError):
-        PropagatorConfig(substep_cap=0.0)
+    with pytest.raises(ValueError, match="sites"):
+        evolve_with_checkpoints(sample_haar(5, SampleSeed(0, 0)), terms, BetaGrid((1.0,)))
 
 
 def test_log_norms_are_relative_to_input_offset():
@@ -168,8 +250,8 @@ def test_log_norms_are_relative_to_input_offset():
     base = sample_haar(4, SampleSeed(60, 0))
     shifted = StateVector(base.amplitudes.copy(), 5.0, 4)
     grid = BetaGrid((1.0, 2.0))
-    rows_a = evolve_with_checkpoints(base, terms, grid, terms)
-    rows_b = evolve_with_checkpoints(shifted, terms, grid, terms)
+    rows_a = evolve_with_checkpoints(base, terms, grid)
+    rows_b = evolve_with_checkpoints(shifted, terms, grid)
     for (_, la, oa), (_, lb, ob) in zip(rows_a, rows_b):
         assert la == pytest.approx(lb, abs=1e-12)
         assert oa == pytest.approx(ob, abs=1e-12)
@@ -194,3 +276,14 @@ def test_beta_grid_validation():
         BetaGrid((2.0, 1.0))
     with pytest.raises(ValueError):
         BetaGrid.uniform(1.0, 0.5, 0.1)
+    with pytest.raises(ValueError, match="need step"):
+        BetaGrid.uniform(0.1, 1.0, float("nan"))
+
+
+def test_beta_grid_is_bounded_before_it_is_built():
+    assert len(BetaGrid.uniform(0.001, 10.0, 0.001).checkpoints) == MAX_BETA_POINTS
+    for stop in (10.002, 1000.0, 1e300, float("inf")):
+        with pytest.raises(ValueError, match=f"more than {MAX_BETA_POINTS}"):
+            BetaGrid.uniform(0.001, stop, 0.001)
+    with pytest.raises(ValueError, match=f"more than {MAX_BETA_POINTS}"):
+        BetaGrid(tuple(range(1, MAX_BETA_POINTS + 2)))
