@@ -9,7 +9,6 @@ the command-line interface.
 
 from .estimators import (
     EfficiencyReport,
-    SampleRecord,
     bootstrap_sigma,
     efficiency,
     entanglement_entropy,
@@ -63,7 +62,6 @@ __all__ = [
     "BetaGrid",
     "evolve",
     "evolve_with_checkpoints",
-    "SampleRecord",
     "EfficiencyReport",
     "weights",
     "efficiency",

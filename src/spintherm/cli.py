@@ -39,7 +39,6 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import (
-    SampleRecord,
     bootstrap_sigma,
     efficiency,
     entanglement_entropy,
@@ -317,7 +316,7 @@ def _run_one_sample(
     grid: BetaGrid,
     interval: tuple[float, float],
     sample_index: int,
-) -> tuple[int, float, list[float], list[float]]:
+) -> tuple[float, list[float], list[float]]:
     seed = SampleSeed(master_seed, sample_index)
     if init_class == "haar":
         state = sample_haar(L, seed)
@@ -327,12 +326,7 @@ def _run_one_sample(
             state = apply_circuit(state, circuit)
     s_ini = entanglement_entropy(state)
     rows = evolve_with_checkpoints(state, system_terms, grid, interval)
-    return (
-        sample_index,
-        s_ini,
-        [r[1] for r in rows],
-        [r[2] for r in rows],
-    )
+    return s_ini, [r[1] for r in rows], [r[2] for r in rows]
 
 
 def _resolve_threads(cfg: RunConfig) -> int:
@@ -349,7 +343,8 @@ def _resolve_threads(cfg: RunConfig) -> int:
         return n
     return os.cpu_count() or 1
 
-def _collect_records(cfg: RunConfig, L: int, threads: int) -> list[SampleRecord]:
+def _collect_samples(cfg: RunConfig, L: int, threads: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Initial entropies, shape (M,), and ln-norms and energies, shape (K, M): one row per beta."""
     system_terms = build_hamiltonian(dataclasses.replace(cfg.system, L=L))
     circuit = None
     if cfg.init_class == "trotter_rpps":
@@ -370,65 +365,46 @@ def _collect_records(cfg: RunConfig, L: int, threads: int) -> list[SampleRecord]
     if threads > 1:
         chunk = max(1, cfg.M // (4 * threads))
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(task, indices, chunksize=chunk))
+            raw = list(pool.map(task, indices, chunksize=chunk))  # in sample order
     else:
         raw = [task(m) for m in indices]
-    raw.sort(key=lambda r: r[0])
-    betas = np.array(cfg.beta_grid.checkpoints)
-    return [
-        SampleRecord(
-            sample_index=m,
-            betas=betas,
-            log_sq_norm=np.array(logs),
-            obs_value=np.array(obs),
-            init_entropy=s_ini,
-        )
-        for m, s_ini, logs, obs in raw
-    ]
+    s_ini, logs, obs = map(np.array, zip(*raw))
+    logs, obs = logs.T.copy(), obs.T.copy()  # contiguous rows: a strided one changes the dot's last bit
+    if not (np.all(np.isfinite(logs)) and np.all(np.isfinite(obs))):
+        raise ValueError(f"L = {L}: ln-norms and energies must be finite")
+    if not np.all(np.isfinite(s_ini)) or np.any(s_ini < -1e-12):
+        raise ValueError(f"L = {L}: initial entropies must be nonnegative reals, got {s_ini.min()}")
+    return s_ini, logs, obs
 
 
-def _aggregate(cfg: RunConfig, L: int, records: list[SampleRecord]) -> list[dict]:
+def _aggregate(cfg: RunConfig, L: int, s_ini: np.ndarray, logs: np.ndarray, obs: np.ndarray) -> list[dict]:
     """Per-(L, beta) summary rows; bootstrap seeds derive from the run identity."""
-    label = cfg.resolved_label()
-    entropies = np.array([r.init_entropy for r in records])
-    n_res = cfg.n_resamples
-    if n_res >= 2 and cfg.M >= 1:
-        s_ini_sigma = bootstrap_sigma(
-            entropies, np.mean, n_res, seed=(cfg.master_seed, L, 0, 1)
-        )
-    else:
-        s_ini_sigma = 0.0
+    n_res = cfg.n_resamples if cfg.n_resamples >= 2 else 0
+
+    def sigma(values, statistic, k: int, tag: int) -> float:
+        return bootstrap_sigma(values, statistic, n_res, seed=(cfg.master_seed, L, k, tag)) if n_res else 0.0
+
+    def weighted(draw: np.ndarray):
+        return weighted_expectation(draw[..., 0], draw[..., 1])
+
+    s_ini_mean, s_ini_sigma = float(simple_expectation(s_ini)), sigma(s_ini, simple_expectation, 0, 1)
     rows = []
     for k, beta in enumerate(cfg.beta_grid.checkpoints):
-        w = weights(records, beta)
-        report = efficiency(w, n_resamples=n_res if n_res >= 2 else 0, seed=(cfg.master_seed, L, k, 0))
-        logs = np.array([r.log_sq_norm[k] for r in records])
-        obs = np.array([r.obs_value[k] for r in records])
-        joint = np.column_stack([logs, obs])
-
-        def weighted_stat(draw: np.ndarray) -> float:
-            ww = np.exp(draw[:, 0] - draw[:, 0].max())
-            return float(np.dot(ww / ww.sum(), draw[:, 1]))
-
-        if n_res >= 2:
-            w_sigma = bootstrap_sigma(joint, weighted_stat, n_res, seed=(cfg.master_seed, L, k, 2))
-            s_sigma = bootstrap_sigma(obs, np.mean, n_res, seed=(cfg.master_seed, L, k, 3))
-        else:
-            w_sigma = 0.0
-            s_sigma = 0.0
+        report = efficiency(weights(logs[k]), n_res, seed=(cfg.master_seed, L, k, 0))
         rows.append(
             {
                 "L": L,
                 "beta": beta,
-                "init_class": label,
+                "init_class": cfg.resolved_label(),
                 "eta": report.eta,
                 "eta_sigma": report.sigma,
-                "S_ini_mean": float(entropies.mean()),
+                "S_ini_mean": s_ini_mean,
                 "S_ini_sigma": s_ini_sigma,
-                "energy_weighted": weighted_expectation(records, beta),
-                "energy_weighted_sigma": w_sigma,
-                "energy_simple": simple_expectation(records, beta),
-                "energy_simple_sigma": s_sigma,
+                "energy_weighted": weighted_expectation(logs[k], obs[k]),
+                # (M, 2) pairs: a resample keeps each ln-norm with its energy
+                "energy_weighted_sigma": sigma(np.column_stack([logs[k], obs[k]]), weighted, k, 2),
+                "energy_simple": simple_expectation(obs[k]),
+                "energy_simple_sigma": sigma(obs[k], simple_expectation, k, 3),
                 "M": cfg.M,
                 "master_seed": cfg.master_seed,
             }
@@ -509,13 +485,13 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path | None = None) -> dict[st
     summary_rows: list[dict] = []
     sample_rows: list[tuple] = []
     for L in cfg.L_list:
-        records = _collect_records(cfg, L, threads)
-        summary_rows.extend(_aggregate(cfg, L, records))
-        for rec in records:
-            for k, beta in enumerate(cfg.beta_grid.checkpoints):
-                sample_rows.append(
-                    (L, rec.sample_index, beta, rec.log_sq_norm[k], rec.obs_value[k], rec.init_entropy)
-                )
+        s_ini, logs, obs = _collect_samples(cfg, L, threads)
+        summary_rows.extend(_aggregate(cfg, L, s_ini, logs, obs))
+        sample_rows += [
+            (L, m, beta, logs[k, m], obs[k, m], s_ini[m])
+            for k, beta in enumerate(cfg.beta_grid.checkpoints)
+            for m in range(cfg.M)
+        ]
     return emit_results(summary_rows, sample_rows, cfg, out_dir or cfg.output_path)
 
 

@@ -10,6 +10,12 @@ eta = e^I / M, which is 1 for uniform weights and 1/M when one sample
 dominates; eta close to 1 means the simple mean is as good as the
 weighted one.
 
+Every estimator reads the samples along the last axis of its input: a
+row of M log norms or observables gives the point value, and a (rows, M)
+stack of resamples gives one value per row.  bootstrap_sigma hands a
+statistic a whole block of resamples at once, so each statistic has one
+implementation for both.
+
 All states are sampled unit-normalized, so trace estimates built from
 them carry the common prefactor 2**L exposed by trace_prefactor().
 """
@@ -17,14 +23,13 @@ them carry the common prefactor 2**L exposed by trace_prefactor().
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .hilbert import StateVector, schmidt_spectrum
 
 __all__ = [
-    "SampleRecord",
     "EfficiencyReport",
     "weights",
     "efficiency",
@@ -35,33 +40,9 @@ __all__ = [
     "trace_prefactor",
 ]
 
-
-@dataclass
-class SampleRecord:
-    """Per-sample results along a beta grid.
-
-    ``log_sq_norm[k]`` is ln <psi|e^{-beta_k H}|psi> for the (unit
-    normalized) initial state, ``obs_value[k]`` the normalized
-    observable expectation at that beta, and ``init_entropy`` the
-    half-chain entanglement entropy of the initial state in nats.
-    """
-
-    sample_index: int
-    betas: np.ndarray
-    log_sq_norm: np.ndarray
-    obs_value: np.ndarray
-    init_entropy: float
-
-    def __post_init__(self) -> None:
-        self.betas = np.asarray(self.betas, dtype=np.float64)
-        self.log_sq_norm = np.asarray(self.log_sq_norm, dtype=np.float64)
-        self.obs_value = np.asarray(self.obs_value, dtype=np.float64)
-        if not (self.betas.shape == self.log_sq_norm.shape == self.obs_value.shape):
-            raise ValueError("betas, log_sq_norm, and obs_value must have matching shapes")
-        if not np.all(np.isfinite(self.log_sq_norm)) or not np.all(np.isfinite(self.obs_value)):
-            raise ValueError("records must be finite")
-        if not np.isfinite(self.init_entropy) or self.init_entropy < -1e-12:
-            raise ValueError(f"init_entropy must be a nonnegative real, got {self.init_entropy}")
+# Indices drawn per bootstrap block (2**14 // M resamples of M samples): it
+# bounds the memory of one block, whatever M and n_resamples are.
+BOOTSTRAP_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -75,46 +56,34 @@ class EfficiencyReport:
     n_resamples: int
 
 
-def _beta_column(records: Sequence[SampleRecord], beta: float) -> int:
-    if len(records) == 0:
-        raise ValueError("no records")
-    ref = records[0].betas
-    for r in records[1:]:
-        if r.betas.shape != ref.shape or not np.allclose(r.betas, ref, atol=1e-12, rtol=0.0):
-            raise ValueError("records do not share a beta grid")
-    hits = np.nonzero(np.abs(ref - beta) <= 1e-9)[0]
-    if hits.size == 0:
-        raise ValueError(f"beta {beta} is not on the record grid")
-    return int(hits[0])
+def _samples(values) -> np.ndarray:
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim == 0 or arr.shape[-1] == 0:
+        raise ValueError("no samples: the last axis is empty")
+    return arr
 
 
-def _softmax(logs: np.ndarray) -> np.ndarray:
-    w = np.exp(logs - np.max(logs))
-    return w / w.sum()
+def weights(logs) -> np.ndarray:
+    """Normalized norm-weights w_m from the log norms on the last axis.
 
-
-def weights(records: Sequence[SampleRecord], beta: float) -> np.ndarray:
-    """Normalized norm-weights w_m at one checkpoint, computed in log space.
-
-    Always sums to 1 and stays positive for any finite log norms; the
-    common scale of the log norms cancels.
+    Each row sums to 1 and stays positive for any finite log norms; the
+    common scale of a row's log norms cancels.
     """
-    col = _beta_column(records, beta)
-    logs = np.array([r.log_sq_norm[col] for r in records])
-    return _softmax(logs)
+    logs = _samples(logs)
+    w = np.exp(logs - logs.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
-def _entropy_eta(w: np.ndarray) -> tuple[float, float]:
-    nz = w[w > 0.0]
-    ent = float(-np.sum(nz * np.log(nz)))
-    return ent, float(np.exp(ent) / w.size)
+def _entropy_eta(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    ent = -np.sum(w * np.log(w, out=np.zeros_like(w), where=w > 0.0), axis=-1)
+    return ent, np.exp(ent) / w.shape[-1]
 
 
-def efficiency(w: Sequence[float], n_resamples: int = 0, seed=0) -> EfficiencyReport:
+def efficiency(w, n_resamples: int = 0, seed=0) -> EfficiencyReport:
     """Weight entropy I, efficiency eta = e^I / M, and a bootstrap sigma.
 
     With n_resamples = 0 the sigma is skipped (reported as 0).  The
-    bootstrap redraws M records with replacement and rebuilds the
+    bootstrap redraws M samples with replacement and rebuilds the
     weights from their logs, so it needs strictly positive input
     weights; zero weights are legal only when n_resamples = 0.
     """
@@ -128,29 +97,27 @@ def efficiency(w: Sequence[float], n_resamples: int = 0, seed=0) -> EfficiencyRe
     if n_resamples > 0:
         if np.any(w == 0.0):
             raise ValueError("bootstrap requires strictly positive weights")
-        logs = np.log(w)
-        sigma = bootstrap_sigma(
-            logs,
-            lambda draw: _entropy_eta(_softmax(draw))[1],
-            n_resamples,
-            seed,
-        )
-    return EfficiencyReport(eta=eta, entropy=ent, num_samples=int(w.size), sigma=sigma, n_resamples=n_resamples)
+        sigma = bootstrap_sigma(np.log(w), lambda logs: _entropy_eta(weights(logs))[1], n_resamples, seed)
+    return EfficiencyReport(
+        eta=float(eta), entropy=float(ent), num_samples=int(w.size), sigma=sigma, n_resamples=n_resamples
+    )
 
 
-def weighted_expectation(records: Sequence[SampleRecord], beta: float) -> float:
-    """Norm-weighted thermal average sum_m w_m O_m at one checkpoint."""
-    col = _beta_column(records, beta)
-    w = weights(records, beta)
-    obs = np.array([r.obs_value[col] for r in records])
-    return float(np.dot(w, obs))
+def weighted_expectation(logs, obs):
+    """Norm-weighted thermal average sum_m w_m O_m along the last axis.
+
+    A float for one row of logs and observables, one value per row for
+    a stack of rows.
+    """
+    w = weights(logs)
+    # A row times a column is np.dot of the pair, the same BLAS sum bit for
+    # bit, for one row or a stack; einsum or (w * obs).sum() sum in another order.
+    return np.matmul(w[..., None, :], np.asarray(obs, dtype=np.float64)[..., :, None])[..., 0, 0]
 
 
-def simple_expectation(records: Sequence[SampleRecord], beta: float) -> float:
-    """Norm-free thermal average: the plain mean of the O_m."""
-    col = _beta_column(records, beta)
-    obs = np.array([r.obs_value[col] for r in records])
-    return float(obs.mean())
+def simple_expectation(obs):
+    """Norm-free thermal average: the plain mean of the O_m on the last axis."""
+    return _samples(obs).mean(axis=-1)
 
 
 def entanglement_entropy(state: StateVector) -> float:
@@ -163,34 +130,35 @@ def entanglement_entropy(state: StateVector) -> float:
     return float(-np.sum(lam * np.log(lam)))
 
 
-def bootstrap_sigma(
-    values: Sequence,
-    statistic: Callable,
-    n_resamples: int,
-    seed=0,
-) -> float:
+def bootstrap_sigma(values, statistic: Callable, n_resamples: int, seed=0) -> float:
     """Standard deviation of a statistic over bootstrap resamples.
 
-    Each resample draws len(values) entries with replacement and
-    reevaluates ``statistic`` on them; the spread of those evaluations
-    estimates the sampling error of the statistic on the original set.
-    Deterministic for a fixed seed.
+    Each resample draws len(values) entries of ``values`` (samples on the
+    first axis) with replacement; the spread of the statistic over the
+    resamples estimates its sampling error on the original set.  The
+    resamples come in blocks of about BOOTSTRAP_BLOCK indices, drawn as
+    one (rows, M) index array, which is the same random stream as one
+    draw per resample.  ``statistic`` gets the (rows, M, ...) block and
+    must return one value per row.  Deterministic for a fixed seed.
     """
-    n = len(values)
+    values = np.asarray(values)
+    n = len(values) if values.ndim else 0
     if n == 0:
         raise ValueError("cannot bootstrap an empty sample set")
     if n_resamples < 2:
         raise ValueError(f"n_resamples must be >= 2, got {n_resamples}")
     rng = np.random.default_rng(seed)
-    arr = values if isinstance(values, np.ndarray) else None
-    stats = np.empty(n_resamples)
-    for r in range(n_resamples):
-        idx = rng.integers(0, n, size=n)
-        if arr is not None:
-            stats[r] = statistic(arr[idx])
-        else:
-            stats[r] = statistic([values[i] for i in idx])
-    return float(np.std(stats))
+    rows = max(1, BOOTSTRAP_BLOCK // n)
+    stats = []
+    for done in range(0, n_resamples, rows):
+        block = min(rows, n_resamples - done)
+        draws = statistic(values[rng.integers(0, n, size=(block, n))])
+        if np.shape(draws) != (block,):
+            raise ValueError(
+                f"statistic must return one value per resample, shape ({block},), got {np.shape(draws)}"
+            )
+        stats.append(draws)
+    return float(np.std(np.concatenate(stats)))
 
 
 def trace_prefactor(num_sites: int) -> float:

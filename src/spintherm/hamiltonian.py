@@ -41,7 +41,6 @@ __all__ = [
     "expectation",
     "spectral_bound",
     "spectral_interval",
-    "trace_mean",
 ]
 
 SX = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=np.complex128)
@@ -104,7 +103,7 @@ class HamiltonianTerms:
     ``bonds`` holds (i, mat4) pairs acting on sites (i, i+1) in the
     |s_i, s_i+1> product basis with the left site as the major index;
     ``fields`` holds (i, mat2) single-site pairs.  Every matrix must be
-    Hermitian.
+    finite and Hermitian; the ValueError otherwise names the term.
     """
 
     L: int
@@ -114,28 +113,21 @@ class HamiltonianTerms:
     def __post_init__(self) -> None:
         if self.L < 2:
             raise ValueError(f"L must be >= 2, got {self.L}")
-        checked_bonds = []
-        for i, mat in self.bonds:
-            if not 1 <= i <= self.L - 1:
-                raise ValueError(f"bond index {i} outside [1, {self.L - 1}]")
-            mat = np.asarray(mat, dtype=np.complex128)
-            if mat.shape != (4, 4):
-                raise ValueError(f"bond matrix at {i} has shape {mat.shape}, expected (4, 4)")
-            if np.max(np.abs(mat - mat.conj().T)) > 1e-14 * max(1.0, np.max(np.abs(mat))):
-                raise ValueError(f"bond matrix at {i} is not Hermitian")
-            checked_bonds.append((int(i), mat))
-        checked_fields = []
-        for i, mat in self.fields:
-            if not 1 <= i <= self.L:
-                raise ValueError(f"field index {i} outside [1, {self.L}]")
-            mat = np.asarray(mat, dtype=np.complex128)
-            if mat.shape != (2, 2):
-                raise ValueError(f"field matrix at {i} has shape {mat.shape}, expected (2, 2)")
-            if np.max(np.abs(mat - mat.conj().T)) > 1e-14 * max(1.0, np.max(np.abs(mat))):
-                raise ValueError(f"field matrix at {i} is not Hermitian")
-            checked_fields.append((int(i), mat))
-        self.bonds = checked_bonds
-        self.fields = checked_fields
+        self.bonds = [_checked_term("bond", i, mat, self.L - 1, 4) for i, mat in self.bonds]
+        self.fields = [_checked_term("field", i, mat, self.L, 2) for i, mat in self.fields]
+
+
+def _checked_term(kind: str, i: int, mat, last: int, dim: int) -> tuple[int, np.ndarray]:
+    if not 1 <= i <= last:
+        raise ValueError(f"{kind} index {i} outside [1, {last}]")
+    mat = np.asarray(mat, dtype=np.complex128)
+    if mat.shape != (dim, dim):
+        raise ValueError(f"{kind} matrix at {i} has shape {mat.shape}, expected ({dim}, {dim})")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{kind} matrix at {i} has non-finite entries")
+    if np.max(np.abs(mat - mat.conj().T)) > 1e-14 * max(1.0, np.max(np.abs(mat))):
+        raise ValueError(f"{kind} matrix at {i} is not Hermitian")
+    return int(i), mat
 
 
 def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -216,21 +208,6 @@ def spectral_bound(terms: HamiltonianTerms) -> float:
     for _, mat in terms.fields:
         total += float(np.max(np.abs(np.linalg.eigvalsh(mat))))
     return total
-
-
-def trace_mean(terms: HamiltonianTerms) -> float:
-    """Tr H / 2**L from local-term traces (no big matrix involved).
-
-    Each bond contributes tr(mat4)/4 and each field tr(mat2)/2 to the
-    mean; the catalog models are all traceless.
-    """
-    mu = 0.0
-    for _, mat in terms.bonds:
-        mu += float(np.trace(mat).real) / 4.0
-    for _, mat in terms.fields:
-        mu += float(np.trace(mat).real) / 2.0
-    return mu
-
 
 
 def spectral_interval(terms: HamiltonianTerms) -> tuple[float, float]:

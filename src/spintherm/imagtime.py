@@ -64,12 +64,6 @@ class BetaGrid:
             raise ValueError(f"{start}:{stop}:{step} has {span + 1:.0f} points, more than {MAX_BETA_POINTS}")
         return cls(tuple(round(start + k * step, 10) for k in range(round(span) + 1)))
 
-    def index_of(self, beta: float) -> int:
-        for k, b in enumerate(self.checkpoints):
-            if abs(b - beta) <= 1e-9:
-                return k
-        raise ValueError(f"beta {beta} is not on the grid {self.checkpoints}")
-
 
 def _bessel(t: np.ndarray, rows: int) -> np.ndarray:
     """e^{-t} I_n(t) for n < rows (rows n, columns t), by Miller's algorithm.

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from spintherm.cli import RunConfig, preset, preset_variants, run_experiment
-from spintherm.estimators import bootstrap_sigma, efficiency, entanglement_entropy, weights
+from spintherm.estimators import bootstrap_sigma, efficiency, entanglement_entropy, simple_expectation, weights
 from spintherm.hamiltonian import ModelSpec, build_hamiltonian
 from spintherm.hilbert import StateVector
 from spintherm.imagtime import BetaGrid, evolve
@@ -226,14 +226,7 @@ def test_a7_invariant_suite(tmp_path):
     if drift > 1e-10 or abs(np.linalg.norm(scrambled.amplitudes) - 1.0) > 1e-12:
         failures.append(f"circuit norm drift {drift:.2e}")
 
-    from spintherm.estimators import SampleRecord
-
-    logs = np.linspace(-350.0, 350.0, 16)
-    recs = [
-        SampleRecord(m, np.array([1.0]), np.array([lg]), np.array([0.0]), 0.0)
-        for m, lg in enumerate(logs)
-    ]
-    w = weights(recs, 1.0)
+    w = weights(np.linspace(-350.0, 350.0, 16))
     if not (np.all(np.isfinite(w)) and np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12):
         failures.append("weights at exponent spread 700")
 
@@ -256,8 +249,8 @@ def test_a7_invariant_suite(tmp_path):
         failures.append("beta = 0 is not the identity")
 
     vals = rng.normal(size=128)
-    if bootstrap_sigma(vals, np.mean, 300, seed=(5, 6)) != bootstrap_sigma(
-        vals, np.mean, 300, seed=(5, 6)
+    if bootstrap_sigma(vals, simple_expectation, 300, seed=(5, 6)) != bootstrap_sigma(
+        vals, simple_expectation, 300, seed=(5, 6)
     ):
         failures.append("bootstrap not deterministic")
 

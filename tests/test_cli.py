@@ -25,7 +25,8 @@ from spintherm.cli import (
     run_experiment,
     validate_config,
 )
-from spintherm.estimators import SampleRecord, efficiency, simple_expectation, weighted_expectation, weights
+from spintherm import cli
+from spintherm.estimators import bootstrap_sigma, efficiency, simple_expectation, weighted_expectation, weights
 from spintherm.hamiltonian import ModelSpec
 from spintherm.imagtime import MAX_BETA_POINTS, BetaGrid
 
@@ -222,32 +223,37 @@ def test_summary_recomputable_from_samples(tmp_path):
         sample_rows = list(csv.DictReader(fh))
     with paths["summary"].open() as fh:
         summary_rows = list(csv.DictReader(fh))
-    betas = np.array(cfg.beta_grid.checkpoints)
+    betas = list(cfg.beta_grid.checkpoints)
     for srow in summary_rows:
         L = int(srow["L"])
-        beta = float(srow["beta"])
-        per_sample = {}
-        for row in sample_rows:
-            if int(row["L"]) != L:
-                continue
-            per_sample.setdefault(int(row["sample_index"]), []).append(row)
-        records = []
-        for m, rows in sorted(per_sample.items()):
-            rows = sorted(rows, key=lambda r: float(r["beta"]))
-            records.append(SampleRecord(
-                m,
-                betas,
-                np.array([float(r["log_sq_norm"]) for r in rows]),
-                np.array([float(r["obs_value"]) for r in rows]),
-                float(rows[0]["init_entropy"]),
-            ))
-        assert efficiency(weights(records, beta)).eta == pytest.approx(float(srow["eta"]), abs=1e-10)
-        assert weighted_expectation(records, beta) == pytest.approx(
+        k = betas.index(float(srow["beta"]))
+        # samples.csv is sorted by L, sample, beta: column k of an (M, K) table
+        rows = [r for r in sample_rows if int(r["L"]) == L]
+        logs, obs, s_ini = (
+            np.array([float(r[name]) for r in rows]).reshape(cfg.M, len(betas))
+            for name in ("log_sq_norm", "obs_value", "init_entropy")
+        )
+        assert efficiency(weights(logs[:, k])).eta == pytest.approx(float(srow["eta"]), abs=1e-10)
+        assert weighted_expectation(logs[:, k], obs[:, k]) == pytest.approx(
             float(srow["energy_weighted"]), abs=1e-10)
-        assert simple_expectation(records, beta) == pytest.approx(
+        assert simple_expectation(obs[:, k]) == pytest.approx(
             float(srow["energy_simple"]), abs=1e-10)
-        entropies = np.mean([r.init_entropy for r in records])
-        assert entropies == pytest.approx(float(srow["S_ini_mean"]), abs=1e-10)
+        assert np.mean(s_ini[:, 0]) == pytest.approx(float(srow["S_ini_mean"]), abs=1e-10)
+        simple_sigma = bootstrap_sigma(obs[:, k], simple_expectation, cfg.n_resamples, seed=(cfg.master_seed, L, k, 3))
+        assert simple_sigma == pytest.approx(float(srow["energy_simple_sigma"]), abs=1e-10)
+
+
+def test_collect_samples_refuses_nonfinite_or_negative_entropy(tmp_path, monkeypatch):
+    cfg = dataclasses.replace(tiny_config(tmp_path / "bad"), threads=1)
+    for faulty, reason in (
+        ((0.1, [0.0, np.inf], [0.0, 0.0]), "finite"),
+        ((0.1, [0.0, 0.0], [np.nan, 0.0]), "finite"),
+        ((-0.5, [0.0, 0.0], [0.0, 0.0]), "entrop"),
+        ((np.nan, [0.0, 0.0], [0.0, 0.0]), "entrop"),
+    ):
+        monkeypatch.setattr(cli, "_run_one_sample", lambda *args, out=faulty: out)
+        with pytest.raises(ValueError, match=reason):
+            run_experiment(cfg)
 
 
 def test_single_sample_run(tmp_path):

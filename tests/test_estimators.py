@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dense_reference as ref
 from spintherm.estimators import (
-    SampleRecord,
+    BOOTSTRAP_BLOCK,
     bootstrap_sigma,
     efficiency,
     entanglement_entropy,
@@ -18,52 +20,51 @@ from spintherm.hilbert import StateVector, basis_state
 from spintherm.state_prep import SampleSeed, sample_haar, sample_rpps
 
 
-def make_records(log_rows, obs_rows, betas=(1.0,)):
-    betas = np.asarray(betas, dtype=float)
-    return [
-        SampleRecord(m, betas, np.atleast_1d(np.asarray(lr, dtype=float)),
-                     np.atleast_1d(np.asarray(orow, dtype=float)), 0.0)
-        for m, (lr, orow) in enumerate(zip(log_rows, obs_rows))
-    ]
-
-
 def test_weights_uniform_logs():
-    recs = make_records([0.3] * 5, [1.0] * 5)
-    assert np.allclose(weights(recs, 1.0), 0.2, atol=1e-15)
+    assert np.allclose(weights([0.3] * 5), 0.2, atol=1e-15)
 
 
 def test_weights_known_ratio():
-    recs = make_records([np.log(3.0), 0.0], [0.0, 0.0])
-    assert np.allclose(weights(recs, 1.0), [0.75, 0.25], atol=1e-15)
+    assert np.allclose(weights([np.log(3.0), 0.0]), [0.75, 0.25], atol=1e-15)
 
 
 def test_weights_shift_invariance():
     rng = np.random.default_rng(0)
     logs = rng.normal(size=12)
-    a = weights(make_records(logs, np.zeros(12)), 1.0)
-    b = weights(make_records(logs + 300.0, np.zeros(12)), 1.0)
+    a = weights(logs)
+    b = weights(logs + 300.0)
     assert np.allclose(a, b, atol=1e-15)
 
 
 def test_weights_survive_large_log_spread():
     logs = np.linspace(-350.0, 350.0, 8)
-    w = weights(make_records(logs, np.zeros(8)), 1.0)
+    w = weights(logs)
     assert np.all(w >= 0.0)
     assert np.all(np.isfinite(w))
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.argmax(w) == 7
 
 
-def test_weights_beta_lookup_errors():
-    recs = make_records([[0.0, 0.0], [0.1, 0.1]], [[0.0, 0.0], [0.0, 0.0]],
-                        betas=(0.5, 1.0))
-    with pytest.raises(ValueError, match="beta"):
-        weights(recs, 0.7)
-    bad = recs[:1] + make_records([[0.2, 0.3]], [[0.0, 0.0]], betas=(0.5, 2.0))
-    with pytest.raises(ValueError, match="grid"):
-        weights(bad, 0.5)
-    with pytest.raises(ValueError, match="records"):
-        weights([], 1.0)
+def test_estimators_refuse_empty_input():
+    for empty in ([], np.zeros((3, 0)), 0.5):
+        with pytest.raises(ValueError, match="no samples"):
+            weights(empty)
+        with pytest.raises(ValueError, match="no samples"):
+            weighted_expectation(empty, empty)
+        with pytest.raises(ValueError, match="no samples"):
+            simple_expectation(empty)
+
+
+def test_estimators_act_row_by_row():
+    rng = np.random.default_rng(3)
+    logs = rng.normal(scale=5.0, size=(6, 40))
+    obs = rng.normal(size=(6, 40))
+    assert weights(logs).shape == (6, 40)
+    assert weighted_expectation(logs, obs).shape == simple_expectation(obs).shape == (6,)
+    for row in range(6):
+        assert np.array_equal(weights(logs)[row], weights(logs[row]))
+        assert weighted_expectation(logs, obs)[row] == weighted_expectation(logs[row], obs[row])
+        assert simple_expectation(obs)[row] == simple_expectation(obs[row])
 
 
 def test_weights_match_dense_norm_ratios():
@@ -73,14 +74,13 @@ def test_weights_match_dense_norm_ratios():
     energies, vectors = np.linalg.eigh(matrix)
     boltz = np.exp(-beta * (energies - energies[0]))
     norms = np.empty(16)
-    recs = []
+    logs = np.empty(16)
     for m in range(16):
         state = sample_haar(L, SampleSeed(50, m))
         coeffs = np.abs(vectors.conj().T @ state.amplitudes) ** 2
         norms[m] = np.sum(coeffs * boltz)
-        log_sq = np.log(norms[m]) - beta * energies[0]
-        recs.append(SampleRecord(m, np.array([beta]), np.array([log_sq]), np.array([0.0]), 0.0))
-    assert np.allclose(weights(recs, beta), norms / norms.sum(), atol=1e-9)
+        logs[m] = np.log(norms[m]) - beta * energies[0]
+    assert np.allclose(weights(logs), norms / norms.sum(), atol=1e-9)
 
 
 def test_efficiency_uniform_weights():
@@ -136,22 +136,19 @@ def test_efficiency_input_validation():
 
 
 def test_single_record_estimates_coincide():
-    recs = make_records([0.4], [2.5])
-    assert weighted_expectation(recs, 1.0) == simple_expectation(recs, 1.0) == 2.5
+    assert weighted_expectation([0.4], [2.5]) == simple_expectation([2.5]) == 2.5
 
 
 def test_uniform_weights_make_estimates_equal():
     obs = np.array([1.0, -2.0, 0.5, 3.0])
-    recs = make_records(np.zeros(4), obs)
-    assert weighted_expectation(recs, 1.0) == pytest.approx(obs.mean(), abs=1e-14)
+    assert weighted_expectation(np.zeros(4), obs) == pytest.approx(obs.mean(), abs=1e-14)
 
 
 def test_small_spread_keeps_estimates_close():
     rng = np.random.default_rng(11)
     obs = rng.normal(size=100)
     logs = rng.normal(scale=1e-6, size=100)
-    recs = make_records(logs, obs)
-    diff = abs(weighted_expectation(recs, 1.0) - simple_expectation(recs, 1.0))
+    diff = abs(weighted_expectation(logs, obs) - simple_expectation(obs))
     assert diff <= 1e-5
 
 
@@ -166,35 +163,87 @@ def test_entanglement_entropy_product_and_bell():
 def test_bootstrap_sigma_tracks_gaussian_standard_error():
     rng = np.random.default_rng(19)
     vals = rng.normal(size=1024)
-    sigma = bootstrap_sigma(vals, np.mean, 2000, seed=5)
+    sigma = bootstrap_sigma(vals, simple_expectation, 2000, seed=5)
     expected = 1.0 / np.sqrt(1024.0)
     assert abs(sigma - expected) <= 0.15 * expected
 
 
 def test_bootstrap_sigma_zero_for_constant_values():
-    assert bootstrap_sigma(np.full(16, 3.3), np.mean, 50) <= 1e-12
+    assert bootstrap_sigma(np.full(16, 3.3), simple_expectation, 50) <= 1e-12
 
 
 def test_bootstrap_sigma_accepts_lists():
     vals = [float(k) for k in range(10)]
-    sigma = bootstrap_sigma(vals, lambda draw: float(np.mean(draw)), 100, seed=2)
+    sigma = bootstrap_sigma(vals, lambda draw: np.mean(draw, axis=-1), 100, seed=2)
     assert sigma > 0.0
 
 
 def test_bootstrap_sigma_validation():
     with pytest.raises(ValueError):
-        bootstrap_sigma(np.zeros(0), np.mean, 10)
+        bootstrap_sigma(np.zeros(0), simple_expectation, 10)
     with pytest.raises(ValueError, match="n_resamples"):
-        bootstrap_sigma(np.ones(5), np.mean, 1)
+        bootstrap_sigma(np.ones(5), simple_expectation, 1)
 
 
-def test_sample_record_validation():
-    with pytest.raises(ValueError, match="shape"):
-        SampleRecord(0, np.array([1.0]), np.array([0.0, 0.1]), np.array([0.0]), 0.0)
-    with pytest.raises(ValueError, match="finite"):
-        SampleRecord(0, np.array([1.0]), np.array([np.inf]), np.array([0.0]), 0.0)
-    with pytest.raises(ValueError, match="init_entropy"):
-        SampleRecord(0, np.array([1.0]), np.array([0.0]), np.array([0.0]), -0.5)
+def _one_resample_at_a_time(values, statistic, n_resamples, seed):
+    """Reference bootstrap: one index draw and one scalar statistic per resample."""
+    rng = np.random.default_rng(seed)
+    stats = np.empty(n_resamples)
+    for r in range(n_resamples):
+        stats[r] = statistic(values[rng.integers(0, len(values), size=len(values))])
+    return float(np.std(stats))
+
+
+def _softmax(logs):
+    w = np.exp(logs - np.max(logs))
+    return w / w.sum()
+
+
+def _eta(logs):
+    w = _softmax(logs)
+    nz = w[w > 0.0]
+    return float(np.exp(-np.sum(nz * np.log(nz))) / w.size)
+
+
+def _weighted(pairs):
+    return float(np.dot(_softmax(pairs[:, 0]), pairs[:, 1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    blocks=st.integers(1, 3),
+    tail=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**63),
+    kind=st.sampled_from(["mean", "weighted", "eta"]),
+)
+def test_blocked_bootstrap_equals_one_resample_at_a_time(n, blocks, tail, seed, kind):
+    # The blocked draw must be the same random stream and the row-wise
+    # statistics the same floating-point sums as the scalar loop.
+    rows = max(1, BOOTSTRAP_BLOCK // n)
+    n_resamples = max(2, (blocks - 1) * rows + 1 + int(tail * (rows - 1)))
+    rng = np.random.default_rng(seed % 1000)
+    logs, obs = rng.normal(scale=3.0, size=n), rng.normal(size=n)
+    if kind == "mean":
+        got = bootstrap_sigma(obs, simple_expectation, n_resamples, seed)
+        want = _one_resample_at_a_time(obs, np.mean, n_resamples, seed)
+    elif kind == "weighted":
+        pairs = np.column_stack([logs, obs])
+        got = bootstrap_sigma(pairs, lambda d: weighted_expectation(d[..., 0], d[..., 1]), n_resamples, seed)
+        want = _one_resample_at_a_time(pairs, _weighted, n_resamples, seed)
+    else:
+        w = weights(logs)
+        got = efficiency(w, n_resamples, seed).sigma
+        want = _one_resample_at_a_time(np.log(w), _eta, n_resamples, seed)
+    assert got == want
+
+
+def test_bootstrap_refuses_a_statistic_without_one_value_per_resample():
+    vals = np.arange(5.0)
+    with pytest.raises(ValueError, match="one value per resample"):
+        bootstrap_sigma(vals, np.mean, 10)
+    with pytest.raises(ValueError, match="one value per resample"):
+        bootstrap_sigma(vals, lambda draw: draw, 10)
 
 
 def test_trace_prefactor():

