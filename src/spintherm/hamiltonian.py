@@ -1,8 +1,12 @@
 """Bond/field representation of open-chain spin-1/2 Hamiltonians.
 
 Operators are kept as a catalog of local terms: 4x4 matrices on bonds
-(i, i+1) and 2x2 matrices on single sites.  Applying them to a state
-iterates over those terms; the full 2**L x 2**L matrix is never formed.
+(i, i+1) and 2x2 matrices on single sites.  At construction the terms are
+folded into L - 1 bond generators (each field split between the bonds
+touching its site, see bond_generators) and each generator is compiled
+once into the memory-order form of ``hilbert.compile_bond``.  Applying the
+operator is then L - 1 calls of the one two-site kernel; the full
+2**L x 2**L matrix is never formed.
 Spin operators are S = sigma/2 and couplings are measured in units of
 the exchange J, so inverse temperatures are in 1/J.
 
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import StateVector, apply_single_site, apply_two_site
+from .hilbert import CompiledBond, StateVector, apply_two_site, compile_bond
 
 __all__ = [
     "SX",
@@ -35,6 +39,7 @@ __all__ = [
     "MODEL_KINDS",
     "ModelSpec",
     "HamiltonianTerms",
+    "bond_generators",
     "build_hamiltonian",
     "apply_terms",
     "apply_h",
@@ -96,7 +101,7 @@ class ModelSpec:
             raise ValueError(f"{', '.join(unused)} not used by kind {self.kind!r}; leave unset")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class HamiltonianTerms:
     """Local-term form of a Hermitian operator on an L-site chain.
 
@@ -104,34 +109,70 @@ class HamiltonianTerms:
     |s_i, s_i+1> product basis with the left site as the major index;
     ``fields`` holds (i, mat2) single-site pairs.  Every matrix must be
     finite and Hermitian; the ValueError otherwise names the term.
+
+    The object is immutable: the terms are stored as tuples of read-only
+    copies, and ``compiled`` holds the L - 1 bond generators compiled at
+    construction, so it always matches the terms.
     """
 
     L: int
-    bonds: list[tuple[int, np.ndarray]] = field(default_factory=list)
-    fields: list[tuple[int, np.ndarray]] = field(default_factory=list)
+    bonds: tuple[tuple[int, np.ndarray], ...] = ()
+    fields: tuple[tuple[int, np.ndarray], ...] = ()
+    compiled: tuple[CompiledBond, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.L < 2:
             raise ValueError(f"L must be >= 2, got {self.L}")
-        self.bonds = [_checked_term("bond", i, mat, self.L - 1, 4) for i, mat in self.bonds]
-        self.fields = [_checked_term("field", i, mat, self.L, 2) for i, mat in self.fields]
+        bonds = tuple(_checked_term("bond", i, mat, self.L - 1, 4) for i, mat in self.bonds)
+        fields = tuple(_checked_term("field", i, mat, self.L, 2) for i, mat in self.fields)
+        object.__setattr__(self, "bonds", bonds)
+        object.__setattr__(self, "fields", fields)
+        compiled = tuple(compile_bond(gen, i, self.L) for i, gen in bond_generators(self))
+        object.__setattr__(self, "compiled", compiled)
 
 
 def _checked_term(kind: str, i: int, mat, last: int, dim: int) -> tuple[int, np.ndarray]:
     if not 1 <= i <= last:
         raise ValueError(f"{kind} index {i} outside [1, {last}]")
-    mat = np.asarray(mat, dtype=np.complex128)
+    mat = np.array(mat, dtype=np.complex128)
     if mat.shape != (dim, dim):
         raise ValueError(f"{kind} matrix at {i} has shape {mat.shape}, expected ({dim}, {dim})")
     if not np.all(np.isfinite(mat)):
         raise ValueError(f"{kind} matrix at {i} has non-finite entries")
     if np.max(np.abs(mat - mat.conj().T)) > 1e-14 * max(1.0, np.max(np.abs(mat))):
         raise ValueError(f"{kind} matrix at {i} is not Hermitian")
+    mat.setflags(write=False)
     return int(i), mat
 
 
+def bond_generators(terms: HamiltonianTerms) -> list[tuple[int, np.ndarray]]:
+    """Per-bond 4x4 generators whose embeddings sum to the full operator.
+
+    Bond (i, i+1) takes its own coupling plus half the field of each
+    interior endpoint and the whole field of a chain-end endpoint.  All
+    L - 1 bonds are returned, zero generators included.
+    """
+    L = terms.L
+    per_site: dict[int, np.ndarray] = {}
+    for i, mat in terms.fields:
+        per_site[i] = per_site.get(i, np.zeros((2, 2), dtype=np.complex128)) + mat
+    per_bond = {i: np.zeros((4, 4), dtype=np.complex128) for i in range(1, L)}
+    for i, mat in terms.bonds:
+        per_bond[i] = per_bond[i] + mat
+    for i, f in per_site.items():
+        if i == 1:
+            per_bond[1] = per_bond[1] + _pair(f, ID2)
+        elif i == L:
+            per_bond[L - 1] = per_bond[L - 1] + _pair(ID2, f)
+        else:
+            per_bond[i - 1] = per_bond[i - 1] + 0.5 * _pair(ID2, f)
+            per_bond[i] = per_bond[i] + 0.5 * _pair(f, ID2)
+    return [(i, per_bond[i]) for i in range(1, L)]
+
+
 def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(a, b)
+    """kron(a, b) of two 2x2 matrices, without np.kron's per-call overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
 def build_hamiltonian(spec: ModelSpec) -> HamiltonianTerms:
@@ -165,17 +206,19 @@ def build_hamiltonian(spec: ModelSpec) -> HamiltonianTerms:
 
 
 def apply_terms(terms: HamiltonianTerms, amps: np.ndarray) -> np.ndarray:
-    """Raw-array form of apply_h, for inner loops that skip the wrapper."""
-    out = np.zeros_like(amps)
-    for i, mat in terms.bonds:
-        out += apply_two_site(amps, mat, i, terms.L)
-    for i, mat in terms.fields:
-        out += apply_single_site(amps, mat, i, terms.L)
+    """Raw-array form of apply_h, for inner loops that skip the wrapper.
+
+    One two-site kernel call per compiled bond generator, L - 1 in all.
+    """
+    first, *rest = terms.compiled
+    out = apply_two_site(amps, first)
+    for bond in rest:
+        out += apply_two_site(amps, bond)
     return out
 
 
 def apply_h(terms: HamiltonianTerms, state: StateVector) -> StateVector:
-    """Apply the operator to a state, term by term.
+    """Apply the operator to a state, one compiled bond at a time.
 
     The log_norm_offset is copied unchanged; the result is generally not
     normalized.

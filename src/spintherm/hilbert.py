@@ -11,6 +11,15 @@ A StateVector keeps its amplitudes near unit norm and tracks the true
 magnitude separately in ``log_norm_offset``: the represented vector is
 exp(log_norm_offset) * amplitudes.  This keeps imaginary-time weights
 exp(-beta*E) representable far beyond float range.
+
+Every chain operator reaches a state through one kernel,
+``apply_two_site``, which applies a bond compiled once by
+``compile_bond``: a 4x4 matrix on sites (i, i+1) permuted to memory
+order (site i+1 in the higher bit).  On the low sites, where the 2**(i-1)
+amplitudes below the bond are few, the compiled matrix is
+``kron(mem, I_inner).T`` instead, so the contraction is one
+(outer, 4*inner) @ (4*inner, 4*inner) product rather than thousands of
+tiny 4x4 ones.
 """
 
 from __future__ import annotations
@@ -25,9 +34,16 @@ __all__ = [
     "normalize",
     "inner",
     "schmidt_spectrum",
-    "apply_single_site",
+    "CompiledBond",
+    "compile_bond",
     "apply_two_site",
 ]
+
+# Largest inner dimension 2**(site-1) stored in the kron(mem, I_inner).T
+# form.  At L = 12 and 14 (complex128, OpenBLAS on one thread of a 2-core
+# x86 box) that form beats the stacked 4x4 matmul by 2-15x for inner <= 8
+# and loses by 1.3-4x from 16 on.
+SMALL_INNER = 8
 
 
 @dataclass
@@ -123,30 +139,50 @@ def schmidt_spectrum(state: StateVector, cut_after: int) -> np.ndarray:
     return svals**2
 
 
-def apply_single_site(amps: np.ndarray, mat2: np.ndarray, site: int, num_sites: int) -> np.ndarray:
-    """Apply a 2x2 operator to one site of a flat amplitude array."""
-    if not 1 <= site <= num_sites:
-        raise ValueError(f"site {site} outside chain of {num_sites} sites")
-    inner_dim = 1 << (site - 1)
-    outer_dim = 1 << (num_sites - site)
-    work = amps.reshape(outer_dim, 2, inner_dim)
-    return np.matmul(mat2, work).reshape(amps.shape)
+@dataclass(frozen=True, eq=False)
+class CompiledBond:
+    """A 4x4 operator on sites (site, site+1), stored ready for apply_two_site.
+
+    ``matrix`` is read-only: the operator in memory order when the inner
+    dimension 2**(site-1) exceeds SMALL_INNER, else kron(mem, I_inner).T,
+    a square of side 4 * 2**(site-1).
+    """
+
+    site: int
+    num_sites: int
+    matrix: np.ndarray
 
 
-def apply_two_site(amps: np.ndarray, mat4: np.ndarray, site: int, num_sites: int) -> np.ndarray:
-    """Apply a 4x4 operator to sites (site, site+1) of a flat array.
+def compile_bond(mat4: np.ndarray, site: int, num_sites: int) -> CompiledBond:
+    """Compile a 4x4 operator on sites (site, site+1) of an L-site chain.
 
     ``mat4`` is given in the two-site basis |s_site, s_site+1> ordered
     with the left site as the major index (index 2*s_site + s_site+1).
     """
     if not 1 <= site <= num_sites - 1:
         raise ValueError(f"bond ({site},{site + 1}) outside chain of {num_sites} sites")
-    # Storage puts site+1 in the higher bit, so permute the operator to
-    # the memory ordering before the contraction.
-    mem = np.ascontiguousarray(
-        mat4.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-    )
+    mat4 = np.asarray(mat4, dtype=np.complex128)
+    if mat4.shape != (4, 4):
+        raise ValueError(f"bond matrix has shape {mat4.shape}, expected (4, 4)")
+    # Storage puts site+1 in the higher bit: permute to that ordering once.
+    mem = mat4.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
     inner_dim = 1 << (site - 1)
-    outer_dim = 1 << (num_sites - site - 1)
-    work = amps.reshape(outer_dim, 4, inner_dim)
-    return np.matmul(mem, work).reshape(amps.shape)
+    if inner_dim <= SMALL_INNER:
+        # kron(mem, I).T = kron(mem.T, I), spelled as a broadcast product
+        eye = np.eye(inner_dim)
+        mem = (mem.T[:, None, :, None] * eye[None, :, None, :]).reshape(4 * inner_dim, 4 * inner_dim)
+    matrix = np.ascontiguousarray(mem)
+    matrix.setflags(write=False)
+    return CompiledBond(site, num_sites, matrix)
+
+
+def apply_two_site(amps: np.ndarray, bond: CompiledBond) -> np.ndarray:
+    """Apply a compiled bond to a flat amplitude array; returns a new array."""
+    if amps.shape != (1 << bond.num_sites,):
+        raise ValueError(
+            f"amplitude array of shape {amps.shape} does not match {bond.num_sites} sites"
+        )
+    inner_dim = 1 << (bond.site - 1)
+    if inner_dim <= SMALL_INNER:
+        return (amps.reshape(-1, 4 * inner_dim) @ bond.matrix).reshape(amps.shape)
+    return np.matmul(bond.matrix, amps.reshape(-1, 4, inner_dim)).reshape(amps.shape)

@@ -6,7 +6,10 @@ where each site carries independent uniform phases on its up and down
 components.  Product states carry zero entanglement; applying a few
 layers of two-site Trotter gates built from a nonintegrable chain
 scrambles them toward volume-law entanglement while keeping the
-preparation cost at L - 1 gates per layer.
+preparation cost at L - 1 gates per step.  The gates are compiled once,
+when the circuit is built, into the memory-order form of
+``hilbert.compile_bond`` and stored in application order, so the brick
+and the H matvec run through the same kernel.
 
 Randomness is derived per sample from (master_seed, sample_index)
 through numpy's SeedSequence, so sample m is the same bit pattern no
@@ -15,12 +18,12 @@ matter which worker draws it or in which order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonian import ID2, HamiltonianTerms, ModelSpec, build_hamiltonian
-from .hilbert import StateVector, apply_two_site, normalize
+from .hamiltonian import ModelSpec, bond_generators, build_hamiltonian
+from .hilbert import CompiledBond, StateVector, apply_two_site, compile_bond, normalize
 
 __all__ = [
     "SampleSeed",
@@ -88,51 +91,44 @@ def sample_haar(num_sites: int, seed: SampleSeed) -> StateVector:
     return StateVector(amps / nrm, 0.0, num_sites)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TrotterCircuit:
     """One first-order Trotter step, U = exp(-i tau H_odd) exp(-i tau H_even).
 
-    ``odd_layer`` holds the gates on bonds (1,2), (3,4), ...; the even
-    layer those on (2,3), (4,5), ....  Each gate absorbs the single-site
-    field terms of its two sites, split half-half between the two bonds
-    touching an interior site and in full at the chain ends, so the
-    layer generators sum exactly to the full Hamiltonian.  Applying the
-    circuit repeats the even layer then the odd layer ``n_reps`` times.
+    ``odd_layer`` holds the (i, gate) pairs on bonds (1,2), (3,4), ...; the
+    even layer those on (2,3), (4,5), ....  Each gate absorbs the
+    single-site field terms of its two sites, split half-half between the
+    two bonds touching an interior site and in full at the chain ends (see
+    ``hamiltonian.bond_generators``), so the layer generators sum exactly
+    to the full Hamiltonian.  Applying the circuit repeats the even layer
+    then the odd layer ``n_reps`` times.
+
+    The object is immutable: the layers are tuples of read-only gates, and
+    ``gates`` holds one step compiled at construction, in application order
+    (even layer, then odd), for a chain of one site more than the highest
+    bond.
     """
 
-    odd_layer: list[tuple[int, np.ndarray]]
-    even_layer: list[tuple[int, np.ndarray]]
+    odd_layer: tuple[tuple[int, np.ndarray], ...]
+    even_layer: tuple[tuple[int, np.ndarray], ...]
     tau: float
     n_reps: int
+    gates: tuple[CompiledBond, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        odd, even = (tuple((int(i), _read_only(gate)) for i, gate in layer)
+                     for layer in (self.odd_layer, self.even_layer))
+        object.__setattr__(self, "odd_layer", odd)
+        object.__setattr__(self, "even_layer", even)
+        num_sites = max((i for i, _ in odd + even), default=0) + 1
+        gates = tuple(compile_bond(gate, i, num_sites) for i, gate in even + odd)
+        object.__setattr__(self, "gates", gates)
 
 
-def _field_on_sites(terms: HamiltonianTerms) -> dict[int, np.ndarray]:
-    per_site: dict[int, np.ndarray] = {}
-    for i, mat in terms.fields:
-        per_site[i] = per_site.get(i, np.zeros((2, 2), dtype=np.complex128)) + mat
-    return per_site
-
-
-def bond_generators(terms: HamiltonianTerms) -> list[tuple[int, np.ndarray]]:
-    """Per-bond 4x4 generators whose embeddings sum to the full operator.
-
-    Bond (i, i+1) takes its own coupling plus half the field of each
-    interior endpoint and the whole field of a chain-end endpoint.
-    """
-    L = terms.L
-    per_site = _field_on_sites(terms)
-    per_bond: dict[int, np.ndarray] = {i: np.zeros((4, 4), dtype=np.complex128) for i in range(1, L)}
-    for i, mat in terms.bonds:
-        per_bond[i] = per_bond[i] + mat
-    for i, f in per_site.items():
-        if i == 1:
-            per_bond[1] = per_bond[1] + np.kron(f, ID2)
-        elif i == L:
-            per_bond[L - 1] = per_bond[L - 1] + np.kron(ID2, f)
-        else:
-            per_bond[i - 1] = per_bond[i - 1] + 0.5 * np.kron(ID2, f)
-            per_bond[i] = per_bond[i] + 0.5 * np.kron(f, ID2)
-    return [(i, per_bond[i]) for i in range(1, L)]
+def _read_only(mat) -> np.ndarray:
+    mat = np.array(mat, dtype=np.complex128)
+    mat.setflags(write=False)
+    return mat
 
 
 def build_trotter_circuit(spec: ModelSpec, tau: float, n_reps: int) -> TrotterCircuit:
@@ -145,10 +141,9 @@ def build_trotter_circuit(spec: ModelSpec, tau: float, n_reps: int) -> TrotterCi
         raise ValueError(f"tau must be finite and >= 0, got {tau}")
     if n_reps < 0:
         raise ValueError(f"n_reps must be >= 0, got {n_reps}")
-    terms = build_hamiltonian(spec)
     odd: list[tuple[int, np.ndarray]] = []
     even: list[tuple[int, np.ndarray]] = []
-    for i, gen in bond_generators(terms):
+    for i, gen in bond_generators(build_hamiltonian(spec)):
         lam, vec = np.linalg.eigh(gen)
         gate = (vec * np.exp(-1j * tau * lam)) @ vec.conj().T
         (odd if i % 2 == 1 else even).append((i, gate))
@@ -162,20 +157,15 @@ def apply_circuit(state: StateVector, circuit: TrotterCircuit) -> StateVector:
     ascending bond order.  The result is re-normalized; the drift is
     rounding-level since every gate is unitary.
     """
-    gates = circuit.odd_layer + circuit.even_layer
-    if not gates:
+    if not circuit.gates:
         raise ValueError("circuit has no gates")
-    max_bond = max(i for i, _ in gates)
-    if max_bond != state.num_sites - 1:
-        raise ValueError(
-            f"circuit built for {max_bond + 1} sites, state has {state.num_sites}"
-        )
+    num_sites = circuit.gates[0].num_sites
+    if num_sites != state.num_sites:
+        raise ValueError(f"circuit built for {num_sites} sites, state has {state.num_sites}")
     if circuit.n_reps == 0:
         return StateVector(state.amplitudes.copy(), state.log_norm_offset, state.num_sites)
     amps = state.amplitudes
     for _ in range(circuit.n_reps):
-        for i, gate in circuit.even_layer:
-            amps = apply_two_site(amps, gate, i, state.num_sites)
-        for i, gate in circuit.odd_layer:
-            amps = apply_two_site(amps, gate, i, state.num_sites)
+        for gate in circuit.gates:
+            amps = apply_two_site(amps, gate)
     return normalize(StateVector(amps, state.log_norm_offset, state.num_sites))

@@ -25,24 +25,27 @@ def embed_pair_matrix(mat4, site, L):
 
     mat4 is indexed |s_site, s_site+1> with the left site major
     (row index 2*s_site + s_site+1).  Decomposed into elementary
-    matrices so no basis reordering of mat4 itself is needed.
+    matrices, |a><c| on site and |b><d| on site+1, so no basis
+    reordering of mat4 itself is needed.  The two factors act on
+    different sites, so their product is one Kronecker chain, built
+    on the 2**(site+1) low dimensions and then padded above.
     """
-    out = np.zeros((2**L, 2**L), dtype=complex)
-    unit = [[np.zeros((2, 2)) for _ in range(2)] for _ in range(2)]
-    for a in range(2):
-        for c in range(2):
-            unit[a][c] = np.zeros((2, 2), dtype=complex)
-            unit[a][c][a, c] = 1.0
+    low = np.zeros((2 ** (site + 1), 2 ** (site + 1)), dtype=complex)
     for a in range(2):
         for b in range(2):
             for c in range(2):
                 for d in range(2):
                     coef = mat4[2 * a + b, 2 * c + d]
                     if coef != 0.0:
-                        out += coef * (
-                            embed_site(unit[a][c], site, L)
-                            @ embed_site(unit[b][d], site + 1, L)
+                        low += coef * np.kron(
+                            _unit(b, d), np.kron(_unit(a, c), np.eye(2 ** (site - 1)))
                         )
+    return np.kron(np.eye(2 ** (L - site - 1)), low)
+
+
+def _unit(row, col):
+    out = np.zeros((2, 2), dtype=complex)
+    out[row, col] = 1.0
     return out
 
 

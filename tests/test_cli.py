@@ -25,7 +25,7 @@ from spintherm.cli import (
     run_experiment,
     validate_config,
 )
-from spintherm import cli
+from spintherm import cli, hamiltonian, state_prep
 from spintherm.estimators import bootstrap_sigma, efficiency, simple_expectation, weighted_expectation, weights
 from spintherm.hamiltonian import ModelSpec
 from spintherm.imagtime import MAX_BETA_POINTS, BetaGrid
@@ -190,6 +190,26 @@ def test_run_outputs_independent_of_thread_count(tmp_path):
     paths_two = run_experiment(two)
     assert paths_one["samples"].read_bytes() == paths_two["samples"].read_bytes()
     assert paths_one["summary"].read_bytes() == paths_two["summary"].read_bytes()
+
+
+def test_run_compiles_each_operator_once_whatever_m(tmp_path, monkeypatch):
+    compiled = []
+    original = hamiltonian.compile_bond
+
+    def counted(mat4, site, num_sites):
+        compiled.append((site, num_sites))
+        return original(mat4, site, num_sites)
+
+    monkeypatch.setattr(hamiltonian, "compile_bond", counted)
+    monkeypatch.setattr(state_prep, "compile_bond", counted)
+    counts = []
+    for M in (2, 7):
+        compiled.clear()
+        run_experiment(dataclasses.replace(tiny_config(tmp_path / f"m{M}"), M=M, threads=1))
+        counts.append(len(compiled))
+    # per L: the L - 1 system bonds, the L - 1 scrambler bonds the gates are
+    # exponentiated from, and the L - 1 gates, each compiled once
+    assert counts == [3 * (2 + 3)] * 2
 
 
 def test_run_json_round_trip(tmp_path):

@@ -13,6 +13,7 @@ from spintherm.hamiltonian import (
     SZ,
     HamiltonianTerms,
     apply_terms,
+    bond_generators,
     ModelSpec,
     apply_h,
     build_hamiltonian,
@@ -20,6 +21,7 @@ from spintherm.hamiltonian import (
     spectral_bound,
     spectral_interval,
 )
+from spintherm import hamiltonian, hilbert
 from spintherm.hilbert import StateVector, basis_state, inner
 
 CATALOG = [
@@ -245,3 +247,95 @@ def test_model_spec_rejects_couplings_its_kind_ignores(kind, unused):
         ModelSpec(kind=kind, L=4, **{name: 0.0})
     with pytest.raises(ValueError, match="finite"):
         ModelSpec(kind=kind, L=4, J=float("nan"))
+
+
+def _hermitian(rng, dim):
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (a + a.conj().T) / 2.0
+
+
+# Fields reach the state only folded into bond generators (half to each bond
+# of an interior site, all of it to the one bond of an end site), so these
+# check that split against single-site embeddings.
+
+
+def test_apply_terms_field_only_targets_expected_bit():
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    for L in (2, 3, 5):
+        for site in range(1, L + 1):
+            up = np.zeros(2**L, dtype=complex)
+            up[0] = 1.0
+            out = apply_terms(HamiltonianTerms(L=L, fields=[(site, flip)]), up)
+            expected = np.zeros(2**L, dtype=complex)
+            expected[1 << (site - 1)] = 1.0
+            assert np.array_equal(out, expected)
+
+
+def test_apply_terms_field_only_matches_embedding():
+    rng = np.random.default_rng(5)
+    mat = _hermitian(rng, 2)
+    amps = rng.standard_normal(2**6) + 1j * rng.standard_normal(2**6)
+    for site in range(1, 7):
+        terms = HamiltonianTerms(L=6, fields=[(site, mat)])
+        expected = ref.embed_site(mat, site, 6) @ amps
+        assert np.allclose(apply_terms(terms, amps), expected, atol=1e-13)
+        # each bond touching the site carries its share: half at an interior site
+        touching = [b for b in (site - 1, site) if 1 <= b <= 5]
+        for bond, gen in bond_generators(terms):
+            share = 1.0 / len(touching) if bond in touching else 0.0
+            want = share * ref.embed_site(mat, site, 6)
+            assert np.allclose(ref.embed_pair_matrix(gen, bond, 6), want, atol=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(L=st.integers(2, 8), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_apply_terms_field_only_matches_dense_on_random_terms(L, data, seed):
+    site = data.draw(st.integers(1, L))
+    rng = np.random.default_rng(seed)
+    mat = _hermitian(rng, 2)
+    amps = rng.standard_normal(2**L) + 1j * rng.standard_normal(2**L)
+    expected = ref.embed_site(mat, site, L) @ amps
+    out = apply_terms(HamiltonianTerms(L=L, fields=[(site, mat)]), amps)
+    assert np.allclose(out, expected, rtol=0.0, atol=1e-12)
+
+
+def test_terms_are_frozen():
+    terms = build_hamiltonian(ModelSpec(kind="mixed_ising", L=4, J=1.0, h_x=1.0, h_z=0.5))
+    assert isinstance(terms.bonds, tuple) and isinstance(terms.fields, tuple)
+    assert len(terms.compiled) == 3
+    for name in ("L", "bonds", "fields", "compiled"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(terms, name, getattr(terms, name))
+    # the stored matrices are read-only copies, so the compiled form cannot go stale
+    with pytest.raises(ValueError, match="read-only"):
+        terms.bonds[0][1][0, 0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        terms.fields[0][1][0, 0] = 2.0
+    mat = np.diag([1.0, 0.0]).astype(complex)
+    HamiltonianTerms(L=2, fields=[(1, mat)])
+    mat[0, 0] = 3.0  # the caller's array stays writable
+
+
+def test_apply_terms_is_one_kernel_call_per_bond_and_compiles_nothing(monkeypatch):
+    terms = build_hamiltonian(ModelSpec(kind="xxz_staggered", L=9, J=1.0, delta=2.0, h_stag=0.5))
+    amps = np.random.default_rng(3).standard_normal(2**9) + 0j
+    calls = {"apply_two_site": 0, "compile_bond": 0, "kron": 0, "ascontiguousarray": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(hamiltonian, "apply_two_site")
+    counted(hamiltonian, "compile_bond")
+    counted(hilbert, "compile_bond")
+    counted(np, "kron")
+    counted(np, "ascontiguousarray")
+    out = apply_terms(terms, amps)
+    apply_terms(terms, out)
+    assert calls == {"apply_two_site": 2 * 8, "compile_bond": 0, "kron": 0, "ascontiguousarray": 0}
+    assert np.allclose(out, ref.xxz_staggered_matrix(9, delta=2.0, h_stag=0.5) @ amps, atol=1e-12)

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 import dense_reference as ref
 from spintherm.hilbert import (
+    SMALL_INNER,
     StateVector,
-    apply_single_site,
     apply_two_site,
+    compile_bond,
     basis_state,
     inner,
     normalize,
@@ -128,27 +129,6 @@ def test_basis_state_bit_convention():
         basis_state(3, down_sites=(4,))
 
 
-def test_apply_single_site_targets_expected_bit():
-    flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    for L in (2, 3, 5):
-        for site in range(1, L + 1):
-            up = np.zeros(2**L, dtype=complex)
-            up[0] = 1.0
-            out = apply_single_site(up, flip, site, L)
-            expected = np.zeros(2**L, dtype=complex)
-            expected[1 << (site - 1)] = 1.0
-            assert np.array_equal(out, expected)
-
-
-def test_apply_single_site_matches_embedding():
-    rng = np.random.default_rng(5)
-    mat = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    amps = rng.standard_normal(2**6) + 1j * rng.standard_normal(2**6)
-    for site in range(1, 7):
-        expected = ref.embed_site(mat, site, 6) @ amps
-        assert np.allclose(apply_single_site(amps, mat, site, 6), expected, atol=1e-13)
-
-
 def test_apply_two_site_left_major_convention():
     # |up,up> -> |down,up> on the bond: only the left site flips
     mat = np.zeros((4, 4), dtype=complex)
@@ -156,7 +136,7 @@ def test_apply_two_site_left_major_convention():
     for L, site in ((3, 1), (3, 2), (4, 3)):
         up = np.zeros(2**L, dtype=complex)
         up[0] = 1.0
-        out = apply_two_site(up, mat, site, L)
+        out = apply_two_site(up, compile_bond(mat, site, L))
         expected = np.zeros(2**L, dtype=complex)
         expected[1 << (site - 1)] = 1.0
         assert np.array_equal(out, expected)
@@ -168,23 +148,12 @@ def test_apply_two_site_matches_embedding():
     for site in range(1, 6):
         mat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         expected = ref.embed_pair_matrix(mat, site, 6) @ amps
-        assert np.allclose(apply_two_site(amps, mat, site, 6), expected, atol=1e-12)
+        assert np.allclose(apply_two_site(amps, compile_bond(mat, site, 6)), expected, atol=1e-12)
 
 
 def random_hermitian(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (a + a.conj().T) / 2.0
-
-
-@settings(max_examples=60, deadline=None)
-@given(L=st.integers(2, 8), data=st.data(), seed=st.integers(0, 2**32 - 1))
-def test_apply_single_site_matches_dense_on_random_terms(L, data, seed):
-    site = data.draw(st.integers(1, L))
-    rng = np.random.default_rng(seed)
-    mat = random_hermitian(rng, 2)
-    amps = random_state(L, seed).amplitudes
-    expected = ref.embed_site(mat, site, L) @ amps
-    assert np.allclose(apply_single_site(amps, mat, site, L), expected, rtol=0.0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -195,12 +164,33 @@ def test_apply_two_site_matches_dense_on_random_terms(L, data, seed):
     mat = random_hermitian(rng, 4)
     amps = random_state(L, seed).amplitudes
     expected = ref.embed_pair_matrix(mat, site, L) @ amps
-    assert np.allclose(apply_two_site(amps, mat, site, L), expected, rtol=0.0, atol=1e-12)
+    assert np.allclose(apply_two_site(amps, compile_bond(mat, site, L)), expected, rtol=0.0, atol=1e-12)
 
 
 def test_apply_kernels_reject_bad_sites():
     amps = np.zeros(8, dtype=complex)
-    with pytest.raises(ValueError):
-        apply_single_site(amps, np.eye(2), 4, 3)
-    with pytest.raises(ValueError):
-        apply_two_site(amps, np.eye(4), 3, 3)
+    with pytest.raises(ValueError, match="outside chain"):
+        compile_bond(np.eye(4), 3, 3)
+    with pytest.raises(ValueError, match="outside chain"):
+        compile_bond(np.eye(4), 0, 3)
+    with pytest.raises(ValueError, match="shape"):
+        compile_bond(np.eye(2), 1, 3)
+    with pytest.raises(ValueError, match="does not match 4 sites"):
+        apply_two_site(amps, compile_bond(np.eye(4), 1, 4))
+
+
+def test_compiled_bond_size_and_form():
+    # low sites hold kron(mem, I_inner).T, a square of side 4 * inner; the
+    # rest the 4x4 operator in memory order, never more than 4 * SMALL_INNER
+    mat = np.arange(16.0).reshape(4, 4)
+    mem = mat.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+    for site in range(1, 12):
+        bond = compile_bond(mat, site, 12)
+        inner = 1 << (site - 1)
+        if inner <= SMALL_INNER:
+            assert np.array_equal(bond.matrix, np.kron(mem, np.eye(inner)).T)
+        else:
+            assert np.array_equal(bond.matrix, mem)
+        assert bond.matrix.shape[0] <= 4 * SMALL_INNER
+        with pytest.raises(ValueError, match="read-only"):
+            bond.matrix[0, 0] = 1.0

@@ -1,17 +1,28 @@
 """Random initial states and the Trotter scrambling circuit."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dense_reference as ref
 from spintherm.estimators import entanglement_entropy
-from spintherm.hamiltonian import ModelSpec, build_hamiltonian, expectation
-from spintherm.hilbert import StateVector, inner, schmidt_spectrum
+from spintherm.hamiltonian import (
+    HamiltonianTerms,
+    ModelSpec,
+    apply_terms,
+    bond_generators,
+    build_hamiltonian,
+    expectation,
+)
+from spintherm.hilbert import SMALL_INNER, StateVector, apply_two_site, compile_bond, inner, schmidt_spectrum
 from spintherm.state_prep import (
     SampleSeed,
+    TrotterCircuit,
     apply_circuit,
-    bond_generators,
     build_trotter_circuit,
     sample_haar,
     sample_rpps,
@@ -195,3 +206,67 @@ def test_build_circuit_validation():
         build_trotter_circuit(MIXED, tau=-1.0, n_reps=1)
     with pytest.raises(ValueError, match="n_reps"):
         build_trotter_circuit(MIXED, tau=1.0, n_reps=-1)
+
+
+def test_circuit_is_frozen():
+    circuit = build_trotter_circuit(MIXED, tau=1.0, n_reps=2)
+    assert isinstance(circuit.odd_layer, tuple) and isinstance(circuit.even_layer, tuple)
+    # one step in application order: the even layer, then the odd one
+    assert [g.site for g in circuit.gates] == [2, 4, 1, 3, 5]
+    for name in ("odd_layer", "even_layer", "tau", "n_reps", "gates"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(circuit, name, getattr(circuit, name))
+    with pytest.raises(ValueError, match="read-only"):
+        circuit.odd_layer[0][1][0, 0] = 0.0
+
+
+def _random_unitary(rng):
+    q, r = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _random_hermitian(rng, dim):
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (a + a.conj().T) / 2.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(L=st.integers(2, 10), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_compiled_kernels_match_dense_on_both_sides_of_the_small_inner_threshold(L, data, seed):
+    # sites 1 .. log2(SMALL_INNER) + 1 use the kron(mem, I_inner).T form, the rest the 4x4 one
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(2**L) + 1j * rng.standard_normal(2**L)
+
+    site = data.draw(st.integers(1, L - 1))
+    mat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    want = ref.embed_pair_matrix(mat, site, L) @ amps
+    assert np.allclose(apply_two_site(amps, compile_bond(mat, site, L)), want, rtol=0.0, atol=1e-11)
+
+    gates = {i: _random_unitary(rng) for i in range(1, L)}
+    n_reps = data.draw(st.integers(1, 2))
+    circuit = TrotterCircuit(
+        odd_layer=[(i, g) for i, g in gates.items() if i % 2 == 1],
+        even_layer=[(i, g) for i, g in gates.items() if i % 2 == 0],
+        tau=1.0,
+        n_reps=n_reps,
+    )
+    dense = {i: ref.embed_pair_matrix(g, i, L) for i, g in gates.items()}
+    want = amps / np.linalg.norm(amps)
+    for _ in range(n_reps):
+        for i in [i for i in dense if i % 2 == 0] + [i for i in dense if i % 2 == 1]:
+            want = dense[i] @ want
+    got = apply_circuit(StateVector(amps / np.linalg.norm(amps), 0.0, L), circuit)
+    assert np.allclose(got.amplitudes, want, rtol=0.0, atol=1e-11)
+
+    bond_sites = data.draw(st.lists(st.integers(1, L - 1), max_size=L))
+    field_sites = data.draw(st.lists(st.integers(1, L), min_size=1, max_size=L))
+    terms = HamiltonianTerms(
+        L=L,
+        bonds=[(i, _random_hermitian(rng, 4)) for i in bond_sites],
+        fields=[(i, _random_hermitian(rng, 2)) for i in field_sites],
+    )
+    h = sum(ref.embed_pair_matrix(m, i, L) for i, m in terms.bonds) + sum(
+        ref.embed_site(m, i, L) for i, m in terms.fields
+    )
+    assert np.allclose(apply_terms(terms, amps), h @ amps, rtol=0.0, atol=1e-10)
+    assert max(b.matrix.shape[0] for b in terms.compiled) <= 4 * SMALL_INNER
