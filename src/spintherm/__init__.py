@@ -23,8 +23,6 @@ from .hamiltonian import (
     apply_h,
     build_hamiltonian,
     expectation,
-    spectral_bound,
-    spectral_interval,
 )
 from .hilbert import StateVector, basis_state, inner, normalize, schmidt_spectrum
 from .imagtime import BetaGrid, evolve, evolve_with_checkpoints
@@ -51,8 +49,6 @@ __all__ = [
     "build_hamiltonian",
     "apply_h",
     "expectation",
-    "spectral_bound",
-    "spectral_interval",
     "SampleSeed",
     "TrotterCircuit",
     "sample_rpps",

@@ -46,7 +46,7 @@ from .estimators import (
     weighted_expectation,
     weights,
 )
-from .hamiltonian import ModelSpec, build_hamiltonian, spectral_interval
+from .hamiltonian import ModelSpec, build_hamiltonian
 from .imagtime import BetaGrid, evolve_with_checkpoints
 from .state_prep import SampleSeed, apply_circuit, build_trotter_circuit, sample_haar, sample_rpps
 
@@ -314,7 +314,6 @@ def _run_one_sample(
     circuit,
     system_terms,
     grid: BetaGrid,
-    interval: tuple[float, float],
     sample_index: int,
 ) -> tuple[float, list[float], list[float]]:
     seed = SampleSeed(master_seed, sample_index)
@@ -325,7 +324,7 @@ def _run_one_sample(
         if init_class == "trotter_rpps":
             state = apply_circuit(state, circuit)
     s_ini = entanglement_entropy(state)
-    rows = evolve_with_checkpoints(state, system_terms, grid, interval)
+    rows = evolve_with_checkpoints(state, system_terms, grid)
     return s_ini, [r[1] for r in rows], [r[2] for r in rows]
 
 
@@ -359,7 +358,6 @@ def _collect_samples(cfg: RunConfig, L: int, threads: int) -> tuple[np.ndarray, 
         circuit,
         system_terms,
         cfg.beta_grid,
-        spectral_interval(system_terms),  # once per (variant, L), the same for every worker
     )
     indices = range(cfg.M)
     if threads > 1:

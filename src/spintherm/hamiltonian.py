@@ -41,20 +41,16 @@ __all__ = [
     "HamiltonianTerms",
     "bond_generators",
     "build_hamiltonian",
+    "model_terms",
     "apply_terms",
     "apply_h",
     "expectation",
-    "spectral_bound",
-    "spectral_interval",
 ]
 
 SX = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=np.complex128)
 SY = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=np.complex128)
 SZ = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=np.complex128)
 ID2 = np.eye(2, dtype=np.complex128)
-
-LANCZOS_STEPS = 20
-INTERVAL_MARGIN = 0.05
 
 _KIND_FIELDS = {
     "heisenberg": ("J",),
@@ -127,7 +123,7 @@ class HamiltonianTerms:
         fields = tuple(_checked_term("field", i, mat, self.L, 2) for i, mat in self.fields)
         object.__setattr__(self, "bonds", bonds)
         object.__setattr__(self, "fields", fields)
-        compiled = tuple(compile_bond(gen, i, self.L) for i, gen in bond_generators(self))
+        compiled = tuple(compile_bond(gen, i, self.L) for i, gen in bond_generators(self.L, bonds, fields))
         object.__setattr__(self, "compiled", compiled)
 
 
@@ -145,19 +141,19 @@ def _checked_term(kind: str, i: int, mat, last: int, dim: int) -> tuple[int, np.
     return int(i), mat
 
 
-def bond_generators(terms: HamiltonianTerms) -> list[tuple[int, np.ndarray]]:
-    """Per-bond 4x4 generators whose embeddings sum to the full operator.
+def bond_generators(L: int, bonds, fields) -> list[tuple[int, np.ndarray]]:
+    """Per-bond 4x4 generators whose embeddings sum to the operator of the terms.
 
+    ``bonds`` and ``fields`` are (i, matrix) pairs as in HamiltonianTerms.
     Bond (i, i+1) takes its own coupling plus half the field of each
     interior endpoint and the whole field of a chain-end endpoint.  All
     L - 1 bonds are returned, zero generators included.
     """
-    L = terms.L
     per_site: dict[int, np.ndarray] = {}
-    for i, mat in terms.fields:
+    for i, mat in fields:
         per_site[i] = per_site.get(i, np.zeros((2, 2), dtype=np.complex128)) + mat
     per_bond = {i: np.zeros((4, 4), dtype=np.complex128) for i in range(1, L)}
-    for i, mat in terms.bonds:
+    for i, mat in bonds:
         per_bond[i] = per_bond[i] + mat
     for i, f in per_site.items():
         if i == 1:
@@ -176,7 +172,12 @@ def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def build_hamiltonian(spec: ModelSpec) -> HamiltonianTerms:
-    """Assemble the bond/field terms for a catalog model."""
+    """The compiled operator of a catalog model."""
+    return HamiltonianTerms(spec.L, *model_terms(spec))
+
+
+def model_terms(spec: ModelSpec) -> tuple[list[tuple[int, np.ndarray]], list[tuple[int, np.ndarray]]]:
+    """The (bonds, fields) term lists of a catalog model, compiling nothing."""
     J = spec.J
     bonds: list[tuple[int, np.ndarray]] = []
     fields: list[tuple[int, np.ndarray]] = []
@@ -202,7 +203,7 @@ def build_hamiltonian(spec: ModelSpec) -> HamiltonianTerms:
         f = spec.h_x * SX + spec.h_z * SZ
         if np.any(f):
             fields = [(i, f) for i in range(1, spec.L + 1)]
-    return HamiltonianTerms(L=spec.L, bonds=bonds, fields=fields)
+    return bonds, fields
 
 
 def apply_terms(terms: HamiltonianTerms, amps: np.ndarray) -> np.ndarray:
@@ -237,44 +238,3 @@ def expectation(terms: HamiltonianTerms, state: StateVector) -> float:
     if sq == 0.0:
         raise ValueError("degenerate state: zero norm")
     return float(np.vdot(amps, apply_terms(terms, amps)).real) / sq
-
-
-def spectral_bound(terms: HamiltonianTerms) -> float:
-    """Sum of the spectral norms of all local terms.
-
-    An inexpensive upper bound on the spectral norm of the full
-    operator: the spectrum lies in [-bound, bound].
-    """
-    total = 0.0
-    for _, mat in terms.bonds:
-        total += float(np.max(np.abs(np.linalg.eigvalsh(mat))))
-    for _, mat in terms.fields:
-        total += float(np.max(np.abs(np.linalg.eigvalsh(mat))))
-    return total
-
-
-def spectral_interval(terms: HamiltonianTerms) -> tuple[float, float]:
-    """An interval (lo, hi) holding the spectrum, for Chebyshev expansions.
-
-    The extreme Ritz values of LANCZOS_STEPS Lanczos steps, widened by
-    INTERVAL_MARGIN of their spread on each side.  The start vector is
-    drawn from a fixed seed (the all-ones vector is an eigenvector of
-    the Heisenberg chain), so the interval depends on the operator alone.
-    It is an estimate, not a bound; spectral_bound gives a bound.
-    """
-    vec = np.random.default_rng(0).standard_normal(2 ** (terms.L + 1)).view(np.complex128)
-    vec /= np.linalg.norm(vec)
-    prev, off = np.zeros_like(vec), 0.0
-    alphas, offs = [], []
-    for _ in range(LANCZOS_STEPS):
-        w = apply_terms(terms, vec)
-        alphas.append(float(np.vdot(vec, w).real))
-        w -= alphas[-1] * vec + off * prev
-        off = float(np.linalg.norm(w))
-        if off <= 1e-10 * max(1.0, abs(alphas[-1])):
-            break  # the Krylov space is exhausted (at L = 2 it has dimension 4)
-        offs.append(off)
-        prev, vec = vec, w / off
-    ritz = np.linalg.eigvalsh(np.diag(alphas) + np.diag(offs[: len(alphas) - 1], -1))
-    pad = INTERVAL_MARGIN * (ritz[-1] - ritz[0]) or 1.0
-    return float(ritz[0] - pad), float(ritz[-1] + pad)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonian import ModelSpec, bond_generators, build_hamiltonian
+from .hamiltonian import ModelSpec, bond_generators, model_terms
 from .hilbert import CompiledBond, StateVector, apply_two_site, compile_bond, normalize
 
 __all__ = [
@@ -143,7 +143,7 @@ def build_trotter_circuit(spec: ModelSpec, tau: float, n_reps: int) -> TrotterCi
         raise ValueError(f"n_reps must be >= 0, got {n_reps}")
     odd: list[tuple[int, np.ndarray]] = []
     even: list[tuple[int, np.ndarray]] = []
-    for i, gen in bond_generators(build_hamiltonian(spec)):
+    for i, gen in bond_generators(spec.L, *model_terms(spec)):
         lam, vec = np.linalg.eigh(gen)
         gate = (vec * np.exp(-1j * tau * lam)) @ vec.conj().T
         (odd if i % 2 == 1 else even).append((i, gate))

@@ -207,9 +207,9 @@ def test_run_compiles_each_operator_once_whatever_m(tmp_path, monkeypatch):
         compiled.clear()
         run_experiment(dataclasses.replace(tiny_config(tmp_path / f"m{M}"), M=M, threads=1))
         counts.append(len(compiled))
-    # per L: the L - 1 system bonds, the L - 1 scrambler bonds the gates are
-    # exponentiated from, and the L - 1 gates, each compiled once
-    assert counts == [3 * (2 + 3)] * 2
+    # per L: the L - 1 system bonds and the L - 1 gates, each compiled once; the
+    # scrambler's generators are exponentiated uncompiled
+    assert counts == [2 * (2 + 3)] * 2
 
 
 def test_run_json_round_trip(tmp_path):

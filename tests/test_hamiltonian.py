@@ -1,4 +1,4 @@
-"""Model catalog, matrix-free application, and operator bounds."""
+"""Model catalog and matrix-free application."""
 
 import dataclasses
 
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import dense_reference as ref
 from spintherm.hamiltonian import (
-    SX,
     SZ,
     HamiltonianTerms,
     apply_terms,
@@ -18,8 +17,6 @@ from spintherm.hamiltonian import (
     apply_h,
     build_hamiltonian,
     expectation,
-    spectral_bound,
-    spectral_interval,
 )
 from spintherm import hamiltonian, hilbert
 from spintherm.hilbert import StateVector, basis_state, inner
@@ -136,48 +133,6 @@ def test_apply_h_linearity():
     assert np.allclose(apply_h(terms, combo).amplitudes, want, atol=1e-13)
 
 
-def test_spectral_bound_dominates_spectrum():
-    cases = [
-        (ModelSpec(kind="heisenberg", L=10, J=1.0), ref.heisenberg_matrix(10)),
-        (
-            ModelSpec(kind="xxz_staggered", L=6, J=1.0, delta=5.0, h_stag=1.0),
-            ref.xxz_staggered_matrix(6, delta=5.0, h_stag=1.0),
-        ),
-        (
-            ModelSpec(kind="mixed_ising", L=6, J=1.0, h_x=1.0, h_z=1.0),
-            ref.mixed_ising_matrix(6, h_x=1.0, h_z=1.0),
-        ),
-    ]
-    for spec, matrix in cases:
-        bound = spectral_bound(build_hamiltonian(spec))
-        assert bound >= np.max(np.abs(np.linalg.eigvalsh(matrix))) - 1e-12
-
-
-def test_spectral_bound_examples():
-    # single Heisenberg bond: eigenvalues {-3J/4, J/4}, norm 3J/4
-    assert spectral_bound(build_hamiltonian(ModelSpec(kind="heisenberg", L=2, J=1.0))) == pytest.approx(0.75)
-    # a lone transverse field of strength J has norm J/2
-    field_only = HamiltonianTerms(L=2, bonds=[], fields=[(1, 1.0 * SX)])
-    assert spectral_bound(field_only) == pytest.approx(0.5)
-
-
-def test_spectral_interval_holds_the_spectrum():
-    for spec, matrix in CATALOG:
-        for L in (2, 3, 5, 9):
-            energies = np.linalg.eigvalsh(matrix(L))
-            lo, hi = spectral_interval(build_hamiltonian(dataclasses.replace(spec, L=L)))
-            assert lo < energies[0] and energies[-1] < hi
-            # a margin of about 5 % of the spread, not a loose bound
-            assert hi - lo <= 1.2 * (energies[-1] - energies[0])
-
-
-def test_spectral_interval_is_a_function_of_the_operator():
-    terms = build_hamiltonian(ModelSpec(kind="mixed_ising", L=7, J=1.0, h_x=1.0, h_z=1.0))
-    assert spectral_interval(terms) == spectral_interval(terms)
-    # no terms at all: a zero operator still gets an interval of nonzero width
-    assert spectral_interval(HamiltonianTerms(L=2)) == (-1.0, 1.0)
-
-
 def test_model_spec_validation():
     with pytest.raises(ValueError, match="kind"):
         ModelSpec(kind="xy_chain", L=4)
@@ -281,7 +236,7 @@ def test_apply_terms_field_only_matches_embedding():
         assert np.allclose(apply_terms(terms, amps), expected, atol=1e-13)
         # each bond touching the site carries its share: half at an interior site
         touching = [b for b in (site - 1, site) if 1 <= b <= 5]
-        for bond, gen in bond_generators(terms):
+        for bond, gen in bond_generators(terms.L, terms.bonds, terms.fields):
             share = 1.0 / len(touching) if bond in touching else 0.0
             want = share * ref.embed_site(mat, site, 6)
             assert np.allclose(ref.embed_pair_matrix(gen, bond, 6), want, atol=1e-14)

@@ -1,14 +1,15 @@
-"""Chebyshev imaginary-time propagation and beta walks against dense references."""
+"""Lanczos imaginary-time propagation and beta walks against dense references."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference as ref
-from spintherm.hamiltonian import ModelSpec, build_hamiltonian, expectation, spectral_bound
+from spintherm.hamiltonian import HamiltonianTerms, ModelSpec, build_hamiltonian, expectation
 from spintherm.hilbert import StateVector, basis_state
 from spintherm.imagtime import MAX_BETA_POINTS, BetaGrid, evolve, evolve_with_checkpoints
 from spintherm.oracle import dense_build, exact_evolve
@@ -75,23 +76,6 @@ def test_energy_decreases_along_checkpoints():
     assert all(b < a + 1e-12 for a, b in zip(obs, obs[1:]))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.floats(min_value=0.0, max_value=60.0))
-def test_bessel_weights_match_scipy_ive(t):
-    from spintherm.imagtime import _bessel, _coefficients
-
-    got = _bessel(np.array([t]), 150)[:, 0]
-    want = scipy.special.ive(np.arange(150), t)
-    assert np.max(np.abs(got - want)) <= 1e-15
-    tiny = want > 1e-290
-    assert np.max(np.abs(got - want)[tiny] / want[tiny]) <= 1e-12
-    if t > 0.0:
-        # the cut series is e^{-t(x + 1)} on [-1, 1] to rounding
-        x = np.linspace(-1.0, 1.0, 101)
-        series = np.polynomial.chebyshev.chebval(x, _coefficients((t,))[:, 0])
-        assert np.max(np.abs(series - np.exp(-t * (x + 1.0)))) <= 1e-14
-
-
 def dense_walk(matrix, amps, betas):
     """(ln <psi|e^{-beta H}|psi>, <H>_beta) at each beta from the full eigensystem."""
     energies, vectors = np.linalg.eigh(matrix)
@@ -130,13 +114,42 @@ def test_walk_matches_dense_oracle(fields, matrix):
 
 
 def test_walk_restarts_keep_large_beta_exact():
-    # At beta ~ 40 the Boltzmann sum is far below the moments' rounding, so the
-    # walk has to restart from filtered states; a single moment run is off by 1e-8.
+    # At beta ~ 40 the Boltzmann sum is about e^{-40 |E_0|}; the quadrature reads it
+    # as a log-sum-exp of positive terms, so one Lanczos run stays exact there.
     spec = ModelSpec(kind="mixed_ising", L=6, J=1.0, h_x=1.0, h_z=1.0)
     state = sample_haar(6, SampleSeed(4, 0))
     grid = BetaGrid.uniform(2.0, 40.0, 2.0)
     rows = evolve_with_checkpoints(state, build_hamiltonian(spec), grid)
     assert_walk_matches_dense(rows, ref.mixed_ising_matrix(6, h_x=1.0, h_z=1.0), state.amplitudes, grid.checkpoints)
+
+
+@settings(max_examples=60, deadline=None)
+@given(L=st.integers(2, 8), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_walk_matches_dense_on_random_terms(L, data, seed):
+    # L = 2 ends the Lanczos run on an exhausted Krylov space
+    rng = np.random.default_rng(seed)
+
+    def hermitian(dim):
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        return (a + a.conj().T) / 2.0
+
+    bond_sites = data.draw(st.lists(st.integers(1, L - 1), max_size=L))
+    field_sites = data.draw(st.lists(st.integers(1, L), max_size=L))
+    betas = data.draw(st.lists(st.floats(0.0, 40.0, exclude_min=True), min_size=1, max_size=8, unique=True))
+    terms = HamiltonianTerms(
+        L=L,
+        bonds=[(i, hermitian(4)) for i in bond_sites],
+        fields=[(i, hermitian(2)) for i in field_sites],
+    )
+    dense = np.zeros((2**L, 2**L), dtype=complex)
+    for i, mat in terms.bonds:
+        dense += ref.embed_pair_matrix(mat, i, L)
+    for i, mat in terms.fields:
+        dense += ref.embed_site(mat, i, L)
+    amps = rng.standard_normal(2**L) + 1j * rng.standard_normal(2**L)
+    grid = BetaGrid(tuple(sorted(betas)))
+    rows = evolve_with_checkpoints(StateVector(amps, 0.0, L), terms, grid)
+    assert_walk_matches_dense(rows, dense, amps, grid.checkpoints)
 
 
 def test_single_checkpoint_matches_dense_oracle():
@@ -150,7 +163,7 @@ def test_single_checkpoint_matches_dense_oracle():
     assert rows[0][2] == pytest.approx(expectation(terms, direct), abs=1e-10)
 
 
-def test_run_costs_one_interval_plus_the_same_walk_per_sample(monkeypatch):
+def test_run_costs_the_walks_of_its_samples_and_nothing_more(monkeypatch):
     import spintherm.hamiltonian as hamiltonian
     import spintherm.imagtime as imagtime
     from spintherm.cli import RunConfig, run_experiment
@@ -161,44 +174,25 @@ def test_run_costs_one_interval_plus_the_same_walk_per_sample(monkeypatch):
         monkeypatch.setattr(module, "apply_terms", lambda t, a: calls.append(1) or original(t, a))
     spec = ModelSpec(kind="heisenberg", L=6, J=1.0)
     terms = build_hamiltonian(spec)
-    interval = hamiltonian.spectral_interval(terms)
-    assert len(calls) == hamiltonian.LANCZOS_STEPS
     grid = BetaGrid((0.5, 1.0, 3.0))
-    calls.clear()
-    evolve_with_checkpoints(sample_haar(6, SampleSeed(8, 1)), terms, grid, interval)
-    per_walk = len(calls)
-    assert per_walk <= 20
-
     cfg = RunConfig(system=spec, init_class="haar", beta_grid=grid, L_list=(6,), M=5,
                     master_seed=8, n_resamples=0, threads=1, output_path="unused")
+    walks = 0
+    for m in range(cfg.M):
+        calls.clear()
+        evolve_with_checkpoints(sample_haar(6, SampleSeed(8, m)), terms, grid)
+        walks += len(calls)
     calls.clear()
     monkeypatch.setattr("spintherm.cli.emit_results", lambda *args: {})
     run_experiment(cfg)
-    assert len(calls) == hamiltonian.LANCZOS_STEPS + cfg.M * per_walk
+    assert len(calls) == walks  # no matvec outside the samples' walks
 
-
-def test_narrowed_interval_is_detected_and_still_exact(monkeypatch):
-    import spintherm.imagtime as imagtime
-
-    spec = ModelSpec(kind="heisenberg", L=6, J=1.0)
-    terms = build_hamiltonian(spec)
-    matrix = ref.heisenberg_matrix(6)
-    energies = np.linalg.eigvalsh(matrix)
-    # the bottom third of the spectrum lies below the interval
-    narrowed = (energies[0] + 0.3 * (energies[-1] - energies[0]), energies[-1])
-    bounds = []
-    monkeypatch.setattr(imagtime, "spectral_bound", lambda t: bounds.append(t) or spectral_bound(t))
-    state = sample_haar(6, SampleSeed(9, 0))
-    grid = BetaGrid.uniform(0.25, 3.0, 0.25)
-    rows = evolve_with_checkpoints(state, terms, grid, narrowed)
-    assert len(bounds) == 1
-    assert_walk_matches_dense(rows, matrix, state.amplitudes, grid.checkpoints)
-
-    out = evolve(state, terms, 1.5, narrowed)
-    assert len(bounds) == 2
-    raw = scipy.linalg.expm(-1.5 * matrix) @ state.amplitudes
-    assert np.max(np.abs(out.amplitudes - raw / np.linalg.norm(raw))) <= 1e-10
-    assert out.log_norm_offset == pytest.approx(np.log(np.linalg.norm(raw)), abs=1e-10)
+    # the paper's setting: a Haar walk at L = 12, beta J = 3
+    terms = build_hamiltonian(dataclasses.replace(spec, L=12))
+    for m in range(3):
+        calls.clear()
+        evolve_with_checkpoints(sample_haar(12, SampleSeed(8, m)), terms, BetaGrid((3.0,)))
+        assert len(calls) <= 25
 
 
 def test_evolve_stays_exact_at_large_theta():
@@ -241,6 +235,11 @@ def test_evolve_input_validation():
         evolve(sample_haar(5, SampleSeed(0, 0)), terms, 1.0)
     with pytest.raises(ValueError, match="sites"):
         evolve_with_checkpoints(sample_haar(5, SampleSeed(0, 0)), terms, BetaGrid((1.0,)))
+    zero = StateVector(np.zeros(16, dtype=complex), 0.0, 4)
+    with pytest.raises(ValueError, match="degenerate state: zero norm"):
+        evolve(zero, terms, 1.0)
+    with pytest.raises(ValueError, match="degenerate state: zero norm"):
+        evolve_with_checkpoints(zero, terms, BetaGrid((1.0,)))
 
 
 def test_log_norms_are_relative_to_input_offset():

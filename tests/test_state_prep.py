@@ -17,6 +17,7 @@ from spintherm.hamiltonian import (
     bond_generators,
     build_hamiltonian,
     expectation,
+    model_terms,
 )
 from spintherm.hilbert import SMALL_INNER, StateVector, apply_two_site, compile_bond, inner, schmidt_spectrum
 from spintherm.state_prep import (
@@ -131,7 +132,7 @@ def test_field_partition_sums_to_full_hamiltonian():
         (ModelSpec(kind="heisenberg", L=2, J=1.0), ref.heisenberg_matrix(2)),
     ):
         total = np.zeros_like(matrix)
-        for i, gen in bond_generators(build_hamiltonian(spec)):
+        for i, gen in bond_generators(spec.L, *model_terms(spec)):
             total += ref.embed_pair_matrix(gen, i, spec.L)
         assert np.max(np.abs(total - matrix)) <= 1e-13
 
@@ -142,7 +143,7 @@ def test_single_step_matches_expm_oracle(tau):
     terms = build_hamiltonian(spec)
     h_odd = np.zeros((2**5, 2**5), dtype=complex)
     h_even = np.zeros_like(h_odd)
-    for i, gen in bond_generators(terms):
+    for i, gen in bond_generators(terms.L, terms.bonds, terms.fields):
         block = ref.embed_pair_matrix(gen, i, 5)
         if i % 2 == 1:
             h_odd += block
