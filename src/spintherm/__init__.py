@@ -8,25 +8,16 @@ the command-line interface.
 """
 
 from .estimators import (
-    EfficiencyReport,
     bootstrap_sigma,
     efficiency,
     entanglement_entropy,
     simple_expectation,
-    trace_prefactor,
     weighted_expectation,
     weights,
 )
-from .hamiltonian import (
-    HamiltonianTerms,
-    ModelSpec,
-    apply_h,
-    build_hamiltonian,
-    expectation,
-)
-from .hilbert import StateVector, basis_state, inner, normalize, schmidt_spectrum
+from .hamiltonian import HamiltonianTerms, ModelSpec, build_hamiltonian
+from .hilbert import StateVector, normalize, schmidt_spectrum
 from .imagtime import BetaGrid, evolve, evolve_with_checkpoints
-from .oracle import DenseOperator, dense_build, exact_evolve, exact_thermal
 from .state_prep import (
     SampleSeed,
     TrotterCircuit,
@@ -40,15 +31,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "StateVector",
-    "basis_state",
     "normalize",
-    "inner",
     "schmidt_spectrum",
     "ModelSpec",
     "HamiltonianTerms",
     "build_hamiltonian",
-    "apply_h",
-    "expectation",
     "SampleSeed",
     "TrotterCircuit",
     "sample_rpps",
@@ -58,17 +45,11 @@ __all__ = [
     "BetaGrid",
     "evolve",
     "evolve_with_checkpoints",
-    "EfficiencyReport",
     "weights",
     "efficiency",
     "weighted_expectation",
     "simple_expectation",
     "entanglement_entropy",
     "bootstrap_sigma",
-    "trace_prefactor",
-    "DenseOperator",
-    "dense_build",
-    "exact_thermal",
-    "exact_evolve",
     "__version__",
 ]

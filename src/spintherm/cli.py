@@ -7,11 +7,13 @@ L_list, M samples are drawn, scrambled, evolved in imaginary time, and
 measured; per-sample rows and per-(L, beta) aggregates are written as
 CSV plus a JSON echo of the resolved configuration.
 
-Sample m derives all of its randomness from (master_seed, m), and
-results are sorted before emission, so the output files are
-byte-identical no matter how many worker processes ran.  Error bars are
-bootstrapped with generators seeded from (master_seed, L, beta index,
-quantity), which keeps them reproducible from samples.csv alone.
+Samples run on min(threads, M, os.cpu_count()) worker processes, with
+threads = os.cpu_count() when the key is unset.  Sample m derives all of
+its randomness from (master_seed, m), and results are sorted before
+emission, so the output files are byte-identical no matter how many
+worker processes ran.  Error bars are bootstrapped with generators
+seeded from (master_seed, L, beta index, quantity), which keeps them
+reproducible from samples.csv alone.
 
 One schema reads every RunConfig: a table of keys (model fields are
 dotted, ``system.kind``, ``trotter.h_x``), each with a text-to-value and
@@ -44,7 +46,6 @@ from .estimators import (
     entanglement_entropy,
     simple_expectation,
     weighted_expectation,
-    weights,
 )
 from .hamiltonian import ModelSpec, build_hamiltonian
 from .imagtime import BetaGrid, evolve_with_checkpoints
@@ -53,13 +54,11 @@ from .state_prep import SampleSeed, apply_circuit, build_trotter_circuit, sample
 __all__ = [
     "INIT_CLASSES",
     "FULL_SCALE_LIMIT",
-    "THREADS_ENV_VAR",
     "ConfigError",
     "RunConfig",
     "parse_config",
     "load_config",
     "validate_config",
-    "preset",
     "preset_variants",
     "run_experiment",
     "emit_results",
@@ -69,7 +68,6 @@ __all__ = [
 
 INIT_CLASSES = ("haar", "rpps", "trotter_rpps")
 FULL_SCALE_LIMIT = 14
-THREADS_ENV_VAR = "SPINTHERM_THREADS"
 
 
 class ConfigError(ValueError):
@@ -113,6 +111,8 @@ def validate_config(cfg: RunConfig) -> None:
         problems.append("L_list: must be nonempty")
     if any(L < 2 for L in cfg.L_list):
         problems.append(f"L_list: every L must be >= 2, got {cfg.L_list}")
+    if len(set(cfg.L_list)) != len(cfg.L_list):
+        problems.append(f"L_list: duplicate lengths in {cfg.L_list}")
     if max(cfg.L_list, default=2) > FULL_SCALE_LIMIT and not cfg.full_scale:
         problems.append(
             f"L_list: chains above {FULL_SCALE_LIMIT} sites take hours; "
@@ -132,6 +132,8 @@ def validate_config(cfg: RunConfig) -> None:
         problems.append(f"threads: must be >= 1 or unset, got {cfg.threads}")
     if not cfg.output_path:
         problems.append("output_path: must be nonempty")
+    if any(c in cfg.label for c in ',"\r\n'):  # written unquoted into a summary.csv field
+        problems.append(f"label: must not contain a comma, quote or line break, got {cfg.label!r}")
     if problems:
         raise ConfigError("; ".join(problems))
 
@@ -285,21 +287,15 @@ def _preset_maps(name: str) -> list[dict[str, str]]:
     return [{**base, **_VARIANTS[label], "label": label} for label in labels]
 
 
-def preset(name: str) -> RunConfig:
-    """Named desk-scale experiment; returns its headline configuration.
+def preset_variants(name: str) -> list[RunConfig]:
+    """A named desk-scale experiment: its headline config, then its comparison runs.
 
     fig1: Heisenberg system, XXZ+staggered-field scrambling, beta J = 3.
     fig2: Heisenberg system, mixed-field Ising scrambling, beta J = 3.
     fig3: beta sweep of both energy estimators at L = 12.
     fig4: estimator-difference comparison between L = 10 and L = 12.
-    Companion runs (Haar baseline, integrable scrambler) come from
-    preset_variants().
+    The comparison runs are the Haar baseline and the integrable scramblers.
     """
-    return preset_variants(name)[0]
-
-
-def preset_variants(name: str) -> list[RunConfig]:
-    """Headline config plus the comparison runs of the same experiment."""
     return [_read(raw) for raw in _preset_maps(name)]
 
 
@@ -328,21 +324,13 @@ def _run_one_sample(
     return s_ini, [r[1] for r in rows], [r[2] for r in rows]
 
 
-def _resolve_threads(cfg: RunConfig) -> int:
-    if cfg.threads is not None:
-        return cfg.threads
-    env = os.environ.get(THREADS_ENV_VAR, "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{THREADS_ENV_VAR}: expected an integer, got {env!r}") from exc
-        if n < 1:
-            raise ConfigError(f"{THREADS_ENV_VAR}: must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
+def _workers(cfg: RunConfig) -> int:
+    """Worker processes for one run: threads (the cpu count when unset), at most M and the cpu count."""
+    cpus = os.cpu_count() or 1
+    return min(cfg.threads or cpus, cfg.M, cpus)
 
-def _collect_samples(cfg: RunConfig, L: int, threads: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+
+def _collect_samples(cfg: RunConfig, L: int, workers: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Initial entropies, shape (M,), and ln-norms and energies, shape (K, M): one row per beta."""
     system_terms = build_hamiltonian(dataclasses.replace(cfg.system, L=L))
     circuit = None
@@ -360,9 +348,9 @@ def _collect_samples(cfg: RunConfig, L: int, threads: int) -> tuple[np.ndarray, 
         cfg.beta_grid,
     )
     indices = range(cfg.M)
-    if threads > 1:
-        chunk = max(1, cfg.M // (4 * threads))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    if workers > 1:
+        chunk = max(1, cfg.M // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(task, indices, chunksize=chunk))  # in sample order
     else:
         raw = [task(m) for m in indices]
@@ -388,14 +376,13 @@ def _aggregate(cfg: RunConfig, L: int, s_ini: np.ndarray, logs: np.ndarray, obs:
     s_ini_mean, s_ini_sigma = float(simple_expectation(s_ini)), sigma(s_ini, simple_expectation, 0, 1)
     rows = []
     for k, beta in enumerate(cfg.beta_grid.checkpoints):
-        report = efficiency(weights(logs[k]), n_res, seed=(cfg.master_seed, L, k, 0))
         rows.append(
             {
                 "L": L,
                 "beta": beta,
                 "init_class": cfg.resolved_label(),
-                "eta": report.eta,
-                "eta_sigma": report.sigma,
+                "eta": efficiency(logs[k]),
+                "eta_sigma": sigma(logs[k], efficiency, k, 0),
                 "S_ini_mean": s_ini_mean,
                 "S_ini_sigma": s_ini_sigma,
                 "energy_weighted": weighted_expectation(logs[k], obs[k]),
@@ -474,7 +461,7 @@ def load_run_json(path: str | Path) -> RunConfig:
 def run_experiment(cfg: RunConfig, out_dir: str | Path | None = None) -> dict[str, Path]:
     """Execute one configuration and write its three output files."""
     validate_config(cfg)
-    threads = _resolve_threads(cfg)
+    workers = _workers(cfg)
     if max(cfg.L_list) > FULL_SCALE_LIMIT:
         print(
             f"warning: L={max(cfg.L_list)} is full scale; expect hours of runtime",
@@ -483,7 +470,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path | None = None) -> dict[st
     summary_rows: list[dict] = []
     sample_rows: list[tuple] = []
     for L in cfg.L_list:
-        s_ini, logs, obs = _collect_samples(cfg, L, threads)
+        s_ini, logs, obs = _collect_samples(cfg, L, workers)
         summary_rows.extend(_aggregate(cfg, L, s_ini, logs, obs))
         sample_rows += [
             (L, m, beta, logs[k, m], obs[k, m], s_ini[m])
@@ -513,7 +500,7 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument("--samples", dest="M", help="samples per (L, class)")
     run_p.add_argument("--seed", dest="master_seed", help="master seed")
     run_p.add_argument("--out", help="output directory")
-    run_p.add_argument("--threads", help="worker process count")
+    run_p.add_argument("--threads", help="worker processes, at most M and the cpu count")
     run_p.add_argument("--full-scale", action="store_const", const="true",
                        help="allow chains above the desk-scale limit")
 

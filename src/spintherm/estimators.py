@@ -15,14 +15,10 @@ row of M log norms or observables gives the point value, and a (rows, M)
 stack of resamples gives one value per row.  bootstrap_sigma hands a
 statistic a whole block of resamples at once, so each statistic has one
 implementation for both.
-
-All states are sampled unit-normalized, so trace estimates built from
-them carry the common prefactor 2**L exposed by trace_prefactor().
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,30 +26,17 @@ import numpy as np
 from .hilbert import StateVector, schmidt_spectrum
 
 __all__ = [
-    "EfficiencyReport",
     "weights",
     "efficiency",
     "weighted_expectation",
     "simple_expectation",
     "entanglement_entropy",
     "bootstrap_sigma",
-    "trace_prefactor",
 ]
 
 # Indices drawn per bootstrap block (2**14 // M resamples of M samples): it
 # bounds the memory of one block, whatever M and n_resamples are.
 BOOTSTRAP_BLOCK = 2**14
-
-
-@dataclass(frozen=True)
-class EfficiencyReport:
-    """Weight-entropy summary for one (L, beta) sample set."""
-
-    eta: float
-    entropy: float
-    num_samples: int
-    sigma: float
-    n_resamples: int
 
 
 def _samples(values) -> np.ndarray:
@@ -74,33 +57,15 @@ def weights(logs) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def _entropy_eta(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ent = -np.sum(w * np.log(w, out=np.zeros_like(w), where=w > 0.0), axis=-1)
-    return ent, np.exp(ent) / w.shape[-1]
+def efficiency(logs):
+    """Efficiency eta = e^I / M of the norm-weights of the log norms on the last axis.
 
-
-def efficiency(w, n_resamples: int = 0, seed=0) -> EfficiencyReport:
-    """Weight entropy I, efficiency eta = e^I / M, and a bootstrap sigma.
-
-    With n_resamples = 0 the sigma is skipped (reported as 0).  The
-    bootstrap redraws M samples with replacement and rebuilds the
-    weights from their logs, so it needs strictly positive input
-    weights; zero weights are legal only when n_resamples = 0.
+    I = -sum w ln w is the entropy of the weights; eta is 1 for uniform
+    weights and 1/M when one sample carries all the weight.
     """
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("weights must be a nonempty 1-d sequence")
-    if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError("weights must be nonnegative and sum to 1")
-    ent, eta = _entropy_eta(w)
-    sigma = 0.0
-    if n_resamples > 0:
-        if np.any(w == 0.0):
-            raise ValueError("bootstrap requires strictly positive weights")
-        sigma = bootstrap_sigma(np.log(w), lambda logs: _entropy_eta(weights(logs))[1], n_resamples, seed)
-    return EfficiencyReport(
-        eta=float(eta), entropy=float(ent), num_samples=int(w.size), sigma=sigma, n_resamples=n_resamples
-    )
+    w = weights(logs)
+    ent = -np.sum(w * np.log(w, out=np.zeros_like(w), where=w > 0.0), axis=-1)
+    return np.exp(ent) / w.shape[-1]
 
 
 def weighted_expectation(logs, obs):
@@ -159,12 +124,3 @@ def bootstrap_sigma(values, statistic: Callable, n_resamples: int, seed=0) -> fl
             )
         stats.append(draws)
     return float(np.std(np.concatenate(stats)))
-
-
-def trace_prefactor(num_sites: int) -> float:
-    """Hilbert-space dimension 2**L.
-
-    Initial states are unit-normalized, so E[<psi|O|psi>] = Tr O / 2**L
-    and trace estimates must be scaled by this constant.
-    """
-    return float(2**num_sites)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import CompiledBond, StateVector, apply_two_site, compile_bond
+from .hilbert import CompiledBond, apply_two_site, compile_bond
 
 __all__ = [
     "SX",
@@ -43,8 +43,6 @@ __all__ = [
     "build_hamiltonian",
     "model_terms",
     "apply_terms",
-    "apply_h",
-    "expectation",
 ]
 
 SX = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=np.complex128)
@@ -207,7 +205,7 @@ def model_terms(spec: ModelSpec) -> tuple[list[tuple[int, np.ndarray]], list[tup
 
 
 def apply_terms(terms: HamiltonianTerms, amps: np.ndarray) -> np.ndarray:
-    """Raw-array form of apply_h, for inner loops that skip the wrapper.
+    """The operator applied to a flat amplitude array; returns a new array.
 
     One two-site kernel call per compiled bond generator, L - 1 in all.
     """
@@ -216,25 +214,3 @@ def apply_terms(terms: HamiltonianTerms, amps: np.ndarray) -> np.ndarray:
     for bond in rest:
         out += apply_two_site(amps, bond)
     return out
-
-
-def apply_h(terms: HamiltonianTerms, state: StateVector) -> StateVector:
-    """Apply the operator to a state, one compiled bond at a time.
-
-    The log_norm_offset is copied unchanged; the result is generally not
-    normalized.
-    """
-    if terms.L != state.num_sites:
-        raise ValueError(f"size mismatch: operator on {terms.L} sites, state on {state.num_sites}")
-    return StateVector(apply_terms(terms, state.amplitudes), state.log_norm_offset, state.num_sites)
-
-
-def expectation(terms: HamiltonianTerms, state: StateVector) -> float:
-    """<psi|H|psi> / <psi|psi> of the stored amplitudes (a real number)."""
-    if terms.L != state.num_sites:
-        raise ValueError(f"size mismatch: operator on {terms.L} sites, state on {state.num_sites}")
-    amps = state.amplitudes
-    sq = float(np.vdot(amps, amps).real)
-    if sq == 0.0:
-        raise ValueError("degenerate state: zero norm")
-    return float(np.vdot(amps, apply_terms(terms, amps)).real) / sq

@@ -30,9 +30,7 @@ import numpy as np
 
 __all__ = [
     "StateVector",
-    "basis_state",
     "normalize",
-    "inner",
     "schmidt_spectrum",
     "CompiledBond",
     "compile_bond",
@@ -77,22 +75,6 @@ class StateVector:
             raise ValueError("log_norm_offset must be finite")
 
 
-def basis_state(num_sites: int, down_sites: tuple[int, ...] = ()) -> StateVector:
-    """Computational basis state with the given sites flipped down.
-
-    Sites are 1-based; all sites not listed point up.
-    """
-    for i in down_sites:
-        if not 1 <= i <= num_sites:
-            raise ValueError(f"site {i} outside chain of {num_sites} sites")
-    index = 0
-    for i in down_sites:
-        index |= 1 << (i - 1)
-    amps = np.zeros(2**num_sites, dtype=np.complex128)
-    amps[index] = 1.0
-    return StateVector(amps, 0.0, num_sites)
-
-
 def normalize(state: StateVector) -> StateVector:
     """Return a unit-norm copy, folding the norm into log_norm_offset.
 
@@ -106,19 +88,6 @@ def normalize(state: StateVector) -> StateVector:
         state.log_norm_offset + np.log(nrm),
         state.num_sites,
     )
-
-
-def inner(bra: StateVector, ket: StateVector) -> complex:
-    """Inner product <bra|ket> of the stored amplitudes.
-
-    The log_norm_offsets are deliberately not applied; callers doing
-    weighted sums combine offsets themselves in log space.
-    """
-    if bra.num_sites != ket.num_sites:
-        raise ValueError(
-            f"size mismatch: {bra.num_sites} vs {ket.num_sites} sites"
-        )
-    return complex(np.vdot(bra.amplitudes, ket.amplitudes))
 
 
 def schmidt_spectrum(state: StateVector, cut_after: int) -> np.ndarray:

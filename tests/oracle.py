@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import HamiltonianTerms
-from .hilbert import StateVector
+from spintherm.hamiltonian import HamiltonianTerms
+from spintherm.hilbert import StateVector
 
 __all__ = [
     "DENSE_CAP",

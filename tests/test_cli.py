@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import importlib
 import json
 import os
 import subprocess
@@ -20,13 +21,13 @@ from spintherm.cli import (
     load_run_json,
     main,
     parse_config,
-    preset,
     preset_variants,
     run_experiment,
     validate_config,
 )
+import spintherm
 from spintherm import cli, hamiltonian, state_prep
-from spintherm.estimators import bootstrap_sigma, efficiency, simple_expectation, weighted_expectation, weights
+from spintherm.estimators import bootstrap_sigma, efficiency, simple_expectation, weighted_expectation
 from spintherm.hamiltonian import ModelSpec
 from spintherm.imagtime import MAX_BETA_POINTS, BetaGrid
 
@@ -131,7 +132,7 @@ def test_validate_rejects_tiny_chain():
 
 
 def test_preset_fields():
-    cfg = preset("fig1")
+    cfg = preset_variants("fig1")[0]
     assert cfg.system.kind == "heisenberg"
     assert cfg.system.delta == 0.0
     assert cfg.trotter.kind == "xxz_staggered"
@@ -145,16 +146,16 @@ def test_preset_fields():
     assert cfg.beta_grid == BetaGrid((3.0,))
     assert cfg.label == "xxz_stagger"
 
-    fig3 = preset("fig3")
+    fig3 = preset_variants("fig3")[0]
     assert fig3.L_list == (12,)
     assert len(fig3.beta_grid.checkpoints) == 30
 
-    fig4 = preset("fig4")
+    fig4 = preset_variants("fig4")[0]
     assert fig4.L_list == (10, 12)
     assert len(fig4.beta_grid.checkpoints) == 30
 
     with pytest.raises(ConfigError, match="preset"):
-        preset("fig9")
+        preset_variants("fig9")
 
 
 def test_preset_variant_labels():
@@ -253,7 +254,9 @@ def test_summary_recomputable_from_samples(tmp_path):
             np.array([float(r[name]) for r in rows]).reshape(cfg.M, len(betas))
             for name in ("log_sq_norm", "obs_value", "init_entropy")
         )
-        assert efficiency(weights(logs[:, k])).eta == pytest.approx(float(srow["eta"]), abs=1e-10)
+        assert efficiency(logs[:, k]) == pytest.approx(float(srow["eta"]), abs=1e-10)
+        eta_sigma = bootstrap_sigma(logs[:, k], efficiency, cfg.n_resamples, seed=(cfg.master_seed, L, k, 0))
+        assert eta_sigma == pytest.approx(float(srow["eta_sigma"]), abs=1e-10)
         assert weighted_expectation(logs[:, k], obs[:, k]) == pytest.approx(
             float(srow["energy_weighted"]), abs=1e-10)
         assert simple_expectation(obs[:, k]) == pytest.approx(
@@ -261,6 +264,33 @@ def test_summary_recomputable_from_samples(tmp_path):
         assert np.mean(s_ini[:, 0]) == pytest.approx(float(srow["S_ini_mean"]), abs=1e-10)
         simple_sigma = bootstrap_sigma(obs[:, k], simple_expectation, cfg.n_resamples, seed=(cfg.master_seed, L, k, 3))
         assert simple_sigma == pytest.approx(float(srow["energy_simple_sigma"]), abs=1e-10)
+
+
+def test_pool_is_capped_at_samples_and_cpus(tmp_path, monkeypatch):
+    # A fake executor that maps in this process: the test starts no process.
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    base = dataclasses.replace(tiny_config(tmp_path / "pool"), L_list=(4,), n_resamples=0)
+    # (threads, M) -> the pool size, or None for no pool
+    for threads, M, want in ((64, 6, 4), (3, 6, 3), (64, 2, 2), (None, 6, 4), (None, 1, None), (1, 6, None)):
+        sizes.clear()
+        run_experiment(dataclasses.replace(base, threads=threads, M=M))
+        assert sizes == ([] if want is None else [want]), (threads, M)
 
 
 def test_collect_samples_refuses_nonfinite_or_negative_entropy(tmp_path, monkeypatch):
@@ -287,7 +317,7 @@ def test_single_sample_run(tmp_path):
 
 
 def test_emit_results_header_only(tmp_path):
-    paths = emit_results([], [], preset("fig2"), tmp_path / "empty")
+    paths = emit_results([], [], preset_variants("fig2")[0], tmp_path / "empty")
     assert paths["summary"].read_text() == SUMMARY_HEADER + "\n"
     assert paths["samples"].read_text() == SAMPLES_HEADER + "\n"
 
@@ -336,6 +366,8 @@ def test_main_run_preset_writes_variant_directories(tmp_path):
     ("n_reps = 0", "n_reps: must be 2L or an integer >= 1"),
     ("n_reps_rule = explicit", "unknown keys: n_reps_rule"),
     ("system.delta = 5.0", "system: delta not used by kind 'heisenberg'"),
+    ("label = a,b", "label: must not contain a comma"),
+    ('label = a"b', "label: must not contain a comma"),
 ])
 def test_main_validate_names_the_bad_key(tmp_path, capsys, line, reason):
     cfg_file = tmp_path / "bad.cfg"
@@ -356,18 +388,43 @@ def test_main_validate_refuses_an_oversized_beta_grid(tmp_path, capsys):
     assert f"more than {MAX_BETA_POINTS}" in err
 
 
+# The package's top-level names, and the names perfbench's tracer wraps per module.
+PUBLIC = {
+    "StateVector", "normalize", "schmidt_spectrum", "ModelSpec", "HamiltonianTerms", "build_hamiltonian",
+    "SampleSeed", "TrotterCircuit", "sample_rpps", "sample_haar", "build_trotter_circuit", "apply_circuit",
+    "BetaGrid", "evolve", "evolve_with_checkpoints", "weights", "efficiency", "weighted_expectation",
+    "simple_expectation", "entanglement_entropy", "bootstrap_sigma", "__version__",
+}
+TRACED = {
+    "hilbert": ("apply_two_site", "schmidt_spectrum"),
+    "hamiltonian": ("apply_terms", "build_hamiltonian"),
+    "imagtime": ("evolve_with_checkpoints",),
+    "state_prep": ("apply_circuit", "sample_rpps", "sample_haar", "build_trotter_circuit"),
+    "estimators": ("entanglement_entropy", "bootstrap_sigma", "weights", "efficiency",
+                   "weighted_expectation", "simple_expectation"),
+    "cli": ("main", "emit_results"),
+}
+
+
 def test_runtime_imports_no_scipy():
-    code = "import sys, spintherm, spintherm.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = (
+        "import sys, spintherm, spintherm.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy') or m == 'spintherm.oracle'))"
+    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
+    assert set(spintherm.__all__) == PUBLIC
+    for module, names in TRACED.items():
+        assert set(names) <= set(importlib.import_module(f"spintherm.{module}").__all__), module
 
 
 def test_main_run_names_the_bad_override(tmp_path, capsys):
-    rc = main(["run", "--preset", "fig2", "--L", "4,x", "--out", str(tmp_path / "none")])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("invalid: L_list: ")
-    assert not (tmp_path / "none").exists()
+    for lengths, reason in (("4,x", ""), ("4,4", "duplicate lengths")):
+        rc = main(["run", "--preset", "fig2", "--L", lengths, "--out", str(tmp_path / "none")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"invalid: L_list: {reason}")
+        assert not (tmp_path / "none").exists()
 
 
 def test_n_reps_is_2L_or_a_positive_integer():
@@ -390,3 +447,7 @@ def test_load_run_json_validates(tmp_path):
     path.write_text(json.dumps({**raw, "M": 8}))
     with pytest.raises(ConfigError, match="JSON object"):
         load_run_json(path)
+    for label in ("a,b", "a\nb", "a\rb", 'a"b'):
+        path.write_text(json.dumps({**raw, "label": label}))
+        with pytest.raises(ConfigError, match="label: must not contain"):
+            load_run_json(path)

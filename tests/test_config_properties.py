@@ -176,7 +176,7 @@ def valid_configs(draw) -> dict:
         **draw(model("system")),
         "init_class": init_class,
         "beta_grid": draw(st.sampled_from([",".join(map(repr, sorted(betas))), "0.1:3.0:0.1", "1:2:0.25"])),
-        "L_list": ",".join(map(str, draw(st.lists(st.integers(2, 14), min_size=1, max_size=4)))),
+        "L_list": ",".join(map(str, draw(st.lists(st.integers(2, 14), min_size=1, max_size=4, unique=True)))),
         "M": str(draw(st.integers(1, 10**6))),
         "master_seed": str(draw(st.integers(0, 2**64))),
     }

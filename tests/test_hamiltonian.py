@@ -8,18 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference as ref
+from helpers import basis_state, expectation
 from spintherm.hamiltonian import (
     SZ,
     HamiltonianTerms,
     apply_terms,
     bond_generators,
     ModelSpec,
-    apply_h,
     build_hamiltonian,
-    expectation,
 )
 from spintherm import hamiltonian, hilbert
-from spintherm.hilbert import StateVector, basis_state, inner
+from spintherm.hilbert import StateVector
 
 CATALOG = [
     (ModelSpec(kind="heisenberg", L=2, J=1.3), lambda L: ref.heisenberg_matrix(L, J=1.3)),
@@ -39,13 +38,13 @@ CATALOG = [
 
 
 def matrix_from_apply(terms):
-    """Materialize the operator column by column through apply_h."""
+    """Materialize the operator column by column through apply_terms."""
     dim = 2**terms.L
     cols = []
     for b in range(dim):
         amps = np.zeros(dim, dtype=complex)
         amps[b] = 1.0
-        cols.append(apply_h(terms, StateVector(amps, 0.0, terms.L)).amplitudes)
+        cols.append(apply_terms(terms, amps))
     return np.array(cols).T
 
 
@@ -64,13 +63,12 @@ def test_heisenberg_bond_spectrum():
 def test_apply_h_heisenberg_basis_states():
     J = 1.0
     terms = build_hamiltonian(ModelSpec(kind="heisenberg", L=2, J=J))
-    up = basis_state(2)
-    assert np.allclose(apply_h(terms, up).amplitudes, (J / 4.0) * up.amplitudes, atol=1e-15)
+    up = basis_state(2).amplitudes
+    assert np.allclose(apply_terms(terms, up), (J / 4.0) * up, atol=1e-15)
     singlet = np.zeros(4, dtype=complex)
     singlet[1] = 1.0 / np.sqrt(2.0)
     singlet[2] = -1.0 / np.sqrt(2.0)
-    state = StateVector(singlet, 0.0, 2)
-    assert np.allclose(apply_h(terms, state).amplitudes, -(3.0 * J / 4.0) * singlet, atol=1e-14)
+    assert np.allclose(apply_terms(terms, singlet), -(3.0 * J / 4.0) * singlet, atol=1e-14)
 
 
 @pytest.mark.parametrize("L", [2, 3, 4, 6, 8])
@@ -91,14 +89,6 @@ def test_bond_and_field_coverage():
     assert np.allclose(terms.fields[1][1], SZ, atol=1e-15)
 
 
-def test_apply_h_copies_offset_and_checks_size():
-    terms = build_hamiltonian(ModelSpec(kind="heisenberg", L=4))
-    state = StateVector(random_state(4, 0).amplitudes, 1.25, 4)
-    assert apply_h(terms, state).log_norm_offset == 1.25
-    with pytest.raises(ValueError, match="mismatch"):
-        apply_h(terms, random_state(5, 1))
-
-
 def test_expectation_matches_dense_quadratic_form():
     for spec, reference in CATALOG:
         spec = ModelSpec(**{**spec.__dict__, "L": 6})
@@ -117,20 +107,19 @@ def test_expectation_ignores_offset_and_norm():
 
 def test_apply_h_is_hermitian_in_inner_products():
     terms = build_hamiltonian(ModelSpec(kind="mixed_ising", L=5, J=1.0, h_x=1.5, h_z=0.5))
-    a = random_state(5, 8)
-    b = random_state(5, 9)
-    lhs = inner(a, apply_h(terms, b))
-    rhs = np.conj(inner(b, apply_h(terms, a)))
+    a = random_state(5, 8).amplitudes
+    b = random_state(5, 9).amplitudes
+    lhs = np.vdot(a, apply_terms(terms, b))
+    rhs = np.conj(np.vdot(b, apply_terms(terms, a)))
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_apply_h_linearity():
     terms = build_hamiltonian(ModelSpec(kind="heisenberg", L=4))
-    a = random_state(4, 30)
-    b = random_state(4, 31)
-    combo = StateVector(0.3 * a.amplitudes + 1.7j * b.amplitudes, 0.0, 4)
-    want = 0.3 * apply_h(terms, a).amplitudes + 1.7j * apply_h(terms, b).amplitudes
-    assert np.allclose(apply_h(terms, combo).amplitudes, want, atol=1e-13)
+    a = random_state(4, 30).amplitudes
+    b = random_state(4, 31).amplitudes
+    want = 0.3 * apply_terms(terms, a) + 1.7j * apply_terms(terms, b)
+    assert np.allclose(apply_terms(terms, 0.3 * a + 1.7j * b), want, atol=1e-13)
 
 
 def test_model_spec_validation():

@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference as ref
-from spintherm.hamiltonian import HamiltonianTerms, ModelSpec, build_hamiltonian, expectation
-from spintherm.hilbert import StateVector, basis_state
+from helpers import basis_state, expectation
+from oracle import dense_build, exact_evolve
+from spintherm.hamiltonian import HamiltonianTerms, ModelSpec, build_hamiltonian
+from spintherm.hilbert import StateVector
 from spintherm.imagtime import MAX_BETA_POINTS, BetaGrid, evolve, evolve_with_checkpoints
-from spintherm.oracle import dense_build, exact_evolve
 from spintherm.state_prep import SampleSeed, sample_haar
 
 CASES = [
