@@ -3,10 +3,13 @@
 Operators are kept as a catalog of local terms: 4x4 matrices on bonds
 (i, i+1) and 2x2 matrices on single sites.  At construction the terms are
 folded into L - 1 bond generators (each field split between the bonds
-touching its site, see bond_generators) and each generator is compiled
-once into the memory-order form of ``hilbert.compile_bond``.  Applying the
-operator is then L - 1 calls of the one two-site kernel; the full
-2**L x 2**L matrix is never formed.
+touching its site, see bond_generators).  ``hilbert.partition_bonds``
+groups the generators into 4-site blocks; the three generators of a block
+are summed into one 16x16 matrix, and each block, and each bond outside
+every block, is compiled once into the memory-order form of
+``hilbert.compile_block``.  Applying the operator is then one kernel call
+per compiled entry (7 at L = 14, 5 at L = 12, against L - 1 bonds); the
+full 2**L x 2**L matrix is never formed.
 Spin operators are S = sigma/2 and couplings are measured in units of
 the exchange J, so inverse temperatures are in 1/J.
 
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import CompiledBond, apply_two_site, compile_bond
+from .hilbert import CompiledBlock, apply_two_site, compile_block, kron, partition_bonds
 
 __all__ = [
     "SX",
@@ -37,6 +40,7 @@ __all__ = [
     "SZ",
     "ID2",
     "MODEL_KINDS",
+    "MAX_COUPLING",
     "ModelSpec",
     "HamiltonianTerms",
     "bond_generators",
@@ -58,6 +62,12 @@ _KIND_FIELDS = {
 }
 MODEL_KINDS = tuple(_KIND_FIELDS)
 
+# Largest |coupling| a ModelSpec accepts.  Every catalog model the paper
+# runs has couplings of order 1 to 5; at 1e300 the Lanczos recurrence of
+# the beta walk overflows.  1e6 leaves the walk's sums and beta * E far
+# inside float range at any beta up to imagtime.MAX_BETA.
+MAX_COUPLING = 1e6
+
 
 @dataclass
 class ModelSpec:
@@ -66,7 +76,9 @@ class ModelSpec:
     ``heisenberg`` reads J; ``xxz_staggered`` J, delta and h_stag;
     ``transverse_ising`` J and h_x; ``mixed_ising`` J, h_x and h_z.  A
     nonzero value in a coupling the kind does not read (e.g. ``delta`` for
-    the Heisenberg chain) raises ValueError instead of being ignored.
+    the Heisenberg chain) raises ValueError instead of being ignored, and
+    so does a coupling that is not finite or exceeds MAX_COUPLING in
+    magnitude.
     """
 
     kind: str
@@ -84,8 +96,14 @@ class ModelSpec:
             raise ValueError(f"L must be >= 2, got {self.L}")
         if self.J == 0.0:
             raise ValueError("J must be nonzero")
-        if not np.all(np.isfinite([self.J, self.delta, self.h_stag, self.h_x, self.h_z])):
-            raise ValueError("couplings must be finite")
+        too_large = [
+            f"{name} = {getattr(self, name)!r}"
+            for name in ("J", "delta", "h_stag", "h_x", "h_z")
+            if not abs(getattr(self, name)) <= MAX_COUPLING
+        ]
+        if too_large:
+            bound = f"finite and at most {MAX_COUPLING:g} in magnitude"
+            raise ValueError(f"couplings must be {bound}, got {', '.join(too_large)}")
         unused = [
             name
             for name in ("delta", "h_stag", "h_x", "h_z")
@@ -105,14 +123,17 @@ class HamiltonianTerms:
     finite and Hermitian; the ValueError otherwise names the term.
 
     The object is immutable: the terms are stored as tuples of read-only
-    copies, and ``compiled`` holds the L - 1 bond generators compiled at
-    construction, so it always matches the terms.
+    copies, and ``compiled`` is built from them at construction, so it
+    always matches the terms.  It holds the L - 1 bond generators grouped
+    by ``hilbert.partition_bonds``: per 4-site block, the sum of its three
+    bond generators as one compiled 16x16 block, and each bond outside
+    every block on its own.
     """
 
     L: int
     bonds: tuple[tuple[int, np.ndarray], ...] = ()
     fields: tuple[tuple[int, np.ndarray], ...] = ()
-    compiled: tuple[CompiledBond, ...] = field(init=False, repr=False)
+    compiled: tuple[CompiledBlock, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.L < 2:
@@ -121,7 +142,9 @@ class HamiltonianTerms:
         fields = tuple(_checked_term("field", i, mat, self.L, 2) for i, mat in self.fields)
         object.__setattr__(self, "bonds", bonds)
         object.__setattr__(self, "fields", fields)
-        compiled = tuple(compile_bond(gen, i, self.L) for i, gen in bond_generators(self.L, bonds, fields))
+        even, blocks, odd = partition_bonds([gen for _, gen in bond_generators(self.L, bonds, fields)])
+        summed = [(s, sum(lifted)) for s, lifted in blocks]
+        compiled = tuple(compile_block(mat, i, self.L) for i, mat in even + summed + odd)
         object.__setattr__(self, "compiled", compiled)
 
 
@@ -155,18 +178,13 @@ def bond_generators(L: int, bonds, fields) -> list[tuple[int, np.ndarray]]:
         per_bond[i] = per_bond[i] + mat
     for i, f in per_site.items():
         if i == 1:
-            per_bond[1] = per_bond[1] + _pair(f, ID2)
+            per_bond[1] = per_bond[1] + kron(f, ID2)
         elif i == L:
-            per_bond[L - 1] = per_bond[L - 1] + _pair(ID2, f)
+            per_bond[L - 1] = per_bond[L - 1] + kron(ID2, f)
         else:
-            per_bond[i - 1] = per_bond[i - 1] + 0.5 * _pair(ID2, f)
-            per_bond[i] = per_bond[i] + 0.5 * _pair(f, ID2)
+            per_bond[i - 1] = per_bond[i - 1] + 0.5 * kron(ID2, f)
+            per_bond[i] = per_bond[i] + 0.5 * kron(f, ID2)
     return [(i, per_bond[i]) for i in range(1, L)]
-
-
-def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """kron(a, b) of two 2x2 matrices, without np.kron's per-call overhead."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
 def build_hamiltonian(spec: ModelSpec) -> HamiltonianTerms:
@@ -180,23 +198,23 @@ def model_terms(spec: ModelSpec) -> tuple[list[tuple[int, np.ndarray]], list[tup
     bonds: list[tuple[int, np.ndarray]] = []
     fields: list[tuple[int, np.ndarray]] = []
     if spec.kind == "heisenberg":
-        mat = J * (_pair(SX, SX) + _pair(SY, SY) + _pair(SZ, SZ))
+        mat = J * (kron(SX, SX) + kron(SY, SY) + kron(SZ, SZ))
         bonds = [(i, mat) for i in range(1, spec.L)]
     elif spec.kind == "xxz_staggered":
-        mat = J * (_pair(SX, SX) + _pair(SY, SY) + spec.delta * _pair(SZ, SZ))
+        mat = J * (kron(SX, SX) + kron(SY, SY) + spec.delta * kron(SZ, SZ))
         bonds = [(i, mat) for i in range(1, spec.L)]
         for i in range(1, spec.L + 1):
             f = spec.h_stag * (-1) ** i * SZ
             if np.any(f):
                 fields.append((i, f))
     elif spec.kind == "transverse_ising":
-        mat = J * _pair(SZ, SZ)
+        mat = J * kron(SZ, SZ)
         bonds = [(i, mat) for i in range(1, spec.L)]
         f = spec.h_x * SX
         if np.any(f):
             fields = [(i, f) for i in range(1, spec.L + 1)]
     elif spec.kind == "mixed_ising":
-        mat = J * _pair(SZ, SZ)
+        mat = J * kron(SZ, SZ)
         bonds = [(i, mat) for i in range(1, spec.L)]
         f = spec.h_x * SX + spec.h_z * SZ
         if np.any(f):
@@ -207,7 +225,7 @@ def model_terms(spec: ModelSpec) -> tuple[list[tuple[int, np.ndarray]], list[tup
 def apply_terms(terms: HamiltonianTerms, amps: np.ndarray) -> np.ndarray:
     """The operator applied to a flat amplitude array; returns a new array.
 
-    One two-site kernel call per compiled bond generator, L - 1 in all.
+    One kernel call per compiled block or bond of ``terms.compiled``.
     """
     first, *rest = terms.compiled
     out = apply_two_site(amps, first)

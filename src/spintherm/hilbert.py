@@ -13,13 +13,16 @@ exp(log_norm_offset) * amplitudes.  This keeps imaginary-time weights
 exp(-beta*E) representable far beyond float range.
 
 Every chain operator reaches a state through one kernel,
-``apply_two_site``, which applies a bond compiled once by
-``compile_bond``: a 4x4 matrix on sites (i, i+1) permuted to memory
-order (site i+1 in the higher bit).  On the low sites, where the 2**(i-1)
-amplitudes below the bond are few, the compiled matrix is
-``kron(mem, I_inner).T`` instead, so the contraction is one
-(outer, 4*inner) @ (4*inner, 4*inner) product rather than thousands of
-tiny 4x4 ones.
+``apply_two_site``, which applies a block compiled once by
+``compile_block``: a 2**k x 2**k matrix on k neighbouring sites (a 4x4
+bond, or a 16x16 block of BLOCK_SITES = 4 sites) permuted to memory order
+(the rightmost site in the highest bit).  On the low sites, where the
+2**(site-1) amplitudes below the block are few, the compiled matrix is
+``kron(mem, I_inner).T`` instead, so the contraction is one GEMM rather
+than thousands of tiny ones.  ``partition_bonds`` groups the bonds of a
+chain into 4-site blocks, so that the H matvec and each Trotter step pass
+over the state about L/2 times instead of L - 1 (gate fusion as in
+state-vector simulators: Haener & Steiger, SC'17; the qsim gate fuser).
 """
 
 from __future__ import annotations
@@ -32,16 +35,29 @@ __all__ = [
     "StateVector",
     "normalize",
     "schmidt_spectrum",
-    "CompiledBond",
-    "compile_bond",
+    "BLOCK_SITES",
+    "SMALL_SIDE",
+    "kron",
+    "CompiledBlock",
+    "compile_block",
+    "partition_bonds",
     "apply_two_site",
 ]
 
-# Largest inner dimension 2**(site-1) stored in the kron(mem, I_inner).T
-# form.  At L = 12 and 14 (complex128, OpenBLAS on one thread of a 2-core
-# x86 box) that form beats the stacked 4x4 matmul by 2-15x for inner <= 8
-# and loses by 1.3-4x from 16 on.
-SMALL_INNER = 8
+# Sites per fused block.  It must be even: every block starts at an odd
+# site, so its outer bonds are odd ones and a Trotter step can fold its
+# odd gates and its inner even gates into one block.  At L = 12 and 14 (one
+# BLAS thread, 2-core x86) 4-site blocks cut the time of the 2L-step brick
+# by 30-50 % and of the H matvec by 15-35 %; a 6-site prototype was no
+# faster.
+BLOCK_SITES = 4
+
+# Largest side 2**width * 2**(site-1) of a compiled matrix kept in the
+# kron(mem, I_inner).T form.  At L = 12 and 14 (complex128, OpenBLAS on one
+# thread of a 2-core x86 box) that form beats the batched matmul by 1.5-20x
+# up to side 32, for 4x4 bonds and 16x16 blocks alike; it ties or loses at
+# side 64 and loses by 2-150x beyond.
+SMALL_SIDE = 32
 
 
 @dataclass
@@ -108,50 +124,95 @@ def schmidt_spectrum(state: StateVector, cut_after: int) -> np.ndarray:
     return svals**2
 
 
-@dataclass(frozen=True, eq=False)
-class CompiledBond:
-    """A 4x4 operator on sites (site, site+1), stored ready for apply_two_site.
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices as one broadcast product, without np.kron's per-call overhead."""
+    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
 
-    ``matrix`` is read-only: the operator in memory order when the inner
-    dimension 2**(site-1) exceeds SMALL_INNER, else kron(mem, I_inner).T,
-    a square of side 4 * 2**(site-1).
+
+@dataclass(frozen=True, eq=False)
+class CompiledBlock:
+    """An operator on sites site .. site+width-1, stored ready for apply_two_site.
+
+    ``matrix`` is read-only: the 2**width x 2**width operator in memory
+    order, or kron(mem, I_inner).T, a square of side 2**width * inner with
+    inner = 2**(site-1), when that side is at most SMALL_SIDE.
     """
 
     site: int
+    width: int
     num_sites: int
     matrix: np.ndarray
 
 
-def compile_bond(mat4: np.ndarray, site: int, num_sites: int) -> CompiledBond:
-    """Compile a 4x4 operator on sites (site, site+1) of an L-site chain.
+def compile_block(mat: np.ndarray, site: int, num_sites: int) -> CompiledBlock:
+    """Compile an operator on the sites site, site+1, ... of an L-site chain.
 
-    ``mat4`` is given in the two-site basis |s_site, s_site+1> ordered
-    with the left site as the major index (index 2*s_site + s_site+1).
+    ``mat`` is a 2**width x 2**width matrix (a 4x4 bond, a 16x16 block of
+    BLOCK_SITES sites, ...); its shape gives the width.  It is given in the
+    product basis |s_site, s_site+1, ...> with the leftmost site as the
+    major index (a bond's index is 2*s_site + s_site+1).
     """
-    if not 1 <= site <= num_sites - 1:
-        raise ValueError(f"bond ({site},{site + 1}) outside chain of {num_sites} sites")
-    mat4 = np.asarray(mat4, dtype=np.complex128)
-    if mat4.shape != (4, 4):
-        raise ValueError(f"bond matrix has shape {mat4.shape}, expected (4, 4)")
-    # Storage puts site+1 in the higher bit: permute to that ordering once.
-    mem = mat4.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+    mat = np.asarray(mat, dtype=np.complex128)
+    dim = mat.shape[0] if mat.ndim == 2 else 0
+    width = dim.bit_length() - 1
+    if width < 2 or mat.shape != (dim, dim) or dim != 1 << width:
+        raise ValueError(f"block matrix has shape {mat.shape}, expected (2**k, 2**k) with k >= 2")
+    if not 1 <= site <= num_sites - width + 1:
+        raise ValueError(f"block on sites {site}..{site + width - 1} outside chain of {num_sites} sites")
+    # Storage puts the rightmost site in the highest bit: reverse the site order once.
+    order = tuple(reversed(range(width)))
+    mem = mat.reshape((2,) * 2 * width).transpose(order + tuple(width + a for a in order)).reshape(dim, dim)
     inner_dim = 1 << (site - 1)
-    if inner_dim <= SMALL_INNER:
-        # kron(mem, I).T = kron(mem.T, I), spelled as a broadcast product
-        eye = np.eye(inner_dim)
-        mem = (mem.T[:, None, :, None] * eye[None, :, None, :]).reshape(4 * inner_dim, 4 * inner_dim)
+    if dim * inner_dim <= SMALL_SIDE:
+        mem = kron(mem.T, np.eye(inner_dim))  # = kron(mem, I_inner).T
     matrix = np.ascontiguousarray(mem)
     matrix.setflags(write=False)
-    return CompiledBond(site, num_sites, matrix)
+    return CompiledBlock(site, width, num_sites, matrix)
 
 
-def apply_two_site(amps: np.ndarray, bond: CompiledBond) -> np.ndarray:
-    """Apply a compiled bond to a flat amplitude array; returns a new array."""
-    if amps.shape != (1 << bond.num_sites,):
+# Identities on the j sites left or right of a bond inside a block (side 2**j).
+_EYES = [np.eye(1 << j, dtype=np.complex128) for j in range(BLOCK_SITES - 1)]
+
+
+def partition_bonds(ops) -> tuple[list, list, list]:
+    """Group the 4x4 operators of bonds 1..L-1 (``ops[i - 1]`` on bond i) into blocks.
+
+    The blocks take sites s .. s+BLOCK_SITES-1 for s = 1, 1 + BLOCK_SITES,
+    ... while they fit the chain.  Returns ``(even, blocks, odd)``:
+
+    - ``even``: (i, op) for each even bond outside every block, i.e. those
+      that straddle two blocks and those past the last one;
+    - ``blocks``: (s, lifted) per block, where ``lifted[j]`` is the
+      operator of bond s + j lifted to the block's 2**BLOCK_SITES-dim basis
+      (site s major), so ``lifted[0::2]`` are its odd bonds and
+      ``lifted[1::2]`` its even ones;
+    - ``odd``: (i, op) for each odd bond past the last block.
+
+    Each list is in ascending site order, and the entries of one list act
+    on disjoint sites.
+    """
+    covered = len(ops) + 1 - (len(ops) + 1) % BLOCK_SITES  # sites 1..covered lie in blocks
+    blocks = [
+        (s, [kron(kron(_EYES[j], ops[s - 1 + j]), _EYES[BLOCK_SITES - 2 - j]) for j in range(BLOCK_SITES - 1)])
+        for s in range(1, covered, BLOCK_SITES)
+    ]
+    outside = [(i, op) for i, op in enumerate(ops, start=1) if i % BLOCK_SITES == 0 or i >= covered]
+    return [b for b in outside if b[0] % 2 == 0], blocks, [b for b in outside if b[0] % 2 == 1]
+
+
+def apply_two_site(amps: np.ndarray, block: CompiledBlock) -> np.ndarray:
+    """Apply a compiled block to a flat amplitude array; returns a new array.
+
+    The name is kept from when every block was a two-site bond: it is the
+    one kernel through which every chain operator reaches a state.
+    """
+    if amps.shape != (1 << block.num_sites,):
         raise ValueError(
-            f"amplitude array of shape {amps.shape} does not match {bond.num_sites} sites"
+            f"amplitude array of shape {amps.shape} does not match {block.num_sites} sites"
         )
-    inner_dim = 1 << (bond.site - 1)
-    if inner_dim <= SMALL_INNER:
-        return (amps.reshape(-1, 4 * inner_dim) @ bond.matrix).reshape(amps.shape)
-    return np.matmul(bond.matrix, amps.reshape(-1, 4, inner_dim)).reshape(amps.shape)
+    dim = 1 << block.width
+    inner_dim = 1 << (block.site - 1)
+    if dim * inner_dim <= SMALL_SIDE:
+        return (amps.reshape(-1, dim * inner_dim) @ block.matrix).reshape(amps.shape)
+    return np.matmul(block.matrix, amps.reshape(-1, dim, inner_dim)).reshape(amps.shape)

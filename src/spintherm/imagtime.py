@@ -37,6 +37,7 @@ from .hilbert import StateVector
 
 __all__ = [
     "MAX_BETA_POINTS",
+    "MAX_BETA",
     "BetaGrid",
     "evolve",
     "evolve_with_checkpoints",
@@ -44,10 +45,16 @@ __all__ = [
 
 MAX_BETA_POINTS = 10_000
 
+# Largest inverse temperature a BetaGrid accepts, in 1/J.  The paper's
+# grids end at beta J = 3; at 1e308, beta * E overflows and the walk's
+# ln-norms are no longer finite.  Together with hamiltonian.MAX_COUPLING,
+# beta * |E| stays far inside float range.
+MAX_BETA = 1e6
+
 
 @dataclass(frozen=True)
 class BetaGrid:
-    """Ascending positive inverse-temperature checkpoints (units 1/J)."""
+    """Ascending positive inverse-temperature checkpoints (units 1/J), at most MAX_BETA."""
 
     checkpoints: tuple[float, ...]
 
@@ -60,6 +67,8 @@ class BetaGrid:
         for b in self.checkpoints:
             if not np.isfinite(b) or b <= prev:
                 raise ValueError(f"beta grid must be positive and strictly increasing, got {self.checkpoints}")
+            if b > MAX_BETA:
+                raise ValueError(f"beta {b!r} is above {MAX_BETA:g}")
             prev = b
 
     @classmethod

@@ -43,6 +43,25 @@ def embed_pair_matrix(mat4, site, L):
     return np.kron(np.eye(2 ** (L - site - 1)), low)
 
 
+def embed_block_matrix(mat, site, L):
+    """Lift a 2**k x 2**k operator on sites site .. site+k-1 into the full space.
+
+    mat is indexed |s_site, ..., s_site+k-1> with the left site major.  Built
+    entry by entry from the bit convention: column b of the result holds
+    mat[:, local(b)] scattered to the rows that agree with b outside the k
+    sites.
+    """
+    k = int(np.log2(mat.shape[0]))
+    idx = np.arange(2**L)
+    local = sum(((idx >> (site - 1 + j)) & 1) << (k - 1 - j) for j in range(k))
+    rest = idx & ~(((1 << k) - 1) << (site - 1))
+    out = np.zeros((2**L, 2**L), dtype=complex)
+    for r in range(2**k):
+        rows = rest | sum(((r >> (k - 1 - j)) & 1) << (site - 1 + j) for j in range(k))
+        out[rows, idx] += mat[r, local]
+    return out
+
+
 def _unit(row, col):
     out = np.zeros((2, 2), dtype=complex)
     out[row, col] = 1.0

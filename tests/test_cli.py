@@ -28,8 +28,8 @@ from spintherm.cli import (
 import spintherm
 from spintherm import cli, hamiltonian, state_prep
 from spintherm.estimators import bootstrap_sigma, efficiency, simple_expectation, weighted_expectation
-from spintherm.hamiltonian import ModelSpec
-from spintherm.imagtime import MAX_BETA_POINTS, BetaGrid
+from spintherm.hamiltonian import MAX_COUPLING, ModelSpec
+from spintherm.imagtime import MAX_BETA, MAX_BETA_POINTS, BetaGrid
 
 MINIMAL = """
 system.kind = heisenberg
@@ -195,22 +195,23 @@ def test_run_outputs_independent_of_thread_count(tmp_path):
 
 def test_run_compiles_each_operator_once_whatever_m(tmp_path, monkeypatch):
     compiled = []
-    original = hamiltonian.compile_bond
+    original = hamiltonian.compile_block
 
-    def counted(mat4, site, num_sites):
+    def counted(mat, site, num_sites):
         compiled.append((site, num_sites))
-        return original(mat4, site, num_sites)
+        return original(mat, site, num_sites)
 
-    monkeypatch.setattr(hamiltonian, "compile_bond", counted)
-    monkeypatch.setattr(state_prep, "compile_bond", counted)
+    monkeypatch.setattr(hamiltonian, "compile_block", counted)
+    monkeypatch.setattr(state_prep, "compile_block", counted)
     counts = []
     for M in (2, 7):
         compiled.clear()
         run_experiment(dataclasses.replace(tiny_config(tmp_path / f"m{M}"), M=M, threads=1))
         counts.append(len(compiled))
-    # per L: the L - 1 system bonds and the L - 1 gates, each compiled once; the
-    # scrambler's generators are exponentiated uncompiled
-    assert counts == [2 * (2 + 3)] * 2
+    # per L, each compiled once: the system's blocks and left-over bonds, and the
+    # step's (2 bonds at L = 3, one 4-site block at L = 4); the scrambler's
+    # generators are exponentiated uncompiled
+    assert counts == [2 * (2 + 1)] * 2
 
 
 def test_run_json_round_trip(tmp_path):
@@ -368,6 +369,8 @@ def test_main_run_preset_writes_variant_directories(tmp_path):
     ("system.delta = 5.0", "system: delta not used by kind 'heisenberg'"),
     ("label = a,b", "label: must not contain a comma"),
     ('label = a"b', "label: must not contain a comma"),
+    ("system.J = 1e300", "system: couplings must be finite and at most 1e+06 in magnitude, got J = 1e+300"),
+    ("trotter.J = -1.000001e6", "trotter: couplings must be finite and at most 1e+06 in magnitude"),
 ])
 def test_main_validate_names_the_bad_key(tmp_path, capsys, line, reason):
     cfg_file = tmp_path / "bad.cfg"
@@ -386,6 +389,24 @@ def test_main_validate_refuses_an_oversized_beta_grid(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("invalid: beta_grid: ")
     assert f"more than {MAX_BETA_POINTS}" in err
+
+
+def test_couplings_and_beta_run_at_their_bounds_and_are_refused_beyond(tmp_path, capsys):
+    at_bounds = TINY_RUN.replace("beta_grid = 0.5,1.0", f"beta_grid = 0.5,{MAX_BETA!r}").replace(
+        "trotter.h_x = 1.0", f"trotter.h_x = {-MAX_COUPLING!r}"
+    ) + f"system.J = {MAX_COUPLING!r}\noutput_path = {tmp_path / 'at'}\nthreads = 1\n"
+    cfg_file = tmp_path / "at.cfg"
+    cfg_file.write_text(at_bounds)
+    assert main(["run", "--config", str(cfg_file)]) == 0
+    rows = list(csv.DictReader((tmp_path / "at" / "summary.csv").open()))
+    assert rows and all(np.isfinite(float(v)) for row in rows for k, v in row.items() if k != "init_class")
+    capsys.readouterr()
+    for grid in (repr(MAX_BETA * (1 + 1e-9)), "1e308", "0.5,1e308"):
+        cfg_file.write_text(TINY_RUN.replace("beta_grid = 0.5,1.0", f"beta_grid = {grid}"))
+        assert main(["validate", "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid: beta_grid: beta ") and f"is above {MAX_BETA:g}" in err
+        assert "Traceback" not in err
 
 
 # The package's top-level names, and the names perfbench's tracer wraps per module.

@@ -154,8 +154,9 @@ def test_terms_refuse_non_finite_entries(kind, bad):
 
 
 @settings(max_examples=40, deadline=None)
-@given(L=st.integers(2, 8), data=st.data(), seed=st.integers(0, 2**32 - 1))
+@given(L=st.integers(2, 10), data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_apply_terms_matches_dense_on_random_terms(L, data, seed):
+    # L = 2, 3 hold no whole 4-site block; L = 6, 7, 10 leave bonds outside every block
     rng = np.random.default_rng(seed)
 
     def hermitian(dim):
@@ -246,7 +247,8 @@ def test_apply_terms_field_only_matches_dense_on_random_terms(L, data, seed):
 def test_terms_are_frozen():
     terms = build_hamiltonian(ModelSpec(kind="mixed_ising", L=4, J=1.0, h_x=1.0, h_z=0.5))
     assert isinstance(terms.bonds, tuple) and isinstance(terms.fields, tuple)
-    assert len(terms.compiled) == 3
+    # the three bonds of a 4-site chain make one 16x16 block
+    assert [(b.site, b.width) for b in terms.compiled] == [(1, 4)]
     for name in ("L", "bonds", "fields", "compiled"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(terms, name, getattr(terms, name))
@@ -263,7 +265,7 @@ def test_terms_are_frozen():
 def test_apply_terms_is_one_kernel_call_per_bond_and_compiles_nothing(monkeypatch):
     terms = build_hamiltonian(ModelSpec(kind="xxz_staggered", L=9, J=1.0, delta=2.0, h_stag=0.5))
     amps = np.random.default_rng(3).standard_normal(2**9) + 0j
-    calls = {"apply_two_site": 0, "compile_bond": 0, "kron": 0, "ascontiguousarray": 0}
+    calls = {"apply_two_site": 0, "compile_block": 0, "kron": 0, "ascontiguousarray": 0}
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -275,11 +277,12 @@ def test_apply_terms_is_one_kernel_call_per_bond_and_compiles_nothing(monkeypatc
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(hamiltonian, "apply_two_site")
-    counted(hamiltonian, "compile_bond")
-    counted(hilbert, "compile_bond")
+    counted(hamiltonian, "compile_block")
+    counted(hilbert, "compile_block")
     counted(np, "kron")
     counted(np, "ascontiguousarray")
     out = apply_terms(terms, amps)
     apply_terms(terms, out)
-    assert calls == {"apply_two_site": 2 * 8, "compile_bond": 0, "kron": 0, "ascontiguousarray": 0}
+    # at L = 9: the blocks on sites 1-4 and 5-8 and the bonds (4, 5) and (8, 9), one call each
+    assert calls == {"apply_two_site": 2 * 4, "compile_block": 0, "kron": 0, "ascontiguousarray": 0}
     assert np.allclose(out, ref.xxz_staggered_matrix(9, delta=2.0, h_stag=0.5) @ amps, atol=1e-12)

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 import dense_reference as ref
 from helpers import basis_state
 from spintherm.hilbert import (
-    SMALL_INNER,
+    BLOCK_SITES,
+    SMALL_SIDE,
     StateVector,
     apply_two_site,
-    compile_bond,
+    compile_block,
     normalize,
+    partition_bonds,
     schmidt_spectrum,
 )
 
@@ -124,16 +126,17 @@ def test_basis_state_bit_convention():
 
 
 def test_apply_two_site_left_major_convention():
-    # |up,up> -> |down,up> on the bond: only the left site flips
-    mat = np.zeros((4, 4), dtype=complex)
-    mat[2, 0] = 1.0  # row index 2*s_i + s_i+1 = 2 means s_i flips down
-    for L, site in ((3, 1), (3, 2), (4, 3)):
-        up = np.zeros(2**L, dtype=complex)
-        up[0] = 1.0
-        out = apply_two_site(up, compile_bond(mat, site, L))
-        expected = np.zeros(2**L, dtype=complex)
-        expected[1 << (site - 1)] = 1.0
-        assert np.array_equal(out, expected)
+    # |up,up,...> -> |down,up,...> on the block: only its left site flips
+    for width, cases in ((2, ((3, 1), (3, 2), (4, 3))), (4, ((4, 1), (6, 3), (9, 5)))):
+        mat = np.zeros((1 << width, 1 << width), dtype=complex)
+        mat[1 << (width - 1), 0] = 1.0  # the row whose major (left-site) bit is set
+        for L, site in cases:
+            up = np.zeros(2**L, dtype=complex)
+            up[0] = 1.0
+            out = apply_two_site(up, compile_block(mat, site, L))
+            expected = np.zeros(2**L, dtype=complex)
+            expected[1 << (site - 1)] = 1.0
+            assert np.array_equal(out, expected)
 
 
 def test_apply_two_site_matches_embedding():
@@ -142,7 +145,11 @@ def test_apply_two_site_matches_embedding():
     for site in range(1, 6):
         mat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         expected = ref.embed_pair_matrix(mat, site, 6) @ amps
-        assert np.allclose(apply_two_site(amps, compile_bond(mat, site, 6)), expected, atol=1e-12)
+        assert np.allclose(apply_two_site(amps, compile_block(mat, site, 6)), expected, atol=1e-12)
+    for site in range(1, 4):
+        mat = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        expected = ref.embed_block_matrix(mat, site, 6) @ amps
+        assert np.allclose(apply_two_site(amps, compile_block(mat, site, 6)), expected, atol=1e-12)
 
 
 def random_hermitian(rng, dim):
@@ -151,40 +158,70 @@ def random_hermitian(rng, dim):
 
 
 @settings(max_examples=60, deadline=None)
-@given(L=st.integers(2, 8), data=st.data(), seed=st.integers(0, 2**32 - 1))
+@given(L=st.integers(2, 10), data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_apply_two_site_matches_dense_on_random_terms(L, data, seed):
-    site = data.draw(st.integers(1, L - 1))
+    # 4x4 bonds and 16x16 blocks at every site, on both sides of SMALL_SIDE
+    width = data.draw(st.sampled_from([w for w in (2, BLOCK_SITES) if w <= L]))
+    site = data.draw(st.integers(1, L - width + 1))
     rng = np.random.default_rng(seed)
-    mat = random_hermitian(rng, 4)
+    mat = random_hermitian(rng, 1 << width)
     amps = random_state(L, seed).amplitudes
-    expected = ref.embed_pair_matrix(mat, site, L) @ amps
-    assert np.allclose(apply_two_site(amps, compile_bond(mat, site, L)), expected, rtol=0.0, atol=1e-12)
+    expected = ref.embed_block_matrix(mat, site, L) @ amps
+    assert np.allclose(apply_two_site(amps, compile_block(mat, site, L)), expected, rtol=0.0, atol=1e-12)
 
 
 def test_apply_kernels_reject_bad_sites():
     amps = np.zeros(8, dtype=complex)
     with pytest.raises(ValueError, match="outside chain"):
-        compile_bond(np.eye(4), 3, 3)
+        compile_block(np.eye(4), 3, 3)
     with pytest.raises(ValueError, match="outside chain"):
-        compile_bond(np.eye(4), 0, 3)
-    with pytest.raises(ValueError, match="shape"):
-        compile_bond(np.eye(2), 1, 3)
+        compile_block(np.eye(4), 0, 3)
+    with pytest.raises(ValueError, match="outside chain"):
+        compile_block(np.eye(16), 2, 4)
+    for shape in ((2, 2), (6, 6), (4, 8), (4,)):
+        with pytest.raises(ValueError, match="shape"):
+            compile_block(np.ones(shape), 1, 3)
     with pytest.raises(ValueError, match="does not match 4 sites"):
-        apply_two_site(amps, compile_bond(np.eye(4), 1, 4))
+        apply_two_site(amps, compile_block(np.eye(4), 1, 4))
 
 
 def test_compiled_bond_size_and_form():
-    # low sites hold kron(mem, I_inner).T, a square of side 4 * inner; the
-    # rest the 4x4 operator in memory order, never more than 4 * SMALL_INNER
-    mat = np.arange(16.0).reshape(4, 4)
-    mem = mat.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-    for site in range(1, 12):
-        bond = compile_bond(mat, site, 12)
-        inner = 1 << (site - 1)
-        if inner <= SMALL_INNER:
-            assert np.array_equal(bond.matrix, np.kron(mem, np.eye(inner)).T)
-        else:
-            assert np.array_equal(bond.matrix, mem)
-        assert bond.matrix.shape[0] <= 4 * SMALL_INNER
-        with pytest.raises(ValueError, match="read-only"):
-            bond.matrix[0, 0] = 1.0
+    # the kron(mem, I_inner).T form, of side 2**width * inner, while that side
+    # is at most SMALL_SIDE; the operator in memory order (rightmost site in
+    # the highest bit) beyond
+    for width in (2, BLOCK_SITES):
+        dim = 1 << width
+        mat = np.arange(dim * dim, dtype=float).reshape(dim, dim)
+        order = tuple(reversed(range(width)))
+        mem = mat.reshape((2,) * 2 * width).transpose(order + tuple(width + a for a in order)).reshape(dim, dim)
+        for site in range(1, 14 - width):
+            block = compile_block(mat, site, 12)
+            inner = 1 << (site - 1)
+            assert block.width == width
+            if dim * inner <= SMALL_SIDE:
+                assert np.array_equal(block.matrix, np.kron(mem, np.eye(inner)).T)
+            else:
+                assert np.array_equal(block.matrix, mem)
+            assert block.matrix.shape[0] <= SMALL_SIDE
+            with pytest.raises(ValueError, match="read-only"):
+                block.matrix[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("L", range(2, 16))
+def test_partition_bonds_covers_each_bond_once(L):
+    rng = np.random.default_rng(L)
+    ops = [random_hermitian(rng, 4) for _ in range(L - 1)]
+    even, blocks, odd = partition_bonds(ops)
+    # blocks on sites (s, s+3), s = 1, 5, 9, ...; the bonds outside them by parity
+    assert [s for s, _ in blocks] == list(range(1, L - BLOCK_SITES + 2, BLOCK_SITES))
+    assert all(i % 2 == 0 for i, _ in even) and all(i % 2 == 1 for i, _ in odd)
+    seen = [i for i, _ in even + odd] + [s + j for s, lifted in blocks for j in range(len(lifted))]
+    assert sorted(seen) == list(range(1, L))
+    assert len(even) + len(blocks) + len(odd) == L - 1 - 2 * (L // BLOCK_SITES)  # 5 at L = 12, 7 at L = 14
+    for i, op in even + odd:
+        assert op is ops[i - 1]
+    # each lifted operator is its bond embedded in the block's left-major basis
+    for s, lifted in blocks:
+        for j, op in enumerate(lifted):
+            want = ref.embed_pair_matrix(ops[s + j - 1], j + 1, BLOCK_SITES)
+            assert np.array_equal(ref.embed_block_matrix(op, 1, BLOCK_SITES), want)

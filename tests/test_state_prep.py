@@ -19,7 +19,7 @@ from spintherm.hamiltonian import (
     build_hamiltonian,
     model_terms,
 )
-from spintherm.hilbert import SMALL_INNER, StateVector, apply_two_site, compile_bond, schmidt_spectrum
+from spintherm.hilbert import BLOCK_SITES, SMALL_SIDE, StateVector, apply_two_site, compile_block, schmidt_spectrum
 from spintherm.state_prep import (
     SampleSeed,
     TrotterCircuit,
@@ -207,13 +207,18 @@ def test_build_circuit_validation():
         build_trotter_circuit(MIXED, tau=-1.0, n_reps=1)
     with pytest.raises(ValueError, match="n_reps"):
         build_trotter_circuit(MIXED, tau=1.0, n_reps=-1)
+    eye = np.eye(4)
+    for odd, even in (([(2, eye)], []), ([], [(1, eye)]), ([(1, eye), (1, eye)], [])):
+        with pytest.raises(ValueError, match="odd_layer must hold odd bonds"):
+            TrotterCircuit(odd_layer=odd, even_layer=even, tau=1.0, n_reps=1)
 
 
 def test_circuit_is_frozen():
     circuit = build_trotter_circuit(MIXED, tau=1.0, n_reps=2)
     assert isinstance(circuit.odd_layer, tuple) and isinstance(circuit.even_layer, tuple)
-    # one step in application order: the even layer, then the odd one
-    assert [g.site for g in circuit.gates] == [2, 4, 1, 3, 5]
+    # one step in application order at L = 6: the even gate (4, 5) outside the
+    # block, the block odd . odd . even on sites 1-4, then the odd gate (5, 6)
+    assert [(g.site, g.width) for g in circuit.gates] == [(4, 2), (1, 4), (5, 2)]
     for name in ("odd_layer", "even_layer", "tau", "n_reps", "gates"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(circuit, name, getattr(circuit, name))
@@ -234,14 +239,17 @@ def _random_hermitian(rng, dim):
 @settings(max_examples=25, deadline=None)
 @given(L=st.integers(2, 10), data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_compiled_kernels_match_dense_on_both_sides_of_the_small_inner_threshold(L, data, seed):
-    # sites 1 .. log2(SMALL_INNER) + 1 use the kron(mem, I_inner).T form, the rest the 4x4 one
+    # a block whose side 2**width * 2**(site-1) is at most SMALL_SIDE uses the
+    # kron(mem, I_inner).T form, the rest the batched matmul; L = 2, 3 hold no
+    # whole 4-site block, and L = 6, 7, 10 leave bonds outside every block
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(2**L) + 1j * rng.standard_normal(2**L)
 
-    site = data.draw(st.integers(1, L - 1))
-    mat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    want = ref.embed_pair_matrix(mat, site, L) @ amps
-    assert np.allclose(apply_two_site(amps, compile_bond(mat, site, L)), want, rtol=0.0, atol=1e-11)
+    for width in (w for w in (2, BLOCK_SITES) if w <= L):
+        site = data.draw(st.integers(1, L - width + 1))
+        mat = rng.standard_normal((1 << width, 1 << width)) + 1j * rng.standard_normal((1 << width, 1 << width))
+        want = ref.embed_block_matrix(mat, site, L) @ amps
+        assert np.allclose(apply_two_site(amps, compile_block(mat, site, L)), want, rtol=0.0, atol=1e-11)
 
     gates = {i: _random_unitary(rng) for i in range(1, L)}
     n_reps = data.draw(st.integers(1, 2))
@@ -270,4 +278,6 @@ def test_compiled_kernels_match_dense_on_both_sides_of_the_small_inner_threshold
         ref.embed_site(m, i, L) for i, m in terms.fields
     )
     assert np.allclose(apply_terms(terms, amps), h @ amps, rtol=0.0, atol=1e-10)
-    assert max(b.matrix.shape[0] for b in terms.compiled) <= 4 * SMALL_INNER
+    assert max(b.matrix.shape[0] for b in terms.compiled) <= SMALL_SIDE
+    # one pass per 4-site block and per bond outside every block, for H and for a step
+    assert len(terms.compiled) == len(circuit.gates) == L - 1 - 2 * (L // BLOCK_SITES)
