@@ -49,7 +49,7 @@ from .estimators import (
 )
 from .hamiltonian import ModelSpec, build_hamiltonian
 from .imagtime import BetaGrid, evolve_with_checkpoints
-from .state_prep import SampleSeed, apply_circuit, build_trotter_circuit, sample_haar, sample_rpps
+from .state_prep import MAX_TAU, SampleSeed, apply_circuit, build_trotter_circuit, sample_haar, sample_rpps
 
 __all__ = [
     "INIT_CLASSES",
@@ -124,8 +124,8 @@ def validate_config(cfg: RunConfig) -> None:
         problems.append(f"master_seed: must be >= 0, got {cfg.master_seed}")
     if cfg.n_resamples < 0:
         problems.append(f"n_resamples: must be >= 0, got {cfg.n_resamples}")
-    if not (cfg.tau >= 0.0 and np.isfinite(cfg.tau)):
-        problems.append(f"tau: must be finite and >= 0, got {cfg.tau}")
+    if not 0.0 <= cfg.tau <= MAX_TAU:
+        problems.append(f"tau: must be in [0, {MAX_TAU:g}], got {cfg.tau}")
     if cfg.n_reps != "2L" and not (isinstance(cfg.n_reps, int) and cfg.n_reps >= 1):
         problems.append(f"n_reps: must be 2L or an integer >= 1, got {cfg.n_reps!r}")
     if cfg.threads is not None and cfg.threads < 1:

@@ -3,12 +3,9 @@
 Operators are kept as a catalog of local terms: 4x4 matrices on bonds
 (i, i+1) and 2x2 matrices on single sites.  At construction the terms are
 folded into L - 1 bond generators (each field split between the bonds
-touching its site, see bond_generators).  ``hilbert.partition_bonds``
-groups the generators into 4-site blocks; the three generators of a block
-are summed into one 16x16 matrix, and each block, and each bond outside
-every block, is compiled once into the memory-order form of
-``hilbert.compile_block``.  Applying the operator is then one kernel call
-per compiled entry (7 at L = 14, 5 at L = 12, against L - 1 bonds); the
+touching its site, see bond_generators) and compiled once by
+``hilbert.compile_chain``, which sums the generators of each 4-site block.
+Applying the operator is then one kernel call per compiled entry; the
 full 2**L x 2**L matrix is never formed.
 Spin operators are S = sigma/2 and couplings are measured in units of
 the exchange J, so inverse temperatures are in 1/J.
@@ -32,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import CompiledBlock, apply_two_site, compile_block, kron, partition_bonds
+from .hilbert import CompiledBlock, apply_two_site, compile_chain, kron
 
 __all__ = [
     "SX",
@@ -123,11 +120,9 @@ class HamiltonianTerms:
     finite and Hermitian; the ValueError otherwise names the term.
 
     The object is immutable: the terms are stored as tuples of read-only
-    copies, and ``compiled`` is built from them at construction, so it
-    always matches the terms.  It holds the L - 1 bond generators grouped
-    by ``hilbert.partition_bonds``: per 4-site block, the sum of its three
-    bond generators as one compiled 16x16 block, and each bond outside
-    every block on its own.
+    copies, and ``compiled`` is built from them at construction by
+    ``hilbert.compile_chain`` with each block's generators summed, so it
+    always matches the terms.
     """
 
     L: int
@@ -142,10 +137,7 @@ class HamiltonianTerms:
         fields = tuple(_checked_term("field", i, mat, self.L, 2) for i, mat in self.fields)
         object.__setattr__(self, "bonds", bonds)
         object.__setattr__(self, "fields", fields)
-        even, blocks, odd = partition_bonds([gen for _, gen in bond_generators(self.L, bonds, fields)])
-        summed = [(s, sum(lifted)) for s, lifted in blocks]
-        compiled = tuple(compile_block(mat, i, self.L) for i, mat in even + summed + odd)
-        object.__setattr__(self, "compiled", compiled)
+        object.__setattr__(self, "compiled", compile_chain(bond_generators(self.L, bonds, fields), sum))
 
 
 def _checked_term(kind: str, i: int, mat, last: int, dim: int) -> tuple[int, np.ndarray]:
@@ -162,8 +154,8 @@ def _checked_term(kind: str, i: int, mat, last: int, dim: int) -> tuple[int, np.
     return int(i), mat
 
 
-def bond_generators(L: int, bonds, fields) -> list[tuple[int, np.ndarray]]:
-    """Per-bond 4x4 generators whose embeddings sum to the operator of the terms.
+def bond_generators(L: int, bonds, fields) -> list[np.ndarray]:
+    """The 4x4 generators of bonds 1..L-1 (item i - 1 on bond i), whose embeddings sum to the terms.
 
     ``bonds`` and ``fields`` are (i, matrix) pairs as in HamiltonianTerms.
     Bond (i, i+1) takes its own coupling plus half the field of each
@@ -184,7 +176,7 @@ def bond_generators(L: int, bonds, fields) -> list[tuple[int, np.ndarray]]:
         else:
             per_bond[i - 1] = per_bond[i - 1] + 0.5 * kron(ID2, f)
             per_bond[i] = per_bond[i] + 0.5 * kron(f, ID2)
-    return [(i, per_bond[i]) for i in range(1, L)]
+    return [per_bond[i] for i in range(1, L)]
 
 
 def build_hamiltonian(spec: ModelSpec) -> HamiltonianTerms:
@@ -225,7 +217,7 @@ def model_terms(spec: ModelSpec) -> tuple[list[tuple[int, np.ndarray]], list[tup
 def apply_terms(terms: HamiltonianTerms, amps: np.ndarray) -> np.ndarray:
     """The operator applied to a flat amplitude array; returns a new array.
 
-    One kernel call per compiled block or bond of ``terms.compiled``.
+    One kernel call per entry of ``terms.compiled``.
     """
     first, *rest = terms.compiled
     out = apply_two_site(amps, first)

@@ -6,13 +6,9 @@ where each site carries independent uniform phases on its up and down
 components.  Product states carry zero entanglement; applying a few
 layers of two-site Trotter gates built from a nonintegrable chain
 scrambles them toward volume-law entanglement while keeping the
-preparation cost at L - 1 gates per step.  When the circuit is built,
-``hilbert.partition_bonds`` groups the gates of one step into 4-site
-blocks, each block's two odd gates and inner even gate are multiplied
-into one 16x16 block, and every block and left-over gate is compiled once
-into the memory-order form of ``hilbert.compile_block``.  A step is then
-7 passes over the state at L = 14 (5 at L = 12) instead of L - 1, and the
-brick and the H matvec run through the same kernel.
+preparation cost at L - 1 gates per step.  A step is compiled once by
+``hilbert.compile_chain``, so the brick and the H matvec run through the
+same kernel.
 
 Randomness is derived per sample from (master_seed, sample_index)
 through numpy's SeedSequence, so sample m is the same bit pattern no
@@ -27,9 +23,10 @@ from functools import reduce
 import numpy as np
 
 from .hamiltonian import ModelSpec, bond_generators, model_terms
-from .hilbert import CompiledBlock, StateVector, apply_two_site, compile_block, normalize, partition_bonds
+from .hilbert import CompiledBlock, StateVector, apply_two_site, compile_chain, normalize
 
 __all__ = [
+    "MAX_TAU",
     "SampleSeed",
     "TrotterCircuit",
     "sample_rpps",
@@ -95,88 +92,74 @@ def sample_haar(num_sites: int, seed: SampleSeed) -> StateVector:
     return StateVector(amps / nrm, 0.0, num_sites)
 
 
+# Largest gate time tau a circuit accepts.  The paper's scramblers run at
+# tau of order 1 to 10; at 1e300 the gate phase tau * lambda has a float
+# spacing far above 2 pi, so the gates are arbitrary unitaries.  At 1e6 the
+# phase is off by about 1e-10 rad with couplings of order 1, and by about
+# 1e-3 rad with couplings at hamiltonian.MAX_COUPLING.
+MAX_TAU = 1e6
+
+
 @dataclass(frozen=True, eq=False)
 class TrotterCircuit:
-    """One first-order Trotter step, U = exp(-i tau H_odd) exp(-i tau H_even).
+    """First-order Trotter steps U = exp(-i tau H_odd) exp(-i tau H_even), n_reps of them.
 
-    ``odd_layer`` holds the (i, gate) pairs on bonds (1,2), (3,4), ...; the
-    even layer those on (2,3), (4,5), ....  Each gate absorbs the
-    single-site field terms of its two sites, split half-half between the
-    two bonds touching an interior site and in full at the chain ends (see
-    ``hamiltonian.bond_generators``), so the layer generators sum exactly
-    to the full Hamiltonian.  Applying the circuit repeats the even layer
-    then the odd layer ``n_reps`` times.
-
-    The layers hold odd and even bonds respectively, each bond at most
-    once; a bond in neither layer is the identity.  The object is
-    immutable: the layers are tuples of read-only gates, and ``gates``
-    holds one step compiled at construction for a chain of one site more
-    than the highest bond, grouped by ``hilbert.partition_bonds`` and in
-    application order: the even gates outside every 4-site block (those
-    straddling two blocks, and any past the last block), then per block
-    the product odd . odd . (inner even) as one 16x16 block, then any odd
-    gate past the last block.  The gates of one layer act on disjoint
-    bonds and commute, so this order still applies the even layer first.
+    ``bond_gates[i - 1]`` is the 4x4 gate on bond (i, i+1), left-major; it
+    absorbs the field terms of its two sites (see
+    ``hamiltonian.bond_generators``).  The object is immutable: the gates
+    are read-only copies, and ``gates`` holds one step compiled at
+    construction by ``hilbert.compile_chain``, each 4-site block fused as
+    odd . odd . (inner even).  It needs at least one gate, each 4x4 and
+    finite, and an integer n_reps >= 0; the ValueError otherwise names the fault.
     """
 
-    odd_layer: tuple[tuple[int, np.ndarray], ...]
-    even_layer: tuple[tuple[int, np.ndarray], ...]
-    tau: float
+    bond_gates: tuple[np.ndarray, ...]
     n_reps: int
     gates: tuple[CompiledBlock, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        odd, even = (tuple((int(i), _read_only(gate)) for i, gate in layer)
-                     for layer in (self.odd_layer, self.even_layer))
-        object.__setattr__(self, "odd_layer", odd)
-        object.__setattr__(self, "even_layer", even)
-        by_bond = dict(odd + even)
-        if len(by_bond) < len(odd + even) or any(i % 2 == 0 for i, _ in odd) or any(i % 2 for i, _ in even):
-            raise ValueError("odd_layer must hold odd bonds and even_layer even ones, each bond once")
-        num_sites = max(by_bond, default=0) + 1
-        even_out, blocks, odd_out = partition_bonds([by_bond.get(i, _EYE4) for i in range(1, num_sites)])
-        fused = [(s, reduce(np.matmul, lifted[0::2] + lifted[1::2])) for s, lifted in blocks]
-        gates = tuple(compile_block(gate, i, num_sites) for i, gate in even_out + fused + odd_out)
-        object.__setattr__(self, "gates", gates)
+        bond_gates = tuple(_checked_gate(i, gate) for i, gate in enumerate(self.bond_gates, start=1))
+        if not bond_gates:
+            raise ValueError("circuit needs at least one bond gate")
+        if not (isinstance(self.n_reps, (int, np.integer)) and self.n_reps >= 0):
+            raise ValueError(f"n_reps must be an integer >= 0, got {self.n_reps!r}")
+        object.__setattr__(self, "bond_gates", bond_gates)
+        fused = compile_chain(bond_gates, lambda lifted: reduce(np.matmul, lifted[0::2] + lifted[1::2]))
+        object.__setattr__(self, "gates", fused)
 
 
-_EYE4 = np.eye(4, dtype=np.complex128)
-
-
-def _read_only(mat) -> np.ndarray:
-    mat = np.array(mat, dtype=np.complex128)
-    mat.setflags(write=False)
-    return mat
+def _checked_gate(i: int, gate) -> np.ndarray:
+    gate = np.array(gate, dtype=np.complex128)
+    if gate.shape != (4, 4):
+        raise ValueError(f"bond gate at {i} has shape {gate.shape}, expected (4, 4)")
+    if not np.all(np.isfinite(gate)):
+        raise ValueError(f"bond gate at {i} has non-finite entries")
+    gate.setflags(write=False)
+    return gate
 
 
 def build_trotter_circuit(spec: ModelSpec, tau: float, n_reps: int) -> TrotterCircuit:
-    """Exponentiate the per-bond generators into the two gate layers.
+    """Exponentiate the per-bond generators into the bond gates.
 
     Each gate is V exp(-i tau lam) V^dag from the exact eigensystem of
     its Hermitian 4x4 generator, so unitarity holds to rounding.
     """
-    if tau < 0.0 or not np.isfinite(tau):
-        raise ValueError(f"tau must be finite and >= 0, got {tau}")
-    if n_reps < 0:
-        raise ValueError(f"n_reps must be >= 0, got {n_reps}")
-    odd: list[tuple[int, np.ndarray]] = []
-    even: list[tuple[int, np.ndarray]] = []
-    for i, gen in bond_generators(spec.L, *model_terms(spec)):
+    if not 0.0 <= tau <= MAX_TAU:
+        raise ValueError(f"tau must be in [0, {MAX_TAU:g}], got {tau}")
+    gates = []
+    for gen in bond_generators(spec.L, *model_terms(spec)):
         lam, vec = np.linalg.eigh(gen)
-        gate = (vec * np.exp(-1j * tau * lam)) @ vec.conj().T
-        (odd if i % 2 == 1 else even).append((i, gate))
-    return TrotterCircuit(odd_layer=odd, even_layer=even, tau=tau, n_reps=n_reps)
+        gates.append((vec * np.exp(-1j * tau * lam)) @ vec.conj().T)
+    return TrotterCircuit(gates, n_reps)
 
 
 def apply_circuit(state: StateVector, circuit: TrotterCircuit) -> StateVector:
-    """Run n_reps Trotter steps (even layer first within each step).
+    """Run n_reps Trotter steps (even bonds first within each step).
 
     Each step applies the compiled ``circuit.gates`` in order.  The result
     is re-normalized; the drift is rounding-level since every gate is
     unitary.
     """
-    if not circuit.gates:
-        raise ValueError("circuit has no gates")
     num_sites = circuit.gates[0].num_sites
     if num_sites != state.num_sites:
         raise ValueError(f"circuit built for {num_sites} sites, state has {state.num_sites}")

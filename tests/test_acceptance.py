@@ -215,7 +215,7 @@ def test_a7_invariant_suite(tmp_path):
     circuit = build_trotter_circuit(spec, tau=10.0, n_reps=24)
     unitarity = max(
         float(np.max(np.abs(g @ g.conj().T - np.eye(4))))
-        for _, g in circuit.odd_layer + circuit.even_layer
+        for g in circuit.bond_gates
     )
     if unitarity > 1e-12:
         failures.append(f"gate unitarity {unitarity:.2e}")

@@ -26,10 +26,11 @@ from spintherm.cli import (
     validate_config,
 )
 import spintherm
-from spintherm import cli, hamiltonian, state_prep
+from spintherm import cli, hilbert
 from spintherm.estimators import bootstrap_sigma, efficiency, simple_expectation, weighted_expectation
 from spintherm.hamiltonian import MAX_COUPLING, ModelSpec
 from spintherm.imagtime import MAX_BETA, MAX_BETA_POINTS, BetaGrid
+from spintherm.state_prep import MAX_TAU
 
 MINIMAL = """
 system.kind = heisenberg
@@ -195,14 +196,13 @@ def test_run_outputs_independent_of_thread_count(tmp_path):
 
 def test_run_compiles_each_operator_once_whatever_m(tmp_path, monkeypatch):
     compiled = []
-    original = hamiltonian.compile_block
+    original = hilbert.compile_block
 
     def counted(mat, site, num_sites):
         compiled.append((site, num_sites))
         return original(mat, site, num_sites)
 
-    monkeypatch.setattr(hamiltonian, "compile_block", counted)
-    monkeypatch.setattr(state_prep, "compile_block", counted)
+    monkeypatch.setattr(hilbert, "compile_block", counted)
     counts = []
     for M in (2, 7):
         compiled.clear()
@@ -394,7 +394,7 @@ def test_main_validate_refuses_an_oversized_beta_grid(tmp_path, capsys):
 def test_couplings_and_beta_run_at_their_bounds_and_are_refused_beyond(tmp_path, capsys):
     at_bounds = TINY_RUN.replace("beta_grid = 0.5,1.0", f"beta_grid = 0.5,{MAX_BETA!r}").replace(
         "trotter.h_x = 1.0", f"trotter.h_x = {-MAX_COUPLING!r}"
-    ) + f"system.J = {MAX_COUPLING!r}\noutput_path = {tmp_path / 'at'}\nthreads = 1\n"
+    ) + f"system.J = {MAX_COUPLING!r}\ntau = {MAX_TAU!r}\noutput_path = {tmp_path / 'at'}\nthreads = 1\n"
     cfg_file = tmp_path / "at.cfg"
     cfg_file.write_text(at_bounds)
     assert main(["run", "--config", str(cfg_file)]) == 0
@@ -406,6 +406,12 @@ def test_couplings_and_beta_run_at_their_bounds_and_are_refused_beyond(tmp_path,
         assert main(["validate", "--config", str(cfg_file)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("invalid: beta_grid: beta ") and f"is above {MAX_BETA:g}" in err
+        assert "Traceback" not in err
+    for tau in (repr(MAX_TAU * (1 + 1e-9)), "1e300", "inf", "nan"):
+        cfg_file.write_text(TINY_RUN + f"tau = {tau}\n")
+        assert main(["run", "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid: tau: must be in [0, {MAX_TAU:g}], got ")
         assert "Traceback" not in err
 
 

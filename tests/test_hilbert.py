@@ -13,8 +13,8 @@ from spintherm.hilbert import (
     StateVector,
     apply_two_site,
     compile_block,
+    compile_chain,
     normalize,
-    partition_bonds,
     schmidt_spectrum,
 )
 
@@ -209,19 +209,32 @@ def test_compiled_bond_size_and_form():
 
 @pytest.mark.parametrize("L", range(2, 16))
 def test_partition_bonds_covers_each_bond_once(L):
+    # compile_chain's partition of the bonds: blocks on sites (s, s+3), s = 1, 5, 9, ...
     rng = np.random.default_rng(L)
     ops = [random_hermitian(rng, 4) for _ in range(L - 1)]
-    even, blocks, odd = partition_bonds(ops)
-    # blocks on sites (s, s+3), s = 1, 5, 9, ...; the bonds outside them by parity
-    assert [s for s, _ in blocks] == list(range(1, L - BLOCK_SITES + 2, BLOCK_SITES))
-    assert all(i % 2 == 0 for i, _ in even) and all(i % 2 == 1 for i, _ in odd)
-    seen = [i for i, _ in even + odd] + [s + j for s, lifted in blocks for j in range(len(lifted))]
-    assert sorted(seen) == list(range(1, L))
-    assert len(even) + len(blocks) + len(odd) == L - 1 - 2 * (L // BLOCK_SITES)  # 5 at L = 12, 7 at L = 14
-    for i, op in even + odd:
-        assert op is ops[i - 1]
-    # each lifted operator is its bond embedded in the block's left-major basis
-    for s, lifted in blocks:
+    fused = []
+
+    def fuse(lifted):
+        fused.append(lifted)
+        return sum(lifted)
+
+    compiled = compile_chain(ops, fuse)
+    starts = list(range(1, L - BLOCK_SITES + 2, BLOCK_SITES))
+    assert [(b.site, b.width) for b in compiled if b.width != 2] == [(s, BLOCK_SITES) for s in starts]
+    outside = [b.site for b in compiled if b.width == 2]
+    assert sorted(outside + [s + j for s in starts for j in range(BLOCK_SITES - 1)]) == list(range(1, L))
+    # application order: the even bonds outside every block, the blocks, the odd bonds past them
+    groups = [0 if b.width == 2 and b.site % 2 == 0 else 1 if b.width == BLOCK_SITES else 2 for b in compiled]
+    assert groups == sorted(groups)
+    assert len(compiled) == L - 1 - 2 * (L // BLOCK_SITES)  # 5 at L = 12, 7 at L = 14
+    # each lifted bond is its bond embedded in the block's left-major basis
+    assert len(fused) == len(starts)
+    for s, lifted in zip(starts, fused):
+        assert len(lifted) == BLOCK_SITES - 1
         for j, op in enumerate(lifted):
             want = ref.embed_pair_matrix(ops[s + j - 1], j + 1, BLOCK_SITES)
             assert np.array_equal(ref.embed_block_matrix(op, 1, BLOCK_SITES), want)
+    blocks = iter(fused)
+    for b in compiled:
+        mat = ops[b.site - 1] if b.width == 2 else sum(next(blocks))
+        assert np.array_equal(b.matrix, compile_block(mat, b.site, L).matrix)

@@ -21,6 +21,7 @@ from spintherm.hamiltonian import (
 )
 from spintherm.hilbert import BLOCK_SITES, SMALL_SIDE, StateVector, apply_two_site, compile_block, schmidt_spectrum
 from spintherm.state_prep import (
+    MAX_TAU,
     SampleSeed,
     TrotterCircuit,
     apply_circuit,
@@ -110,15 +111,14 @@ def test_seed_validation():
 def test_gates_are_unitary():
     for spec in (MIXED, XXZ):
         circuit = build_trotter_circuit(spec, tau=10.0, n_reps=2 * spec.L)
-        for _, gate in circuit.odd_layer + circuit.even_layer:
+        for gate in circuit.bond_gates:
             assert np.max(np.abs(gate @ gate.conj().T - np.eye(4))) <= 1e-12
 
 
-def test_layer_assignment_and_tau_zero_identity():
+def test_one_gate_per_bond_and_tau_zero_identity():
     circuit = build_trotter_circuit(MIXED, tau=0.0, n_reps=1)
-    assert [i for i, _ in circuit.odd_layer] == [1, 3, 5]
-    assert [i for i, _ in circuit.even_layer] == [2, 4]
-    for _, gate in circuit.odd_layer + circuit.even_layer:
+    assert len(circuit.bond_gates) == MIXED.L - 1
+    for gate in circuit.bond_gates:
         assert np.allclose(gate, np.eye(4), atol=1e-15)
 
 
@@ -132,7 +132,7 @@ def test_field_partition_sums_to_full_hamiltonian():
         (ModelSpec(kind="heisenberg", L=2, J=1.0), ref.heisenberg_matrix(2)),
     ):
         total = np.zeros_like(matrix)
-        for i, gen in bond_generators(spec.L, *model_terms(spec)):
+        for i, gen in enumerate(bond_generators(spec.L, *model_terms(spec)), start=1):
             total += ref.embed_pair_matrix(gen, i, spec.L)
         assert np.max(np.abs(total - matrix)) <= 1e-13
 
@@ -143,7 +143,7 @@ def test_single_step_matches_expm_oracle(tau):
     terms = build_hamiltonian(spec)
     h_odd = np.zeros((2**5, 2**5), dtype=complex)
     h_even = np.zeros_like(h_odd)
-    for i, gen in bond_generators(terms.L, terms.bonds, terms.fields):
+    for i, gen in enumerate(bond_generators(terms.L, terms.bonds, terms.fields), start=1):
         block = ref.embed_pair_matrix(gen, i, 5)
         if i % 2 == 1:
             h_odd += block
@@ -205,25 +205,35 @@ def test_apply_circuit_size_mismatch_raises():
 def test_build_circuit_validation():
     with pytest.raises(ValueError, match="tau"):
         build_trotter_circuit(MIXED, tau=-1.0, n_reps=1)
+    for tau in (MAX_TAU * (1 + 1e-9), 1e300, np.inf, np.nan):
+        with pytest.raises(ValueError, match="tau must be in"):
+            build_trotter_circuit(MIXED, tau=tau, n_reps=1)
+    build_trotter_circuit(MIXED, tau=MAX_TAU, n_reps=1)
     with pytest.raises(ValueError, match="n_reps"):
         build_trotter_circuit(MIXED, tau=1.0, n_reps=-1)
     eye = np.eye(4)
-    for odd, even in (([(2, eye)], []), ([], [(1, eye)]), ([(1, eye), (1, eye)], [])):
-        with pytest.raises(ValueError, match="odd_layer must hold odd bonds"):
-            TrotterCircuit(odd_layer=odd, even_layer=even, tau=1.0, n_reps=1)
+    for gates, n_reps, reason in (
+        ([], 1, "at least one bond gate"),
+        ([eye, eye, np.eye(2)], 1, "bond gate at 3 has shape"),  # inside the block on sites 1-4
+        ([eye, np.full((4, 4), np.nan)], 1, "bond gate at 2 has non-finite entries"),
+        ([eye], -3, "n_reps must be an integer >= 0"),
+        ([eye], 1.5, "n_reps must be an integer >= 0"),
+    ):
+        with pytest.raises(ValueError, match=reason):
+            TrotterCircuit(gates, n_reps)
 
 
 def test_circuit_is_frozen():
     circuit = build_trotter_circuit(MIXED, tau=1.0, n_reps=2)
-    assert isinstance(circuit.odd_layer, tuple) and isinstance(circuit.even_layer, tuple)
+    assert isinstance(circuit.bond_gates, tuple)
     # one step in application order at L = 6: the even gate (4, 5) outside the
     # block, the block odd . odd . even on sites 1-4, then the odd gate (5, 6)
     assert [(g.site, g.width) for g in circuit.gates] == [(4, 2), (1, 4), (5, 2)]
-    for name in ("odd_layer", "even_layer", "tau", "n_reps", "gates"):
+    for name in ("bond_gates", "n_reps", "gates"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(circuit, name, getattr(circuit, name))
     with pytest.raises(ValueError, match="read-only"):
-        circuit.odd_layer[0][1][0, 0] = 0.0
+        circuit.bond_gates[0][0, 0] = 0.0
 
 
 def _random_unitary(rng):
@@ -253,12 +263,7 @@ def test_compiled_kernels_match_dense_on_both_sides_of_the_small_inner_threshold
 
     gates = {i: _random_unitary(rng) for i in range(1, L)}
     n_reps = data.draw(st.integers(1, 2))
-    circuit = TrotterCircuit(
-        odd_layer=[(i, g) for i, g in gates.items() if i % 2 == 1],
-        even_layer=[(i, g) for i, g in gates.items() if i % 2 == 0],
-        tau=1.0,
-        n_reps=n_reps,
-    )
+    circuit = TrotterCircuit(list(gates.values()), n_reps)
     dense = {i: ref.embed_pair_matrix(g, i, L) for i, g in gates.items()}
     want = amps / np.linalg.norm(amps)
     for _ in range(n_reps):
