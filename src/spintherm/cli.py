@@ -8,12 +8,14 @@ measured; per-sample rows and per-(L, beta) aggregates are written as
 CSV plus a JSON echo of the resolved configuration.
 
 Samples run on min(threads, M, os.cpu_count()) worker processes, with
-threads = os.cpu_count() when the key is unset.  Sample m derives all of
-its randomness from (master_seed, m), and results are sorted before
-emission, so the output files are byte-identical no matter how many
-worker processes ran.  Error bars are bootstrapped with generators
-seeded from (master_seed, L, beta index, quantity), which keeps them
-reproducible from samples.csv alone.
+threads = os.cpu_count() when the key is unset; a run opens at most one
+pool, which serves every chain length.  Sample m derives all of its
+randomness from (master_seed, m), and rows are made in file order
+(L ascending, then sample, then beta), so the output files are
+byte-identical no matter how many worker processes ran or how L_list is
+ordered.  Error bars are bootstrapped with generators seeded from
+(master_seed, L, beta index, quantity), which keeps them reproducible
+from samples.csv alone.
 
 One schema reads every RunConfig: a table of keys (model fields are
 dotted, ``system.kind``, ``trotter.h_x``), each with a text-to-value and
@@ -29,6 +31,7 @@ FULL_SCALE_LIMIT sites demand ``full_scale = true`` (CLI
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -204,8 +207,8 @@ def _read(raw: dict[str, str]) -> RunConfig:
     for model in ("system", "trotter"):
         spec = {k.split(".", 1)[1]: v for k, v in values.items() if k.startswith(model + ".")}
         if spec and "L_list" in fields:
-            try:
-                fields[model] = ModelSpec(L=min(fields["L_list"]), **spec)
+            try:  # a chain below 2 sites is L_list's fault, which validate_config names
+                fields[model] = ModelSpec(L=max(2, min(fields["L_list"])), **spec)
             except ValueError as exc:
                 problems.append(f"{model}: {exc}")
     if problems:
@@ -246,8 +249,15 @@ def parse_config(text: str) -> RunConfig:
     return _read(_parse_lines(text))
 
 
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def load_config(path: str | Path) -> RunConfig:
-    return parse_config(Path(path).read_text())
+    return parse_config(_read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +340,11 @@ def _workers(cfg: RunConfig) -> int:
     return min(cfg.threads or cpus, cfg.M, cpus)
 
 
-def _collect_samples(cfg: RunConfig, L: int, workers: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Initial entropies, shape (M,), and ln-norms and energies, shape (K, M): one row per beta."""
+def _collect_samples(cfg: RunConfig, L: int, pool_map) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Initial entropies, shape (M,), and ln-norms and energies, shape (K, M): one row per beta.
+
+    pool_map runs the samples and returns their results in sample order, as the builtin map does.
+    """
     system_terms = build_hamiltonian(dataclasses.replace(cfg.system, L=L))
     circuit = None
     if cfg.init_class == "trotter_rpps":
@@ -347,14 +360,7 @@ def _collect_samples(cfg: RunConfig, L: int, workers: int) -> tuple[np.ndarray, 
         system_terms,
         cfg.beta_grid,
     )
-    indices = range(cfg.M)
-    if workers > 1:
-        chunk = max(1, cfg.M // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(task, indices, chunksize=chunk))  # in sample order
-    else:
-        raw = [task(m) for m in indices]
-    s_ini, logs, obs = map(np.array, zip(*raw))
+    s_ini, logs, obs = map(np.array, zip(*pool_map(task, range(cfg.M))))
     logs, obs = logs.T.copy(), obs.T.copy()  # contiguous rows: a strided one changes the dot's last bit
     if not (np.all(np.isfinite(logs)) and np.all(np.isfinite(obs))):
         raise ValueError(f"L = {L}: ln-norms and energies must be finite")
@@ -363,8 +369,8 @@ def _collect_samples(cfg: RunConfig, L: int, workers: int) -> tuple[np.ndarray, 
     return s_ini, logs, obs
 
 
-def _aggregate(cfg: RunConfig, L: int, s_ini: np.ndarray, logs: np.ndarray, obs: np.ndarray) -> list[dict]:
-    """Per-(L, beta) summary rows; bootstrap seeds derive from the run identity."""
+def _aggregate(cfg: RunConfig, L: int, s_ini: np.ndarray, logs: np.ndarray, obs: np.ndarray) -> list[tuple]:
+    """Per-(L, beta) summary rows in SUMMARY_HEADER order; bootstrap seeds derive from the run identity."""
     n_res = cfg.n_resamples if cfg.n_resamples >= 2 else 0
 
     def sigma(values, statistic, k: int, tag: int) -> float:
@@ -374,27 +380,25 @@ def _aggregate(cfg: RunConfig, L: int, s_ini: np.ndarray, logs: np.ndarray, obs:
         return weighted_expectation(draw[..., 0], draw[..., 1])
 
     s_ini_mean, s_ini_sigma = float(simple_expectation(s_ini)), sigma(s_ini, simple_expectation, 0, 1)
-    rows = []
-    for k, beta in enumerate(cfg.beta_grid.checkpoints):
-        rows.append(
-            {
-                "L": L,
-                "beta": beta,
-                "init_class": cfg.resolved_label(),
-                "eta": efficiency(logs[k]),
-                "eta_sigma": sigma(logs[k], efficiency, k, 0),
-                "S_ini_mean": s_ini_mean,
-                "S_ini_sigma": s_ini_sigma,
-                "energy_weighted": weighted_expectation(logs[k], obs[k]),
-                # (M, 2) pairs: a resample keeps each ln-norm with its energy
-                "energy_weighted_sigma": sigma(np.column_stack([logs[k], obs[k]]), weighted, k, 2),
-                "energy_simple": simple_expectation(obs[k]),
-                "energy_simple_sigma": sigma(obs[k], simple_expectation, k, 3),
-                "M": cfg.M,
-                "master_seed": cfg.master_seed,
-            }
+    return [
+        (
+            L,
+            beta,
+            cfg.resolved_label(),
+            efficiency(logs[k]),
+            sigma(logs[k], efficiency, k, 0),
+            s_ini_mean,
+            s_ini_sigma,
+            weighted_expectation(logs[k], obs[k]),
+            # (M, 2) pairs: a resample keeps each ln-norm with its energy
+            sigma(np.column_stack([logs[k], obs[k]]), weighted, k, 2),
+            simple_expectation(obs[k]),
+            sigma(obs[k], simple_expectation, k, 3),
+            cfg.M,
+            cfg.master_seed,
         )
-    return rows
+        for k, beta in enumerate(cfg.beta_grid.checkpoints)
+    ]
 
 
 SUMMARY_HEADER = (
@@ -405,52 +409,41 @@ SAMPLES_HEADER = "L,sample_index,beta,log_sq_norm,obs_value,init_entropy"
 
 
 def _fmt(x) -> str:
+    if isinstance(x, str):
+        return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".17g")
 
 
 def emit_results(
-    summary_rows: list[dict],
+    summary_rows: list[tuple],
     sample_rows: list[tuple],
     cfg: RunConfig,
     out_dir: str | Path,
 ) -> dict[str, Path]:
     """Write summary.csv, samples.csv, and run.json; returns their paths.
 
-    Rows are sorted (summary by L, beta, class; samples by L, sample
-    index, beta) and floats printed with 17 significant digits, so
-    reruns and different worker counts produce identical bytes.
+    Each CSV gets its header and then the rows it is given, in the order
+    given, with floats printed to 17 significant digits.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary_path = out / "summary.csv"
-    samples_path = out / "samples.csv"
-    json_path = out / "run.json"
-
-    ordered = sorted(summary_rows, key=lambda r: (r["L"], r["beta"], r["init_class"]))
-    header_fields = SUMMARY_HEADER.split(",")
-    with summary_path.open("w") as fh:
-        fh.write(SUMMARY_HEADER + "\n")
-        for row in ordered:
-            fh.write(",".join(_fmt(row[f]) if f != "init_class" else str(row[f]) for f in header_fields) + "\n")
-
-    sample_sorted = sorted(sample_rows, key=lambda r: (r[0], r[1], r[2]))
-    with samples_path.open("w") as fh:
-        fh.write(SAMPLES_HEADER + "\n")
-        for row in sample_sorted:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-    with json_path.open("w") as fh:
+    paths = {"summary": out / "summary.csv", "samples": out / "samples.csv", "run_json": out / "run.json"}
+    for key, header, rows in (("summary", SUMMARY_HEADER, summary_rows), ("samples", SAMPLES_HEADER, sample_rows)):
+        with paths[key].open("w") as fh:
+            fh.write(header + "\n")
+            fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+    with paths["run_json"].open("w") as fh:
         json.dump(_write(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return {"summary": summary_path, "samples": samples_path, "run_json": json_path}
+    return paths
 
 
 def load_run_json(path: str | Path) -> RunConfig:
     """Rebuild and validate the RunConfig echoed into run.json."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not (isinstance(raw, dict) and all(isinstance(text, str) for text in raw.values())):
@@ -459,7 +452,7 @@ def load_run_json(path: str | Path) -> RunConfig:
 
 
 def run_experiment(cfg: RunConfig, out_dir: str | Path | None = None) -> dict[str, Path]:
-    """Execute one configuration and write its three output files."""
+    """Execute one configuration on at most one worker pool and write its three output files."""
     validate_config(cfg)
     workers = _workers(cfg)
     if max(cfg.L_list) > FULL_SCALE_LIMIT:
@@ -467,16 +460,18 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path | None = None) -> dict[st
             f"warning: L={max(cfg.L_list)} is full scale; expect hours of runtime",
             file=sys.stderr,
         )
-    summary_rows: list[dict] = []
+    summary_rows: list[tuple] = []
     sample_rows: list[tuple] = []
-    for L in cfg.L_list:
-        s_ini, logs, obs = _collect_samples(cfg, L, workers)
-        summary_rows.extend(_aggregate(cfg, L, s_ini, logs, obs))
-        sample_rows += [
-            (L, m, beta, logs[k, m], obs[k, m], s_ini[m])
-            for k, beta in enumerate(cfg.beta_grid.checkpoints)
-            for m in range(cfg.M)
-        ]
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        pool_map = partial(pool.map, chunksize=max(1, cfg.M // (4 * workers))) if workers > 1 else map
+        for L in sorted(cfg.L_list):
+            s_ini, logs, obs = _collect_samples(cfg, L, pool_map)
+            summary_rows += _aggregate(cfg, L, s_ini, logs, obs)
+            sample_rows += [
+                (L, m, beta, logs[k, m], obs[k, m], s_ini[m])
+                for m in range(cfg.M)
+                for k, beta in enumerate(cfg.beta_grid.checkpoints)
+            ]
     return emit_results(summary_rows, sample_rows, cfg, out_dir or cfg.output_path)
 
 
@@ -515,7 +510,7 @@ def main(argv: list[str] | None = None) -> int:
             print("ok")
             return 0
         over = {key: text for key, text in vars(args).items() if key in _FIELDS and text is not None}
-        raws = [_parse_lines(Path(args.config).read_text())] if args.config else _preset_maps(args.preset)
+        raws = [_parse_lines(_read_text(args.config))] if args.config else _preset_maps(args.preset)
         cfgs = [_read({**raw, **over}) for raw in raws]
         for cfg in cfgs:
             out = Path(args.out or cfg.output_path)

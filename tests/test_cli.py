@@ -181,8 +181,10 @@ def tiny_config(out):
 def test_run_outputs_are_reproducible(tmp_path):
     paths_a = run_experiment(tiny_config(tmp_path / "a"))
     paths_b = run_experiment(tiny_config(tmp_path / "b"))
+    # the order of L_list does not change the files: rows are made L ascending
+    paths_r = run_experiment(dataclasses.replace(tiny_config(tmp_path / "r"), L_list=(4, 3)))
     for key in ("summary", "samples"):
-        assert paths_a[key].read_bytes() == paths_b[key].read_bytes()
+        assert paths_a[key].read_bytes() == paths_b[key].read_bytes() == paths_r[key].read_bytes()
 
 
 def test_run_outputs_independent_of_thread_count(tmp_path):
@@ -292,6 +294,10 @@ def test_pool_is_capped_at_samples_and_cpus(tmp_path, monkeypatch):
         sizes.clear()
         run_experiment(dataclasses.replace(base, threads=threads, M=M))
         assert sizes == ([] if want is None else [want]), (threads, M)
+    # one pool serves every chain length of a run
+    sizes.clear()
+    run_experiment(dataclasses.replace(base, L_list=(4, 6), threads=2, M=6))
+    assert sizes == [2]
 
 
 def test_collect_samples_refuses_nonfinite_or_negative_entropy(tmp_path, monkeypatch):
@@ -371,14 +377,19 @@ def test_main_run_preset_writes_variant_directories(tmp_path):
     ('label = a"b', "label: must not contain a comma"),
     ("system.J = 1e300", "system: couplings must be finite and at most 1e+06 in magnitude, got J = 1e+300"),
     ("trotter.J = -1.000001e6", "trotter: couplings must be finite and at most 1e+06 in magnitude"),
+    ("L_list = 1,4", "L_list: every L must be >= 2"),
+    # the byte 0xe9 alone, which is not UTF-8
+    ("label = caf\udce9", "{path}: 'utf-8' codec can't decode byte 0xe9"),
 ])
 def test_main_validate_names_the_bad_key(tmp_path, capsys, line, reason):
     cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text(TINY_RUN + line + "\n")
-    assert main(["validate", "--config", str(cfg_file)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"invalid: {reason}")
-    assert "Traceback" not in err
+    text = TINY_RUN.replace("L_list = 3,4\n", "") if line.startswith("L_list") else TINY_RUN
+    cfg_file.write_bytes((text + line + "\n").encode("utf-8", "surrogateescape"))
+    for command in ("validate", "run"):
+        assert main([command, "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid: {reason.format(path=cfg_file)}"), command
+        assert "Traceback" not in err
 
 
 def test_main_validate_refuses_an_oversized_beta_grid(tmp_path, capsys):
@@ -447,7 +458,8 @@ def test_runtime_imports_no_scipy():
 
 
 def test_main_run_names_the_bad_override(tmp_path, capsys):
-    for lengths, reason in (("4,x", ""), ("4,4", "duplicate lengths")):
+    bad = (("4,x", ""), ("4,4", "duplicate lengths"), ("1,4", "every L must be >= 2"), ("1", "every L must be >= 2"))
+    for lengths, reason in bad:
         rc = main(["run", "--preset", "fig2", "--L", lengths, "--out", str(tmp_path / "none")])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"invalid: L_list: {reason}")
@@ -473,6 +485,9 @@ def test_load_run_json_validates(tmp_path):
         load_run_json(path)
     path.write_text(json.dumps({**raw, "M": 8}))
     with pytest.raises(ConfigError, match="JSON object"):
+        load_run_json(path)
+    path.write_bytes(json.dumps({**raw, "label": "caf\udce9"}, ensure_ascii=False).encode("utf-8", "surrogateescape"))
+    with pytest.raises(ConfigError, match="'utf-8' codec can't decode byte 0xe9"):
         load_run_json(path)
     for label in ("a,b", "a\nb", "a\rb", 'a"b'):
         path.write_text(json.dumps({**raw, "label": label}))
