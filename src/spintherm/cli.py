@@ -13,9 +13,9 @@ pool, which serves every chain length.  Sample m derives all of its
 randomness from (master_seed, m), and rows are made in file order
 (L ascending, then sample, then beta), so the output files are
 byte-identical no matter how many worker processes ran or how L_list is
-ordered.  Error bars are bootstrapped with generators seeded from
-(master_seed, L, beta index, quantity), which keeps them reproducible
-from samples.csv alone.
+ordered.  The error bars of one L come from one bootstrap stream seeded
+from (master_seed, L), which keeps them reproducible from samples.csv
+alone.
 
 One schema reads every RunConfig: a table of keys (model fields are
 dotted, ``system.kind``, ``trotter.h_x``), each with a text-to-value and
@@ -370,33 +370,17 @@ def _collect_samples(cfg: RunConfig, L: int, pool_map) -> tuple[np.ndarray, np.n
 
 
 def _aggregate(cfg: RunConfig, L: int, s_ini: np.ndarray, logs: np.ndarray, obs: np.ndarray) -> list[tuple]:
-    """Per-(L, beta) summary rows in SUMMARY_HEADER order; bootstrap seeds derive from the run identity."""
-    n_res = cfg.n_resamples if cfg.n_resamples >= 2 else 0
-
-    def sigma(values, statistic, k: int, tag: int) -> float:
-        return bootstrap_sigma(values, statistic, n_res, seed=(cfg.master_seed, L, k, tag)) if n_res else 0.0
-
-    def weighted(draw: np.ndarray):
-        return weighted_expectation(draw[..., 0], draw[..., 1])
-
-    s_ini_mean, s_ini_sigma = float(simple_expectation(s_ini)), sigma(s_ini, simple_expectation, 0, 1)
+    """Per-(L, beta) summary rows in SUMMARY_HEADER order; one bootstrap per L, seeded from the run identity."""
+    eta_sigma, weighted_sigma, simple_sigma, s_ini_sigma = (
+        bootstrap_sigma(logs, obs, cfg.n_resamples, (cfg.master_seed, L), s_ini)
+        if cfg.n_resamples >= 2
+        else (np.zeros(len(logs)),) * 3 + (0.0,)
+    )
+    s_ini_mean = float(simple_expectation(s_ini))
     return [
-        (
-            L,
-            beta,
-            cfg.resolved_label(),
-            efficiency(logs[k]),
-            sigma(logs[k], efficiency, k, 0),
-            s_ini_mean,
-            s_ini_sigma,
-            weighted_expectation(logs[k], obs[k]),
-            # (M, 2) pairs: a resample keeps each ln-norm with its energy
-            sigma(np.column_stack([logs[k], obs[k]]), weighted, k, 2),
-            simple_expectation(obs[k]),
-            sigma(obs[k], simple_expectation, k, 3),
-            cfg.M,
-            cfg.master_seed,
-        )
+        (L, beta, cfg.resolved_label(), efficiency(logs[k]), eta_sigma[k], s_ini_mean, s_ini_sigma,
+         weighted_expectation(logs[k], obs[k]), weighted_sigma[k], simple_expectation(obs[k]), simple_sigma[k],
+         cfg.M, cfg.master_seed)
         for k, beta in enumerate(cfg.beta_grid.checkpoints)
     ]
 

@@ -12,14 +12,14 @@ weighted one.
 
 Every estimator reads the samples along the last axis of its input: a
 row of M log norms or observables gives the point value, and a (rows, M)
-stack of resamples gives one value per row.  bootstrap_sigma hands a
-statistic a whole block of resamples at once, so each statistic has one
-implementation for both.
+stack of rows gives one value per row.  bootstrap_sigma calls them only
+for a resample whose weights all underflow: every statistic is a ratio
+of sums over the drawn samples, so one table of per-sample terms, summed
+over each resample's draws, gives the error bars of all betas from one
+stream of resamples.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -34,9 +34,9 @@ __all__ = [
     "bootstrap_sigma",
 ]
 
-# Indices drawn per bootstrap block (2**14 // M resamples of M samples): it
-# bounds the memory of one block, whatever M and n_resamples are.
-BOOTSTRAP_BLOCK = 2**14
+# Table entries gathered per bootstrap block (at least one resample of M
+# rows): it bounds the memory of one block, whatever M, K and n_resamples are.
+BOOTSTRAP_BLOCK = 2**13
 
 
 def _samples(values) -> np.ndarray:
@@ -95,32 +95,42 @@ def entanglement_entropy(state: StateVector) -> float:
     return float(-np.sum(lam * np.log(lam)))
 
 
-def bootstrap_sigma(values, statistic: Callable, n_resamples: int, seed=0) -> float:
-    """Standard deviation of a statistic over bootstrap resamples.
+def bootstrap_sigma(logs, obs, n_resamples: int, seed, s_ini):
+    """Bootstrap sigmas of eta, the weighted and simple energies per beta, and the mean S_ini.
 
-    Each resample draws len(values) entries of ``values`` (samples on the
-    first axis) with replacement; the spread of the statistic over the
-    resamples estimates its sampling error on the original set.  The
-    resamples come in blocks of about BOOTSTRAP_BLOCK indices, drawn as
-    one (rows, M) index array, which is the same random stream as one
-    draw per resample.  ``statistic`` gets the (rows, M, ...) block and
-    must return one value per row.  Deterministic for a fixed seed.
+    ``logs`` and ``obs`` are (K, M), one row per beta, and ``s_ini`` is (M,).
+    The resamples are the rows of one (n_resamples, M) index draw from
+    np.random.default_rng(seed), taken in blocks; a drawn sample keeps its
+    values at every beta.  Returns the standard deviations over the
+    resamples: (eta_sigma[K], weighted_sigma[K], simple_sigma[K], s_ini_sigma).
     """
-    values = np.asarray(values)
-    n = len(values) if values.ndim else 0
-    if n == 0:
-        raise ValueError("cannot bootstrap an empty sample set")
+    logs, obs, s_ini = (np.asarray(a, dtype=np.float64) for a in (logs, obs, s_ini))
+    if logs.ndim != 2 or logs.shape[1] == 0 or obs.shape != logs.shape or s_ini.shape != logs.shape[1:]:
+        raise ValueError(f"need (K, M >= 1) logs and obs and (M,) s_ini, got {logs.shape}, {obs.shape}, {s_ini.shape}")
     if n_resamples < 2:
         raise ValueError(f"n_resamples must be >= 2, got {n_resamples}")
+    k, n = logs.shape
+    d = logs - logs.max(axis=1, keepdims=True)
+    e = np.exp(d)
+    table = np.concatenate([e, d * e, e * obs, obs, s_ini[None]]).T.copy()
     rng = np.random.default_rng(seed)
-    rows = max(1, BOOTSTRAP_BLOCK // n)
-    stats = []
+    rows = max(1, BOOTSTRAP_BLOCK // table.size)
+    moments = np.zeros((2, 3 * k + 1))
     for done in range(0, n_resamples, rows):
-        block = min(rows, n_resamples - done)
-        draws = statistic(values[rng.integers(0, n, size=(block, n))])
-        if np.shape(draws) != (block,):
-            raise ValueError(
-                f"statistic must return one value per resample, shape ({block},), got {np.shape(draws)}"
-            )
-        stats.append(draws)
-    return float(np.std(np.concatenate(stats)))
+        idx = rng.integers(0, n, size=(min(rows, n_resamples - done), n))
+        sums = table[idx].sum(axis=1)
+        z, de, eo = sums[:, :k], sums[:, k : 2 * k], sums[:, 2 * k : 3 * k]
+        with np.errstate(divide="ignore", invalid="ignore"):  # eta = e^I / M with I = ln Z - sum(d e) / Z
+            x = np.concatenate([np.exp(np.log(z) - de / z) / n, eo / z, sums[:, 3 * k :] / n], axis=1)
+        # Every drawn weight underflowed (ln-norm spread above ~708): the row-wise estimators rescale.
+        r, j = np.nonzero(z < np.finfo(np.float64).tiny)
+        if r.size:
+            x[r, j] = efficiency(logs[j[:, None], idx[r]])
+            x[r, k + j] = weighted_expectation(logs[j[:, None], idx[r]], obs[j[:, None], idx[r]])
+        if done == 0:
+            center = x[0]  # deviations from one resample keep the variance free of cancellation
+        y = x - center
+        moments += [y.sum(axis=0), (y * y).sum(axis=0)]
+    mean, square = moments / n_resamples
+    sigma = np.sqrt(np.maximum(square - mean * mean, 0.0))
+    return sigma[:k], sigma[k : 2 * k], sigma[2 * k : 3 * k], float(sigma[3 * k])

@@ -71,11 +71,10 @@ def sample_rpps(num_sites: int, seed: SampleSeed) -> StateVector:
         raise ValueError(f"num_sites must be >= 2, got {num_sites}")
     rng = seed.generator()
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(num_sites, 2))
+    local = np.exp(1j * phases) / np.sqrt(2.0)
     amps = np.ones(1, dtype=np.complex128)
-    for i in range(num_sites):
-        local = np.exp(1j * phases[i]) / np.sqrt(2.0)
-        # New site occupies the next-higher bit.
-        amps = np.kron(local, amps)
+    for site in local:
+        amps = (site[:, None] * amps).ravel()  # the new site occupies the next-higher bit
     return StateVector(amps, 0.0, num_sites)
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from oracle import dense_build, exact_evolve
 from spintherm.cli import RunConfig, preset_variants, run_experiment
-from spintherm.estimators import bootstrap_sigma, efficiency, entanglement_entropy, simple_expectation, weights
+from spintherm.estimators import bootstrap_sigma, efficiency, entanglement_entropy, weights
 from spintherm.hamiltonian import ModelSpec, build_hamiltonian
 from spintherm.hilbert import StateVector
 from spintherm.imagtime import BetaGrid, evolve
@@ -247,10 +247,9 @@ def test_a7_invariant_suite(tmp_path):
     ):
         failures.append("beta = 0 is not the identity")
 
-    vals = rng.normal(size=128)
-    if bootstrap_sigma(vals, simple_expectation, 300, seed=(5, 6)) != bootstrap_sigma(
-        vals, simple_expectation, 300, seed=(5, 6)
-    ):
+    logs, obs, vals = rng.normal(size=(2, 128)), rng.normal(size=(2, 128)), rng.normal(size=128)
+    first, again = (bootstrap_sigma(logs, obs, 300, (5, 6), vals) for _ in range(2))
+    if not all(np.array_equal(a, b) for a, b in zip(first, again)):
         failures.append("bootstrap not deterministic")
 
     base = RunConfig(

@@ -26,8 +26,9 @@ from spintherm.cli import (
     validate_config,
 )
 import spintherm
+from helpers import bootstrap_reference
 from spintherm import cli, hilbert
-from spintherm.estimators import bootstrap_sigma, efficiency, simple_expectation, weighted_expectation
+from spintherm.estimators import efficiency, simple_expectation, weighted_expectation
 from spintherm.hamiltonian import MAX_COUPLING, ModelSpec
 from spintherm.imagtime import MAX_BETA, MAX_BETA_POINTS, BetaGrid
 from spintherm.state_prep import MAX_TAU
@@ -251,22 +252,22 @@ def test_summary_recomputable_from_samples(tmp_path):
     for srow in summary_rows:
         L = int(srow["L"])
         k = betas.index(float(srow["beta"]))
-        # samples.csv is sorted by L, sample, beta: column k of an (M, K) table
+        # samples.csv is sorted by L, sample, beta: an (M, K) table, transposed to one row per beta
         rows = [r for r in sample_rows if int(r["L"]) == L]
         logs, obs, s_ini = (
-            np.array([float(r[name]) for r in rows]).reshape(cfg.M, len(betas))
+            np.array([float(r[name]) for r in rows]).reshape(cfg.M, len(betas)).T
             for name in ("log_sq_norm", "obs_value", "init_entropy")
         )
-        assert efficiency(logs[:, k]) == pytest.approx(float(srow["eta"]), abs=1e-10)
-        eta_sigma = bootstrap_sigma(logs[:, k], efficiency, cfg.n_resamples, seed=(cfg.master_seed, L, k, 0))
-        assert eta_sigma == pytest.approx(float(srow["eta_sigma"]), abs=1e-10)
-        assert weighted_expectation(logs[:, k], obs[:, k]) == pytest.approx(
+        assert efficiency(logs[k]) == pytest.approx(float(srow["eta"]), abs=1e-10)
+        assert weighted_expectation(logs[k], obs[k]) == pytest.approx(
             float(srow["energy_weighted"]), abs=1e-10)
-        assert simple_expectation(obs[:, k]) == pytest.approx(
+        assert simple_expectation(obs[k]) == pytest.approx(
             float(srow["energy_simple"]), abs=1e-10)
-        assert np.mean(s_ini[:, 0]) == pytest.approx(float(srow["S_ini_mean"]), abs=1e-10)
-        simple_sigma = bootstrap_sigma(obs[:, k], simple_expectation, cfg.n_resamples, seed=(cfg.master_seed, L, k, 3))
-        assert simple_sigma == pytest.approx(float(srow["energy_simple_sigma"]), abs=1e-10)
+        assert np.mean(s_ini[0]) == pytest.approx(float(srow["S_ini_mean"]), abs=1e-10)
+        sigmas = bootstrap_reference(logs, obs, s_ini[0], cfg.n_resamples, (cfg.master_seed, L))
+        for name, sigma in zip(("eta_sigma", "energy_weighted_sigma", "energy_simple_sigma"), sigmas):
+            assert sigma[k] == pytest.approx(float(srow[name]), abs=1e-10)
+        assert sigmas[3] == pytest.approx(float(srow["S_ini_sigma"]), abs=1e-10)
 
 
 def test_pool_is_capped_at_samples_and_cpus(tmp_path, monkeypatch):
@@ -455,6 +456,22 @@ def test_runtime_imports_no_scipy():
     assert set(spintherm.__all__) == PUBLIC
     for module, names in TRACED.items():
         assert set(names) <= set(importlib.import_module(f"spintherm.{module}").__all__), module
+
+
+def test_traced_run_counts_each_bootstrap_draw(tmp_path):
+    # perfbench's tracer adds bootstrap_sigma's third positional argument,
+    # n_resamples, to a counter it dumps as JSON.
+    config = tmp_path / "tiny.cfg"
+    config.write_text(MINIMAL.replace("M = 8", "M = 4") + f"n_resamples = 8\nthreads = 1\noutput_path = {tmp_path / 'out'}\n")
+    trace = tmp_path / "trace.json"
+    script = Path(__file__).resolve().parents[1] / "perfbench" / "traced_run.py"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, str(script), str(trace), "run", "--config", str(config)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(trace.read_text())["counters"]["resamples"] == 8
 
 
 def test_main_run_names_the_bad_override(tmp_path, capsys):

@@ -15,7 +15,7 @@ from spintherm.estimators import (
     weighted_expectation,
     weights,
 )
-from helpers import basis_state
+from helpers import basis_state, bootstrap_reference
 from spintherm.hilbert import StateVector
 from spintherm.state_prep import SampleSeed, sample_haar, sample_rpps
 
@@ -95,7 +95,11 @@ def test_efficiency_one_hot():
     logs = np.full(8, -1000.0)
     logs[3] = 0.0
     assert efficiency(logs) == pytest.approx(1.0 / 8.0, abs=1e-12)
-    assert np.isfinite(bootstrap_sigma(logs, efficiency, 50, seed=1))
+    # (7/8)**8: about a third of the resamples miss sample 3, and all their weights underflow
+    sigmas = bootstrap_sigma(logs[None], np.arange(8.0)[None], 50, 1, np.zeros(8))
+    assert all(np.all(np.isfinite(s)) for s in sigmas)
+    for got, want in zip(sigmas, bootstrap_reference(logs[None], np.arange(8.0)[None], np.zeros(8), 50, 1)):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_efficiency_bounds_on_random_weights():
@@ -111,12 +115,13 @@ def test_efficiency_bounds_on_random_weights():
 
 def test_efficiency_bootstrap_is_deterministic():
     rng = np.random.default_rng(8)
-    logs = np.log(rng.exponential(size=64))
-    a = bootstrap_sigma(logs, efficiency, 200, seed=(1, 2))
-    b = bootstrap_sigma(logs, efficiency, 200, seed=(1, 2))
-    c = bootstrap_sigma(logs, efficiency, 200, seed=(1, 3))
-    assert a == b > 0.0
-    assert a != c
+    logs, obs, s_ini = np.log(rng.exponential(size=(2, 64))), rng.normal(size=(2, 64)), rng.random(64)
+    a = bootstrap_sigma(logs, obs, 200, (1, 2), s_ini)
+    b = bootstrap_sigma(logs, obs, 200, (1, 2), s_ini)
+    c = bootstrap_sigma(logs, obs, 200, (1, 3), s_ini)
+    for sa, sb, sc in zip(a, b, c):
+        assert np.all(sa == sb) and np.all(sb > 0.0)
+        assert np.all(sa != sc)
 
 
 def test_efficiency_input_validation():
@@ -153,83 +158,61 @@ def test_entanglement_entropy_product_and_bell():
 def test_bootstrap_sigma_tracks_gaussian_standard_error():
     rng = np.random.default_rng(19)
     vals = rng.normal(size=1024)
-    sigma = bootstrap_sigma(vals, simple_expectation, 2000, seed=5)
+    # uniform weights: the weighted energy is the plain mean as well
+    _, weighted, simple, s_ini = bootstrap_sigma(np.zeros((1, 1024)), vals[None], 2000, 5, vals)
     expected = 1.0 / np.sqrt(1024.0)
-    assert abs(sigma - expected) <= 0.15 * expected
+    for sigma in (weighted[0], simple[0], s_ini):
+        assert abs(sigma - expected) <= 0.15 * expected
 
 
 def test_bootstrap_sigma_zero_for_constant_values():
-    assert bootstrap_sigma(np.full(16, 3.3), simple_expectation, 50) <= 1e-12
+    sigmas = bootstrap_sigma(np.full((2, 16), -4.0), np.full((2, 16), 3.3), 50, 0, np.full(16, 3.3))
+    assert all(np.all(s <= 1e-12) for s in sigmas)
 
 
 def test_bootstrap_sigma_accepts_lists():
     vals = [float(k) for k in range(10)]
-    sigma = bootstrap_sigma(vals, lambda draw: np.mean(draw, axis=-1), 100, seed=2)
-    assert sigma > 0.0
+    _, _, simple, s_ini = bootstrap_sigma([[0.0] * 10], [vals], 100, 2, vals)
+    assert simple[0] == s_ini > 0.0
 
 
 def test_bootstrap_sigma_validation():
     with pytest.raises(ValueError):
-        bootstrap_sigma(np.zeros(0), simple_expectation, 10)
+        bootstrap_sigma(np.zeros((1, 0)), np.zeros((1, 0)), 10, 0, np.zeros(0))
     with pytest.raises(ValueError, match="n_resamples"):
-        bootstrap_sigma(np.ones(5), simple_expectation, 1)
-
-
-def _one_resample_at_a_time(values, statistic, n_resamples, seed):
-    """Reference bootstrap: one index draw and one scalar statistic per resample."""
-    rng = np.random.default_rng(seed)
-    stats = np.empty(n_resamples)
-    for r in range(n_resamples):
-        stats[r] = statistic(values[rng.integers(0, len(values), size=len(values))])
-    return float(np.std(stats))
-
-
-def _softmax(logs):
-    w = np.exp(logs - np.max(logs))
-    return w / w.sum()
-
-
-def _eta(logs):
-    w = _softmax(logs)
-    nz = w[w > 0.0]
-    return float(np.exp(-np.sum(nz * np.log(nz))) / w.size)
-
-
-def _weighted(pairs):
-    return float(np.dot(_softmax(pairs[:, 0]), pairs[:, 1]))
+        bootstrap_sigma(np.ones((1, 5)), np.ones((1, 5)), 1, 0, np.ones(5))
+    for obs, s_ini in ((np.ones((1, 5)), np.ones(5)), (np.ones(5), np.ones(5)), (np.ones((2, 5)), np.ones(4))):
+        with pytest.raises(ValueError, match="need"):
+            bootstrap_sigma(np.ones((2, 5)), obs, 10, 0, s_ini)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
+    k=st.integers(1, 3),
     n=st.integers(1, 300),
     blocks=st.integers(1, 3),
     tail=st.floats(0.0, 1.0),
+    gap=st.floats(0.5, 3.0),
+    underflow=st.booleans(),
     seed=st.integers(0, 2**63),
-    kind=st.sampled_from(["mean", "weighted", "eta"]),
 )
-def test_blocked_bootstrap_equals_one_resample_at_a_time(n, blocks, tail, seed, kind):
-    # The blocked draw must be the same random stream and the row-wise
-    # statistics the same floating-point sums as the scalar loop.
-    rows = max(1, BOOTSTRAP_BLOCK // n)
-    n_resamples = max(2, (blocks - 1) * rows + 1 + int(tail * (rows - 1)))
+def test_blocked_bootstrap_equals_one_resample_at_a_time(k, n, blocks, tail, gap, underflow, seed):
+    # Every sigma from the summed table must match the row-wise estimators
+    # applied to each resample of the same index draw.  A sigma is known to
+    # about eps |statistic| / sigma on either side, so the ln-norms of a row
+    # are spaced by a gap of 0.5 to 3 (no sample swamps its neighbour and
+    # eta is not within rounding of 1), and at least 16 resamples make it
+    # unlikely that all of them give one value (with M = 2, eta = 1 for
+    # every resample that repeats one sample).
+    rows = max(1, BOOTSTRAP_BLOCK // (n * (4 * k + 1)))
+    n_resamples = max(16, (blocks - 1) * rows + 1 + int(tail * (rows - 1)))
     rng = np.random.default_rng(seed % 1000)
-    logs, obs = rng.normal(scale=3.0, size=n), rng.normal(size=n)
-    if kind == "mean":
-        got = bootstrap_sigma(obs, simple_expectation, n_resamples, seed)
-        want = _one_resample_at_a_time(obs, np.mean, n_resamples, seed)
-    elif kind == "weighted":
-        pairs = np.column_stack([logs, obs])
-        got = bootstrap_sigma(pairs, lambda d: weighted_expectation(d[..., 0], d[..., 1]), n_resamples, seed)
-        want = _one_resample_at_a_time(pairs, _weighted, n_resamples, seed)
-    else:
-        got = bootstrap_sigma(logs, efficiency, n_resamples, seed)
-        want = _one_resample_at_a_time(logs, _eta, n_resamples, seed)
-    assert got == want
-
-
-def test_bootstrap_refuses_a_statistic_without_one_value_per_resample():
-    vals = np.arange(5.0)
-    with pytest.raises(ValueError, match="one value per resample"):
-        bootstrap_sigma(vals, np.mean, 10)
-    with pytest.raises(ValueError, match="one value per resample"):
-        bootstrap_sigma(vals, lambda draw: draw, 10)
+    logs = rng.permuted(np.tile(gap * np.arange(n), (k, 1)), axis=1) + rng.uniform(-1e6, 1e6)
+    if underflow:
+        # a spread above 708: a resample of only the lowered samples has every weight underflow
+        logs[:, rng.random(n) < 0.5] -= 1000.0
+    obs, s_ini = rng.normal(size=(k, n)), rng.random(n)
+    got = bootstrap_sigma(logs, obs, n_resamples, seed, s_ini)
+    want = bootstrap_reference(logs, obs, s_ini, n_resamples, seed)
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-12, abs=0.0)
