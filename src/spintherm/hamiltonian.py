@@ -215,7 +215,7 @@ def model_terms(spec: ModelSpec) -> tuple[list[tuple[int, np.ndarray]], list[tup
 
 
 def apply_terms(terms: HamiltonianTerms, amps: np.ndarray) -> np.ndarray:
-    """The operator applied to a flat amplitude array; returns a new array.
+    """The operator applied to every row of an amplitude array, shape (..., 2**L); returns a new array.
 
     One kernel call per entry of ``terms.compiled``.
     """

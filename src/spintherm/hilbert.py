@@ -19,7 +19,9 @@ bond, or a 16x16 block of BLOCK_SITES = 4 sites) permuted to memory order
 (the rightmost site in the highest bit).  On the low sites, where the
 2**(site-1) amplitudes below the block are few, the compiled matrix is
 ``kron(mem, I_inner).T`` instead, so the contraction is one GEMM rather
-than thousands of tiny ones.
+than thousands of tiny ones.  That form needs at least two GEMM rows per
+state: a single row would go to GEMV, and a state alone would then round
+differently from the same state among the rows of a batch.
 
 ``compile_chain`` builds every chain operator from its L - 1 bond
 operators and is the one place that knows the block layout and the order
@@ -145,7 +147,8 @@ class CompiledBlock:
 
     ``matrix`` is read-only: the 2**width x 2**width operator in memory
     order, or kron(mem, I_inner).T, a square of side 2**width * inner with
-    inner = 2**(site-1), when that side is at most SMALL_SIDE.
+    inner = 2**(site-1), when that side is at most SMALL_SIDE and half the
+    state.
     """
 
     site: int
@@ -173,7 +176,7 @@ def compile_block(mat: np.ndarray, site: int, num_sites: int) -> CompiledBlock:
     order = tuple(reversed(range(width)))
     mem = mat.reshape((2,) * 2 * width).transpose(order + tuple(width + a for a in order)).reshape(dim, dim)
     inner_dim = 1 << (site - 1)
-    if dim * inner_dim <= SMALL_SIDE:
+    if dim * inner_dim <= min(SMALL_SIDE, 1 << (num_sites - 1)):
         mem = kron(mem.T, np.eye(inner_dim))  # = kron(mem, I_inner).T
     matrix = np.ascontiguousarray(mem)
     matrix.setflags(write=False)
@@ -205,17 +208,18 @@ def compile_chain(ops, fuse) -> tuple[CompiledBlock, ...]:
 
 
 def apply_two_site(amps: np.ndarray, block: CompiledBlock) -> np.ndarray:
-    """Apply a compiled block to a flat amplitude array; returns a new array.
+    """Apply a compiled block to every row of an amplitude array, shape (..., 2**L); returns a new array.
 
     The name is kept from when every block was a two-site bond: it is the
-    one kernel through which every chain operator reaches a state.
+    one kernel through which every chain operator reaches a state.  Both
+    forms fold the leading axes into the rows of one product.
     """
-    if amps.shape != (1 << block.num_sites,):
+    if amps.ndim == 0 or amps.shape[-1] != 1 << block.num_sites:
         raise ValueError(
             f"amplitude array of shape {amps.shape} does not match {block.num_sites} sites"
         )
     dim = 1 << block.width
     inner_dim = 1 << (block.site - 1)
-    if dim * inner_dim <= SMALL_SIDE:
+    if dim * inner_dim <= min(SMALL_SIDE, 1 << (block.num_sites - 1)):
         return (amps.reshape(-1, dim * inner_dim) @ block.matrix).reshape(amps.shape)
     return np.matmul(block.matrix, amps.reshape(-1, dim, inner_dim)).reshape(amps.shape)

@@ -16,6 +16,15 @@ the Krylov space is exhausted.  evolve returns
 |psi| V_k e^{-theta (T_k - theta_0)} e_1 (V_k the Lanczos vectors) and
 folds ln |psi| - theta theta_0 into the log-norm offset.
 
+One recurrence serves both, on the rows of a (B, 2**L) array in lockstep,
+as the finite-temperature Lanczos method runs independent random vectors
+(Jaklic & Prelovsek, PRB 49, 5065 (1994)).  A step is one H application
+to every running row, a dot per row, one stacked eigh of the B
+tridiagonals and a vectorised read-out; a row leaves at its own stop
+step, and its values do not depend on the rows beside it.  The run
+command takes B from L (cli.BATCH_AMPLITUDES); evolve and
+evolve_with_checkpoints are calls with B = 1.
+
 The Ritz values are the part of the spectrum the state sees, so no bound
 on the spectrum is estimated and nothing is restarted.  The vectors are
 not reorthogonalized: both the quadrature and the Krylov exponential
@@ -27,7 +36,6 @@ Comput. 19 (1998)).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +49,7 @@ __all__ = [
     "BetaGrid",
     "evolve",
     "evolve_with_checkpoints",
+    "walk",
 ]
 
 MAX_BETA_POINTS = 10_000
@@ -82,39 +91,70 @@ class BetaGrid:
         return cls(tuple(round(start + k * step, 10) for k in range(round(span) + 1)))
 
 
-def _norm(state: StateVector, terms: HamiltonianTerms) -> float:
-    """|amplitudes| of a state the operator acts on; ValueError on a size mismatch or zero norm."""
-    if terms.L != state.num_sites:
-        raise ValueError(f"size mismatch: operator on {terms.L} sites, state on {state.num_sites}")
-    nrm = float(np.linalg.norm(state.amplitudes))
-    if nrm == 0.0:
+def _norms(rows: np.ndarray, terms: HamiltonianTerms) -> np.ndarray:
+    """|amplitudes| of each row the operator acts on; ValueError on a size mismatch or a zero norm."""
+    if rows.shape[-1] != 1 << terms.L:
+        raise ValueError(f"size mismatch: operator on {terms.L} sites, state on {rows.shape[-1].bit_length() - 1}")
+    nrm = np.array([np.linalg.norm(row) for row in rows])
+    if not nrm.all():
         raise ValueError("degenerate state: zero norm")
     return nrm
 
 
-def _lanczos(terms: HamiltonianTerms, unit: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Lanczos on the operator from a unit vector, without reorthogonalization.
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re <a_i|b_i> for each row pair, one vdot per row: the same sum for a row alone or in a batch."""
+    return np.array([np.vdot(x, y).real for x, y in zip(a, b)])
 
-    After step k yields (v_k, theta, q): the k-th Lanczos vector and the
-    Ritz pairs of T_k (theta ascending, q[:, j] the eigenvector of
-    theta[j]).  Ends when the Krylov space is exhausted: the next vector
-    would be below 1e-12 of |H v_k|, or k reached the dimension.
+
+def _lanczos(terms: HamiltonianTerms, units: np.ndarray, read, basis=None) -> list:
+    """Lanczos on each unit row of ``units`` (B, N) in lockstep, without reorthogonalization.
+
+    After step k, ``read(rows, ritz, q)`` gets the indices ``rows`` of the
+    b rows still running and their Ritz pairs of T_k (ritz (b, k)
+    ascending, q[i, :, j] the eigenvector of ritz[i, j]) and returns
+    (values, scale), values (b, n).  A row stops when no value moved by
+    more than 1e-14 scale since its last step, or when its Krylov space is
+    exhausted: the next vector would be below 1e-12 of |H v_k|, or k = N.
+    Returns each row's (values, ritz) at its stop step.  With ``basis``, B
+    lists, each row's Lanczos vectors are appended to its list.
     """
-    vec, prev = unit, None
-    alphas: list[float] = []
-    offs: list[float] = []
+    rows, final = np.arange(len(units)), [None] * len(units)
+    vec, prev, off, last = units, None, None, None
+    tri = np.zeros((len(units), 32, 32))  # each row's T_k in its leading k x k, lower triangle
+    k = 0
     while True:
         w = apply_terms(terms, vec)
-        alphas.append(float(np.vdot(vec, w).real))
-        yield (vec, *np.linalg.eigh(np.diag(alphas) + np.diag(offs, -1)))
-        w -= alphas[-1] * vec
-        if prev is not None:
-            w -= offs[-1] * prev
-        off = math.sqrt(np.vdot(w, w).real)
-        if off <= 1e-12 * math.hypot(alphas[-1], *offs[-1:]) or len(alphas) == unit.size:
-            return
-        offs.append(off)
-        prev, vec = vec, w / off
+        if basis is not None:
+            for row, v in zip(rows, vec):
+                basis[row].append(v)
+        if k == tri.shape[1]:
+            tri = np.pad(tri, ((0, 0), (0, k), (0, k)))
+        alpha = _dots(vec, w)
+        tri[:, k, k] = alpha
+        if k:
+            tri[:, k, k - 1] = off
+        k += 1
+        ritz, q = np.linalg.eigh(tri[:, :k, :k])
+        values, scale = read(rows, ritz, q)
+        stop = np.zeros(len(rows), dtype=bool)
+        if last is not None:
+            if last.shape[1] < values.shape[1]:  # evolve's coefficients gain one per step
+                last = np.pad(last, ((0, 0), (0, 1)))
+            stop = (abs(values - last) <= 1e-14 * scale).all(axis=1)
+        if not stop.all():
+            w -= alpha[:, None] * vec
+            if prev is not None:
+                w -= off[:, None] * prev
+            grown = np.sqrt(_dots(w, w))
+            stop |= (grown <= 1e-12 * np.hypot(alpha, 0.0 if off is None else off)) | (k == units.shape[1])
+        for i in np.flatnonzero(stop):
+            final[rows[i]] = (values[i], ritz[i])
+        if stop.all():
+            return final
+        if stop.any():  # the rest run on without the stopped rows
+            keep = ~stop
+            rows, vec, w, grown, values, tri = rows[keep], vec[keep], w[keep], grown[keep], values[keep], tri[keep]
+        prev, vec, off, last = vec, w / grown[:, None], grown, values
 
 
 def evolve(state: StateVector, terms: HamiltonianTerms, theta: float) -> StateVector:
@@ -126,42 +166,49 @@ def evolve(state: StateVector, terms: HamiltonianTerms, theta: float) -> StateVe
     """
     if theta < 0.0 or not np.isfinite(theta):
         raise ValueError(f"theta must be finite and >= 0, got {theta}")
-    nrm = _norm(state, terms)
+    nrm = float(_norms(state.amplitudes[None], terms)[0])
     if theta == 0.0:
         return StateVector(state.amplitudes.copy(), state.log_norm_offset, state.num_sites)
-    basis, last = [], np.zeros(0)
-    for vec, ritz, q in _lanczos(terms, state.amplitudes / nrm):
-        basis.append(vec)
-        coef = q @ (q[0] * np.exp(-theta * (ritz - ritz[0])))  # e^{-theta (T_k - theta_0)} e_1
-        if np.max(np.abs(coef - np.append(last, 0.0))) <= 1e-14 * np.linalg.norm(coef):
-            break
-        last = coef
-    out = sum(c * vec for c, vec in zip(coef, basis))
+
+    def read(live, ritz, q):  # e^{-theta (T_k - theta_0)} e_1
+        coef = np.matmul(q, (q[:, 0] * np.exp(-theta * (ritz - ritz[:, :1])))[:, :, None])[:, :, 0]
+        return coef, np.linalg.norm(coef, axis=1, keepdims=True)
+
+    basis = [[]]
+    [(coef, ritz)] = _lanczos(terms, state.amplitudes[None] / nrm, read, basis)
+    out = sum(c * vec for c, vec in zip(coef, basis[0]))
     sq = float(np.vdot(out, out).real)
     log_norm = state.log_norm_offset + math.log(nrm) + 0.5 * math.log(sq) - theta * ritz[0]
     return StateVector(out / math.sqrt(sq), log_norm, state.num_sites)
 
 
-def evolve_with_checkpoints(
-    state: StateVector,
-    terms: HamiltonianTerms,
-    grid: BetaGrid,
-) -> list[tuple[float, float, float]]:
-    """(beta, ln <psi|e^{-beta H}|psi>, <H>_beta) at every beta of the grid.
+def walk(rows: np.ndarray, terms: HamiltonianTerms, grid: BetaGrid) -> tuple[np.ndarray, np.ndarray]:
+    """ln <psi|e^{-beta H}|psi> and <H>_beta of every row psi of ``rows`` (B, 2**L), each (B, K).
 
-    The log norm is measured relative to the input state's offset.  One
-    Lanczos run serves the whole grid; it builds no filtered state.
+    The rows walk in lockstep, one Lanczos run each for the whole grid, and
+    each stops at its own step; a row's values do not depend on the rows
+    beside it.  Builds no filtered state.
     """
-    nrm = _norm(state, terms)
+    nrm = _norms(rows, terms)
     betas = np.array(grid.checkpoints)
-    minus_betas, log_sq_norm = -betas[:, None], 2.0 * math.log(nrm)
-    last = None
-    for _, ritz, q in _lanczos(terms, state.amplitudes / nrm):
-        boltz = q[0] ** 2 * np.exp(minus_betas * (ritz - ritz[0]))  # (beta, Ritz pair) quadrature terms
-        total = boltz.sum(axis=1)
-        values = np.concatenate((log_sq_norm - betas * ritz[0] + np.log(total), boltz @ ritz / total))
-        if last is not None and (abs(values - last) <= 1e-14 * np.maximum(1.0, abs(values))).all():
-            break
-        last = values
-    log_sq, energy = np.split(values, 2)
-    return [(b, float(s), float(e)) for b, s, e in zip(grid.checkpoints, log_sq, energy)]
+    minus_betas, log_sq_norm = -betas[:, None], np.array([2.0 * math.log(n) for n in nrm])
+
+    def read(live, ritz, q):  # (row, beta, Ritz pair) quadrature terms
+        boltz = q[:, :1] ** 2 * np.exp(minus_betas * (ritz - ritz[:, :1])[:, None])
+        total = boltz.sum(axis=2)
+        values = np.concatenate(
+            (log_sq_norm[live, None] - betas * ritz[:, :1] + np.log(total),
+             np.matmul(boltz, ritz[:, :, None])[:, :, 0] / total), axis=1)
+        return values, np.maximum(1.0, abs(values))
+
+    values = np.array([v for v, _ in _lanczos(terms, rows / nrm[:, None], read)])
+    return values[:, : len(betas)], values[:, len(betas) :]
+
+
+def evolve_with_checkpoints(state: StateVector, terms: HamiltonianTerms, grid: BetaGrid) -> list[tuple[float, float, float]]:
+    """(beta, ln <psi|e^{-beta H}|psi>, <H>_beta) at every beta of the grid: walk on one row.
+
+    The log norm is measured relative to the input state's offset.
+    """
+    log_sq, energy = walk(state.amplitudes[None], terms, grid)
+    return [(b, float(s), float(e)) for b, s, e in zip(grid.checkpoints, log_sq[0], energy[0])]

@@ -8,7 +8,10 @@ layers of two-site Trotter gates built from a nonintegrable chain
 scrambles them toward volume-law entanglement while keeping the
 preparation cost at L - 1 gates per step.  A step is compiled once by
 ``hilbert.compile_chain``, so the brick and the H matvec run through the
-same kernel.
+same kernel.  ``scramble`` runs the brick on the rows of a (B, 2**L)
+array in lockstep, one kernel call per compiled entry for all B rows;
+the run command takes B from L (cli.BATCH_AMPLITUDES), and
+``apply_circuit`` is its call with B = 1.
 
 Randomness is derived per sample from (master_seed, sample_index)
 through numpy's SeedSequence, so sample m is the same bit pattern no
@@ -23,7 +26,7 @@ from functools import reduce
 import numpy as np
 
 from .hamiltonian import ModelSpec, bond_generators, model_terms
-from .hilbert import CompiledBlock, StateVector, apply_two_site, compile_chain, normalize
+from .hilbert import CompiledBlock, StateVector, apply_two_site, compile_chain
 
 __all__ = [
     "MAX_TAU",
@@ -33,6 +36,7 @@ __all__ = [
     "sample_haar",
     "build_trotter_circuit",
     "apply_circuit",
+    "scramble",
 ]
 
 
@@ -152,20 +156,29 @@ def build_trotter_circuit(spec: ModelSpec, tau: float, n_reps: int) -> TrotterCi
     return TrotterCircuit(gates, n_reps)
 
 
-def apply_circuit(state: StateVector, circuit: TrotterCircuit) -> StateVector:
-    """Run n_reps Trotter steps (even bonds first within each step).
+def scramble(rows: np.ndarray, circuit: TrotterCircuit) -> tuple[np.ndarray, np.ndarray]:
+    """Run n_reps Trotter steps (even bonds first within each step) on every row of ``rows``, shape (B, 2**L).
 
-    Each step applies the compiled ``circuit.gates`` in order.  The result
-    is re-normalized; the drift is rounding-level since every gate is
-    unitary.
+    The rows step in lockstep: each kernel call applies one compiled entry
+    of ``circuit.gates`` to all of them, and a row's amplitudes do not
+    depend on the rows beside it.  Returns the rows re-normalized and the ln
+    of their norms; the drift is rounding-level since every gate is unitary.
     """
+    for _ in range(circuit.n_reps):
+        for gate in circuit.gates:
+            rows = apply_two_site(rows, gate)
+    nrm = np.array([np.linalg.norm(row) for row in rows])
+    if not (np.isfinite(nrm).all() and nrm.all()):
+        raise ValueError("degenerate state: cannot normalize zero or non-finite norm")
+    return rows / nrm[:, None], np.log(nrm)
+
+
+def apply_circuit(state: StateVector, circuit: TrotterCircuit) -> StateVector:
+    """``scramble`` of one state, its norm folded into the offset; n_reps = 0 returns an unchanged copy."""
     num_sites = circuit.gates[0].num_sites
     if num_sites != state.num_sites:
         raise ValueError(f"circuit built for {num_sites} sites, state has {state.num_sites}")
     if circuit.n_reps == 0:
         return StateVector(state.amplitudes.copy(), state.log_norm_offset, state.num_sites)
-    amps = state.amplitudes
-    for _ in range(circuit.n_reps):
-        for gate in circuit.gates:
-            amps = apply_two_site(amps, gate)
-    return normalize(StateVector(amps, state.log_norm_offset, state.num_sites))
+    (amps,), (log_norm,) = scramble(state.amplitudes[None], circuit)
+    return StateVector(amps, state.log_norm_offset + log_norm, state.num_sites)

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spintherm.cli import (
     ConfigError,
@@ -29,9 +31,9 @@ import spintherm
 from helpers import bootstrap_reference
 from spintherm import cli, hilbert
 from spintherm.estimators import efficiency, simple_expectation, weighted_expectation
-from spintherm.hamiltonian import MAX_COUPLING, ModelSpec
+from spintherm.hamiltonian import MAX_COUPLING, ModelSpec, build_hamiltonian
 from spintherm.imagtime import MAX_BETA, MAX_BETA_POINTS, BetaGrid
-from spintherm.state_prep import MAX_TAU
+from spintherm.state_prep import MAX_TAU, build_trotter_circuit
 
 MINIMAL = """
 system.kind = heisenberg
@@ -188,13 +190,45 @@ def test_run_outputs_are_reproducible(tmp_path):
         assert paths_a[key].read_bytes() == paths_b[key].read_bytes() == paths_r[key].read_bytes()
 
 
-def test_run_outputs_independent_of_thread_count(tmp_path):
+def test_run_outputs_independent_of_thread_count(tmp_path, monkeypatch):
     one = dataclasses.replace(tiny_config(tmp_path / "t1"), threads=1)
     two = dataclasses.replace(tiny_config(tmp_path / "t2"), threads=2)
     paths_one = run_experiment(one)
     paths_two = run_experiment(two)
     assert paths_one["samples"].read_bytes() == paths_two["samples"].read_bytes()
     assert paths_one["summary"].read_bytes() == paths_two["summary"].read_bytes()
+    # M = 7 is no multiple of most batch sizes: B = 7 (one worker) or 4 (two) by default; with
+    # 16 amplitudes a batch, B = 2 at L = 3 and 1 at L = 4; with 48, B = 6 or 4 at L = 3 and 3 at L = 4
+    files = set()
+    for budget in (cli.BATCH_AMPLITUDES, 16, 48):
+        monkeypatch.setattr(cli, "BATCH_AMPLITUDES", budget)
+        for threads in (1, 2):
+            cfg = dataclasses.replace(tiny_config(tmp_path / f"b{budget}t{threads}"), M=7, threads=threads)
+            paths = run_experiment(cfg)
+            files.add((paths["samples"].read_bytes(), paths["summary"].read_bytes()))
+    assert len(files) == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    L=st.integers(3, 10),
+    init_class=st.sampled_from(("haar", "trotter_rpps")),
+    M=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lockstep_rows_are_bit_identical_whatever_the_batch(L, init_class, M, seed):
+    terms = build_hamiltonian(ModelSpec(kind="heisenberg", L=L))
+    circuit = build_trotter_circuit(ModelSpec(kind="mixed_ising", L=L, h_x=1.0, h_z=1.0), 10.0, 2 * L)
+    grid = BetaGrid((0.5, 1.0, 3.0))
+
+    def batched(size):
+        parts = [cli._run_batch(L, init_class, seed, circuit, terms, grid, range(start, min(start + size, M)))
+                 for start in range(0, M, size)]
+        return [np.concatenate(part) for part in zip(*parts)]  # entropies, ln-norms, energies
+
+    whole = batched(M)
+    for size in (1, 2, 3):
+        assert all(np.array_equal(a, b) for a, b in zip(whole, batched(size))), size
 
 
 def test_run_compiles_each_operator_once_whatever_m(tmp_path, monkeypatch):
@@ -287,7 +321,7 @@ def test_pool_is_capped_at_samples_and_cpus(tmp_path, monkeypatch):
         def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli, "_process_pool", InProcessPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     base = dataclasses.replace(tiny_config(tmp_path / "pool"), L_list=(4,), n_resamples=0)
     # (threads, M) -> the pool size, or None for no pool
@@ -299,6 +333,11 @@ def test_pool_is_capped_at_samples_and_cpus(tmp_path, monkeypatch):
     sizes.clear()
     run_experiment(dataclasses.replace(base, L_list=(4, 6), threads=2, M=6))
     assert sizes == [2]
+    # and one pool serves every variant of a preset
+    sizes.clear()
+    assert main(["run", "--preset", "fig2", "--L", "4", "--samples", "4", "--threads", "2",
+                 "--out", str(tmp_path / "fig2")]) == 0
+    assert sizes == [2]
 
 
 def test_collect_samples_refuses_nonfinite_or_negative_entropy(tmp_path, monkeypatch):
@@ -309,7 +348,12 @@ def test_collect_samples_refuses_nonfinite_or_negative_entropy(tmp_path, monkeyp
         ((-0.5, [0.0, 0.0], [0.0, 0.0]), "entrop"),
         ((np.nan, [0.0, 0.0], [0.0, 0.0]), "entrop"),
     ):
-        monkeypatch.setattr(cli, "_run_one_sample", lambda *args, out=faulty: out)
+        # every sample of a batch gets the faulty (entropy, ln-norms, energies)
+        def batch(*args, out=faulty):
+            n = len(args[-1])
+            return np.full(n, out[0]), np.tile(out[1], (n, 1)), np.tile(out[2], (n, 1))
+
+        monkeypatch.setattr(cli, "_run_batch", batch)
         with pytest.raises(ValueError, match=reason):
             run_experiment(cfg)
 
@@ -379,6 +423,8 @@ def test_main_run_preset_writes_variant_directories(tmp_path):
     ("system.J = 1e300", "system: couplings must be finite and at most 1e+06 in magnitude, got J = 1e+300"),
     ("trotter.J = -1.000001e6", "trotter: couplings must be finite and at most 1e+06 in magnitude"),
     ("L_list = 1,4", "L_list: every L must be >= 2"),
+    # a 2**40-amplitude state is 16 TiB: no worker could hold it
+    ("L_list = 40\nfull_scale = true", "L_list: L = 40 needs 8 state vectors of 2**L amplitudes"),
     # the byte 0xe9 alone, which is not UTF-8
     ("label = caf\udce9", "{path}: 'utf-8' codec can't decode byte 0xe9"),
 ])

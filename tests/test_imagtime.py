@@ -172,7 +172,8 @@ def test_run_costs_the_walks_of_its_samples_and_nothing_more(monkeypatch):
     calls = []
     original = hamiltonian.apply_terms
     for module in (hamiltonian, imagtime):
-        monkeypatch.setattr(module, "apply_terms", lambda t, a: calls.append(1) or original(t, a))
+        # counted in rows: a batched call applies H to each row of its (B, 2**L) array
+        monkeypatch.setattr(module, "apply_terms", lambda t, a: calls.append(a.size >> t.L) or original(t, a))
     spec = ModelSpec(kind="heisenberg", L=6, J=1.0)
     terms = build_hamiltonian(spec)
     grid = BetaGrid((0.5, 1.0, 3.0))
@@ -182,18 +183,18 @@ def test_run_costs_the_walks_of_its_samples_and_nothing_more(monkeypatch):
     for m in range(cfg.M):
         calls.clear()
         evolve_with_checkpoints(sample_haar(6, SampleSeed(8, m)), terms, grid)
-        walks += len(calls)
+        walks += sum(calls)
     calls.clear()
     monkeypatch.setattr("spintherm.cli.emit_results", lambda *args: {})
     run_experiment(cfg)
-    assert len(calls) == walks  # no matvec outside the samples' walks
+    assert sum(calls) == walks  # no matvec outside the samples' walks
 
     # the paper's setting: a Haar walk at L = 12, beta J = 3
     terms = build_hamiltonian(dataclasses.replace(spec, L=12))
     for m in range(3):
         calls.clear()
         evolve_with_checkpoints(sample_haar(12, SampleSeed(8, m)), terms, BetaGrid((3.0,)))
-        assert len(calls) <= 25
+        assert sum(calls) <= 25
 
 
 def test_evolve_stays_exact_at_large_theta():
