@@ -16,22 +16,20 @@ from .estimators import (
     weights,
 )
 from .hamiltonian import HamiltonianTerms, ModelSpec, build_hamiltonian
-from .hilbert import StateVector, normalize, schmidt_spectrum
-from .imagtime import BetaGrid, evolve, evolve_with_checkpoints
+from .hilbert import schmidt_spectrum
+from .imagtime import BetaGrid, evolve, walk
 from .state_prep import (
     SampleSeed,
     TrotterCircuit,
-    apply_circuit,
     build_trotter_circuit,
     sample_haar,
     sample_rpps,
+    scramble,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "StateVector",
-    "normalize",
     "schmidt_spectrum",
     "ModelSpec",
     "HamiltonianTerms",
@@ -41,10 +39,10 @@ __all__ = [
     "sample_rpps",
     "sample_haar",
     "build_trotter_circuit",
-    "apply_circuit",
+    "scramble",
     "BetaGrid",
     "evolve",
-    "evolve_with_checkpoints",
+    "walk",
     "weights",
     "efficiency",
     "weighted_expectation",

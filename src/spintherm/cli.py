@@ -28,11 +28,9 @@ a value-to-text conversion.  Config files (flat ``key = value`` text),
 run.json (a JSON object of the same keys and texts), the presets (a
 desk base plus each variant's changes) and the run command's overrides
 are key -> text maps given to one reader, which names the key of every
-bad value and ends in validate_config.  Chain lengths above
-FULL_SCALE_LIMIT sites demand ``full_scale = true`` (CLI
-``--full-scale``) and print a warning; everything else is desk scale.
-A length whose LIVE_VECTORS state vectors per worker exceed physical
-memory is refused.
+bad value and ends in validate_config.  The one bound on the chain
+length is memory: a length whose LIVE_VECTORS state vectors per worker
+exceed physical memory is refused.
 """
 
 from __future__ import annotations
@@ -57,13 +55,11 @@ from .estimators import (
     weighted_expectation,
 )
 from .hamiltonian import ModelSpec, build_hamiltonian
-from .hilbert import StateVector
 from .imagtime import BetaGrid, walk
 from .state_prep import MAX_TAU, SampleSeed, build_trotter_circuit, sample_haar, sample_rpps, scramble
 
 __all__ = [
     "INIT_CLASSES",
-    "FULL_SCALE_LIMIT",
     "ConfigError",
     "RunConfig",
     "parse_config",
@@ -78,7 +74,6 @@ __all__ = [
 ]
 
 INIT_CLASSES = ("haar", "rpps", "trotter_rpps")
-FULL_SCALE_LIMIT = 14
 
 # Amplitudes per batch task: B = BATCH_AMPLITUDES >> L samples, at least
 # one.  At L = 8 and 10 (one BLAS thread, 2-core x86) batches of 16 and 4
@@ -112,7 +107,6 @@ class RunConfig:
     n_resamples: int = 4000
     threads: int | None = None
     label: str = ""
-    full_scale: bool = False
 
     def resolved_label(self) -> str:
         return self.label if self.label else self.init_class
@@ -134,11 +128,6 @@ def validate_config(cfg: RunConfig) -> None:
         problems.append(f"L_list: every L must be >= 2, got {cfg.L_list}")
     if len(set(cfg.L_list)) != len(cfg.L_list):
         problems.append(f"L_list: duplicate lengths in {cfg.L_list}")
-    if max(cfg.L_list, default=2) > FULL_SCALE_LIMIT and not cfg.full_scale:
-        problems.append(
-            f"L_list: chains above {FULL_SCALE_LIMIT} sites take hours; "
-            "set full_scale = true (--full-scale) to confirm"
-        )
     workers, memory = max(1, _workers(cfg)), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     fits = (memory // (LIVE_VECTORS * 16 * workers)).bit_length() - 1  # the longest chain whose vectors fit
     if max(cfg.L_list, default=2) > fits:
@@ -160,21 +149,16 @@ def validate_config(cfg: RunConfig) -> None:
         problems.append(f"threads: must be >= 1 or unset, got {cfg.threads}")
     if not cfg.output_path:
         problems.append("output_path: must be nonempty")
-    if any(c in cfg.label for c in ',"\r\n'):  # written unquoted into a summary.csv field
-        problems.append(f"label: must not contain a comma, quote or line break, got {cfg.label!r}")
+    # written unquoted into a summary.csv field and printed, whatever the locale's encoding
+    if not all(" " <= c <= "~" and c not in ',"' for c in cfg.label):
+        problems.append(f"label: must not contain a comma, quote or any character but printable ASCII, "
+                        f"got {ascii(cfg.label)}")
     if problems:
         raise ConfigError("; ".join(problems))
 
 
 # ---------------------------------------------------------------------------
 # The config schema: one reader and one writer for every source
-
-
-def _bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low not in ("true", "yes", "1", "false", "no", "0"):
-        raise ValueError(f"expected true/false, got {text!r}")
-    return low in ("true", "yes", "1")
 
 
 def _beta_grid(text: str) -> BetaGrid:
@@ -204,7 +188,6 @@ _FIELDS = {
     "output_path": _TEXT,
     "threads": _INT,
     "label": _TEXT,
-    "full_scale": (_bool, lambda flag: "true" if flag else "false"),
     **{f"{model}.{name}": conv for model in ("system", "trotter") for name, conv in _MODEL.items()},
 }
 _REQUIRED = ("system.kind", "init_class", "beta_grid", "L_list", "M", "master_seed")
@@ -341,14 +324,11 @@ def preset_variants(name: str) -> list[RunConfig]:
 def _run_batch(L: int, init_class: str, master_seed: int, circuit, system_terms, grid: BetaGrid,
                samples: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Initial entropies (B,), and ln-norms and energies (B, K), of the samples drawn and run in lockstep."""
-    if init_class == "haar":
-        rows = np.array([sample_haar(L, SampleSeed(master_seed, m)).amplitudes for m in samples])
-    else:
-        rows = np.array([sample_rpps(L, SampleSeed(master_seed, m)).amplitudes for m in samples])
-        if init_class == "trotter_rpps":
-            rows = scramble(rows, circuit)[0]
-    s_ini = np.array([entanglement_entropy(StateVector(row, 0.0, L)) for row in rows])
-    return (s_ini, *walk(rows, system_terms, grid))
+    sample = sample_haar if init_class == "haar" else sample_rpps
+    rows = np.array([sample(L, SampleSeed(master_seed, m)) for m in samples])
+    if init_class == "trotter_rpps":
+        rows = scramble(rows, circuit)[0]
+    return (entanglement_entropy(rows), *walk(rows, system_terms, grid))
 
 
 def _workers(cfg: RunConfig) -> int:
@@ -466,8 +446,6 @@ def run_experiments(runs: list[tuple[RunConfig, str | Path]]):
     """
     for cfg, _ in runs:
         validate_config(cfg)
-        if max(cfg.L_list) > FULL_SCALE_LIMIT:
-            print(f"warning: L={max(cfg.L_list)} is full scale; expect hours of runtime", file=sys.stderr)
     workers = max(_workers(cfg) for cfg, _ in runs)
     jobs = [(cfg, L, out) for cfg, out in runs for L in sorted(cfg.L_list)]
     summary_rows: list[tuple] = []
@@ -516,8 +494,6 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument("--seed", dest="master_seed", help="master seed")
     run_p.add_argument("--out", help="output directory")
     run_p.add_argument("--threads", help="worker processes, at most M and the cpu count")
-    run_p.add_argument("--full-scale", action="store_const", const="true",
-                       help="allow chains above the desk-scale limit")
 
     val_p = sub.add_parser("validate", help="check a config file without running it")
     val_p.add_argument("--config", required=True)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hilbert import StateVector, schmidt_spectrum
+from .hilbert import chain_length, schmidt_spectrum
 
 __all__ = [
     "weights",
@@ -85,14 +85,18 @@ def simple_expectation(obs):
     return _samples(obs).mean(axis=-1)
 
 
-def entanglement_entropy(state: StateVector) -> float:
-    """Half-chain von Neumann entropy in nats (cut after site floor(L/2)).
+def entanglement_entropy(amps):
+    """Half-chain von Neumann entropy in nats (cut after site floor(L/2)) of each row of ``amps`` (..., 2**L).
 
-    Bounded by floor(L/2) * ln 2; zero for any product state.
+    A float for one state, one value per row for a stack.  Bounded by
+    floor(L/2) * ln 2; zero for any product state.
     """
-    lam = schmidt_spectrum(state, state.num_sites // 2)
-    lam = lam[lam > 0.0]
-    return float(-np.sum(lam * np.log(lam)))
+    lam = schmidt_spectrum(amps, chain_length(amps) // 2)
+    ent = []
+    for row in lam.reshape(-1, lam.shape[-1]):
+        row = row[row > 0.0]  # summed alone: the padded row would group the pairwise sum differently
+        ent.append(-np.sum(row * np.log(row)))
+    return np.reshape(ent, lam.shape[:-1])[()]
 
 
 def bootstrap_sigma(logs, obs, n_resamples: int, seed, s_ini):

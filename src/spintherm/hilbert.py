@@ -7,9 +7,10 @@ b whose bit (i - 1) holds the configuration of site i (sites are
 spin down.  Site 1 is therefore the fastest-running index of the
 amplitude array.  All logarithms are natural.
 
-A StateVector keeps its amplitudes near unit norm and tracks the true
-magnitude separately in ``log_norm_offset``: the represented vector is
-exp(log_norm_offset) * amplitudes.  This keeps imaginary-time weights
+States are the rows of an amplitude array of shape (..., 2**L): one
+state is a (2**L,) array, a batch of B states a (B, 2**L) one.  A routine
+that changes norms returns its rows at unit norm together with the ln of
+the norms it divided out, which keeps imaginary-time weights
 exp(-beta*E) representable far beyond float range.
 
 Every chain operator reaches a state through one kernel,
@@ -43,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "StateVector",
-    "normalize",
+    "chain_length",
+    "row_norms",
     "schmidt_spectrum",
     "BLOCK_SITES",
     "SMALL_SIDE",
@@ -71,66 +72,42 @@ BLOCK_SITES = 4
 SMALL_SIDE = 32
 
 
-@dataclass
-class StateVector:
-    """Amplitudes of a pure state plus a logarithmic scale factor.
+def chain_length(amps: np.ndarray) -> int:
+    """Chain length L of an amplitude array of shape (..., 2**L); ValueError unless L >= 2."""
+    size = amps.shape[-1] if amps.ndim else 0
+    L = size.bit_length() - 1
+    if L < 2 or size != 1 << L:
+        raise ValueError(f"amplitude array of shape {amps.shape} is not (..., 2**L) with L >= 2 sites")
+    return L
 
-    Attributes
-    ----------
-    amplitudes : np.ndarray
-        Complex array of length 2**num_sites.
-    log_norm_offset : float
-        Natural log of the scale carried outside the amplitudes.
-    num_sites : int
-        Chain length L >= 2.
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """|row| of each row of a (B, N) array; ValueError on a zero or non-finite norm.
+
+    One np.linalg.norm per row: the same sum for a row alone or in a batch.
     """
-
-    amplitudes: np.ndarray
-    log_norm_offset: float
-    num_sites: int
-
-    def __post_init__(self) -> None:
-        if self.num_sites < 2:
-            raise ValueError(f"num_sites must be >= 2, got {self.num_sites}")
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        if self.amplitudes.shape != (2**self.num_sites,):
-            raise ValueError(
-                f"amplitude array of shape {self.amplitudes.shape} does not match "
-                f"2**{self.num_sites} sites"
-            )
-        if not np.isfinite(self.log_norm_offset):
-            raise ValueError("log_norm_offset must be finite")
+    if rows.ndim != 2:
+        raise ValueError(f"expected a (B, N) array of rows, got shape {rows.shape}")
+    nrm = np.array([np.linalg.norm(row) for row in rows])
+    if not (np.isfinite(nrm).all() and nrm.all()):
+        raise ValueError("degenerate state: zero norm or non-finite amplitudes")
+    return nrm
 
 
-def normalize(state: StateVector) -> StateVector:
-    """Return a unit-norm copy, folding the norm into log_norm_offset.
-
-    Raises ValueError on a zero (degenerate) state.
-    """
-    nrm = float(np.linalg.norm(state.amplitudes))
-    if nrm == 0.0 or not np.isfinite(nrm):
-        raise ValueError("degenerate state: cannot normalize zero or non-finite norm")
-    return StateVector(
-        state.amplitudes / nrm,
-        state.log_norm_offset + np.log(nrm),
-        state.num_sites,
-    )
-
-
-def schmidt_spectrum(state: StateVector, cut_after: int) -> np.ndarray:
-    """Squared Schmidt coefficients across the cut after site ``cut_after``.
+def schmidt_spectrum(amps: np.ndarray, cut_after: int) -> np.ndarray:
+    """Squared Schmidt coefficients of each row of ``amps`` (..., 2**L) across the cut after site ``cut_after``.
 
     The left block holds sites 1..cut_after, the right block the rest.
-    Returns the descending eigenvalues of either reduced density matrix;
-    they sum to the squared norm of the amplitudes (1 for a normalized
-    state).
+    Returns, per row, the descending eigenvalues of either reduced density
+    matrix; they sum to the squared norm of the row (1 for a unit row).
+    One stacked SVD serves every row.
     """
-    L = state.num_sites
+    L = chain_length(amps)
     if not 1 <= cut_after <= L - 1:
         raise ValueError(f"cut_after must be in [1, {L - 1}], got {cut_after}")
     # Left sites live in the low bits, so the row index of the reshape
     # enumerates the right block.
-    mat = state.amplitudes.reshape(2 ** (L - cut_after), 2**cut_after)
+    mat = amps.reshape(amps.shape[:-1] + (2 ** (L - cut_after), 2**cut_after))
     svals = np.linalg.svd(mat, compute_uv=False)
     return svals**2
 

@@ -12,9 +12,10 @@ is the log of a sum of positive terms, none above 1: no cancellation and
 no overflow at any beta.  <H>_beta is the same sum with theta_j inserted.
 The beta walk reads both at every beta of the grid after each step and
 stops when no value changes by more than 1e-14 max(1, |value|), or when
-the Krylov space is exhausted.  evolve returns
+the Krylov space is exhausted.  evolve builds
 |psi| V_k e^{-theta (T_k - theta_0)} e_1 (V_k the Lanczos vectors) and
-folds ln |psi| - theta theta_0 into the log-norm offset.
+returns it at unit norm with the ln of its norm, which holds
+ln |psi| - theta theta_0.
 
 One recurrence serves both, on the rows of a (B, 2**L) array in lockstep,
 as the finite-temperature Lanczos method runs independent random vectors
@@ -22,8 +23,7 @@ as the finite-temperature Lanczos method runs independent random vectors
 to every running row, a dot per row, one stacked eigh of the B
 tridiagonals and a vectorised read-out; a row leaves at its own stop
 step, and its values do not depend on the rows beside it.  The run
-command takes B from L (cli.BATCH_AMPLITUDES); evolve and
-evolve_with_checkpoints are calls with B = 1.
+command takes B from L (cli.BATCH_AMPLITUDES).
 
 The Ritz values are the part of the spectrum the state sees, so no bound
 on the spectrum is estimated and nothing is restarted.  The vectors are
@@ -41,14 +41,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import HamiltonianTerms, apply_terms
-from .hilbert import StateVector
+from .hilbert import row_norms
 
 __all__ = [
     "MAX_BETA_POINTS",
     "MAX_BETA",
     "BetaGrid",
     "evolve",
-    "evolve_with_checkpoints",
     "walk",
 ]
 
@@ -92,13 +91,10 @@ class BetaGrid:
 
 
 def _norms(rows: np.ndarray, terms: HamiltonianTerms) -> np.ndarray:
-    """|amplitudes| of each row the operator acts on; ValueError on a size mismatch or a zero norm."""
+    """|amplitudes| of each row the operator acts on; ValueError on a size mismatch or a zero or non-finite norm."""
     if rows.shape[-1] != 1 << terms.L:
         raise ValueError(f"size mismatch: operator on {terms.L} sites, state on {rows.shape[-1].bit_length() - 1}")
-    nrm = np.array([np.linalg.norm(row) for row in rows])
-    if not nrm.all():
-        raise ValueError("degenerate state: zero norm")
-    return nrm
+    return row_norms(rows)
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -157,29 +153,32 @@ def _lanczos(terms: HamiltonianTerms, units: np.ndarray, read, basis=None) -> li
         prev, vec, off, last = vec, w / grown[:, None], grown, values
 
 
-def evolve(state: StateVector, terms: HamiltonianTerms, theta: float) -> StateVector:
-    """Return exp(-theta H)|state> with the norm folded into the offset.
+def evolve(rows: np.ndarray, terms: HamiltonianTerms, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-theta H) applied to every row of ``rows`` (B, 2**L): the rows at unit norm and the ln of their norms.
 
-    theta >= 0 (in 1/J).  theta = 0 returns an unchanged copy.  Lanczos
-    steps run until no coefficient of the result in the Lanczos basis
-    changes by more than 1e-14 of the coefficient vector's norm.
+    theta >= 0 (in 1/J); theta = 0 returns a copy of the rows and zeros.
+    Lanczos steps run until no coefficient of a row's result in its
+    Lanczos basis changes by more than 1e-14 of the coefficient vector's
+    norm.
     """
     if theta < 0.0 or not np.isfinite(theta):
         raise ValueError(f"theta must be finite and >= 0, got {theta}")
-    nrm = float(_norms(state.amplitudes[None], terms)[0])
+    nrm = _norms(rows, terms)
     if theta == 0.0:
-        return StateVector(state.amplitudes.copy(), state.log_norm_offset, state.num_sites)
+        return rows.copy(), np.zeros(len(rows))
 
     def read(live, ritz, q):  # e^{-theta (T_k - theta_0)} e_1
         coef = np.matmul(q, (q[:, 0] * np.exp(-theta * (ritz - ritz[:, :1])))[:, :, None])[:, :, 0]
         return coef, np.linalg.norm(coef, axis=1, keepdims=True)
 
-    basis = [[]]
-    [(coef, ritz)] = _lanczos(terms, state.amplitudes[None] / nrm, read, basis)
-    out = sum(c * vec for c, vec in zip(coef, basis[0]))
-    sq = float(np.vdot(out, out).real)
-    log_norm = state.log_norm_offset + math.log(nrm) + 0.5 * math.log(sq) - theta * ritz[0]
-    return StateVector(out / math.sqrt(sq), log_norm, state.num_sites)
+    basis = [[] for _ in rows]
+    out, log_norms = np.empty(rows.shape, dtype=np.complex128), np.empty(len(rows))
+    for i, (coef, ritz) in enumerate(_lanczos(terms, rows / nrm[:, None], read, basis)):
+        row = sum(c * vec for c, vec in zip(coef, basis[i]))
+        sq = float(np.vdot(row, row).real)
+        out[i] = row / math.sqrt(sq)
+        log_norms[i] = math.log(nrm[i]) + 0.5 * math.log(sq) - theta * ritz[0]
+    return out, log_norms
 
 
 def walk(rows: np.ndarray, terms: HamiltonianTerms, grid: BetaGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -203,12 +202,3 @@ def walk(rows: np.ndarray, terms: HamiltonianTerms, grid: BetaGrid) -> tuple[np.
 
     values = np.array([v for v, _ in _lanczos(terms, rows / nrm[:, None], read)])
     return values[:, : len(betas)], values[:, len(betas) :]
-
-
-def evolve_with_checkpoints(state: StateVector, terms: HamiltonianTerms, grid: BetaGrid) -> list[tuple[float, float, float]]:
-    """(beta, ln <psi|e^{-beta H}|psi>, <H>_beta) at every beta of the grid: walk on one row.
-
-    The log norm is measured relative to the input state's offset.
-    """
-    log_sq, energy = walk(state.amplitudes[None], terms, grid)
-    return [(b, float(s), float(e)) for b, s, e in zip(grid.checkpoints, log_sq[0], energy[0])]

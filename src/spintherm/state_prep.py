@@ -10,8 +10,8 @@ preparation cost at L - 1 gates per step.  A step is compiled once by
 ``hilbert.compile_chain``, so the brick and the H matvec run through the
 same kernel.  ``scramble`` runs the brick on the rows of a (B, 2**L)
 array in lockstep, one kernel call per compiled entry for all B rows;
-the run command takes B from L (cli.BATCH_AMPLITUDES), and
-``apply_circuit`` is its call with B = 1.
+the run command takes B from L (cli.BATCH_AMPLITUDES).  A sampler
+returns one state as a (2**L,) array; stacked, the draws are such rows.
 
 Randomness is derived per sample from (master_seed, sample_index)
 through numpy's SeedSequence, so sample m is the same bit pattern no
@@ -26,7 +26,7 @@ from functools import reduce
 import numpy as np
 
 from .hamiltonian import ModelSpec, bond_generators, model_terms
-from .hilbert import CompiledBlock, StateVector, apply_two_site, compile_chain
+from .hilbert import CompiledBlock, apply_two_site, compile_chain, row_norms
 
 __all__ = [
     "MAX_TAU",
@@ -35,7 +35,6 @@ __all__ = [
     "sample_rpps",
     "sample_haar",
     "build_trotter_circuit",
-    "apply_circuit",
     "scramble",
 ]
 
@@ -64,12 +63,13 @@ class SampleSeed:
         )
 
 
-def sample_rpps(num_sites: int, seed: SampleSeed) -> StateVector:
+def sample_rpps(num_sites: int, seed: SampleSeed) -> np.ndarray:
     """Random-phase product state: (e^{i a_i}|up> + e^{i b_i}|down>)/sqrt(2).
 
     Consumes exactly 2*num_sites uniform phases (site order, up before
-    down).  The result is unit-normalized with every amplitude of
-    modulus 2**(-L/2), and has zero entanglement across every cut.
+    down).  The result, a (2**L,) complex128 array, is unit-normalized with
+    every amplitude of modulus 2**(-L/2), and has zero entanglement across
+    every cut.
     """
     if num_sites < 2:
         raise ValueError(f"num_sites must be >= 2, got {num_sites}")
@@ -79,20 +79,17 @@ def sample_rpps(num_sites: int, seed: SampleSeed) -> StateVector:
     amps = np.ones(1, dtype=np.complex128)
     for site in local:
         amps = (site[:, None] * amps).ravel()  # the new site occupies the next-higher bit
-    return StateVector(amps, 0.0, num_sites)
+    return amps
 
 
-def sample_haar(num_sites: int, seed: SampleSeed) -> StateVector:
-    """Haar-random state: 2**L complex standard Gaussians, normalized."""
+def sample_haar(num_sites: int, seed: SampleSeed) -> np.ndarray:
+    """Haar-random state: 2**L complex standard Gaussians, normalized, as a (2**L,) array."""
     if num_sites < 2:
         raise ValueError(f"num_sites must be >= 2, got {num_sites}")
     rng = seed.generator()
     parts = rng.standard_normal((2, 2**num_sites))
     amps = parts[0] + 1j * parts[1]
-    nrm = np.linalg.norm(amps)
-    if nrm == 0.0:
-        raise ValueError("degenerate state: zero-norm Gaussian draw")
-    return StateVector(amps / nrm, 0.0, num_sites)
+    return amps / row_norms(amps[None])[0]
 
 
 # Largest gate time tau a circuit accepts.  The paper's scramblers run at
@@ -164,21 +161,11 @@ def scramble(rows: np.ndarray, circuit: TrotterCircuit) -> tuple[np.ndarray, np.
     depend on the rows beside it.  Returns the rows re-normalized and the ln
     of their norms; the drift is rounding-level since every gate is unitary.
     """
+    num_sites = circuit.gates[0].num_sites
+    if rows.shape[-1] != 1 << num_sites:
+        raise ValueError(f"circuit built for {num_sites} sites, rows of shape {rows.shape}")
     for _ in range(circuit.n_reps):
         for gate in circuit.gates:
             rows = apply_two_site(rows, gate)
-    nrm = np.array([np.linalg.norm(row) for row in rows])
-    if not (np.isfinite(nrm).all() and nrm.all()):
-        raise ValueError("degenerate state: cannot normalize zero or non-finite norm")
+    nrm = row_norms(rows)
     return rows / nrm[:, None], np.log(nrm)
-
-
-def apply_circuit(state: StateVector, circuit: TrotterCircuit) -> StateVector:
-    """``scramble`` of one state, its norm folded into the offset; n_reps = 0 returns an unchanged copy."""
-    num_sites = circuit.gates[0].num_sites
-    if num_sites != state.num_sites:
-        raise ValueError(f"circuit built for {num_sites} sites, state has {state.num_sites}")
-    if circuit.n_reps == 0:
-        return StateVector(state.amplitudes.copy(), state.log_norm_offset, state.num_sites)
-    (amps,), (log_norm,) = scramble(state.amplitudes[None], circuit)
-    return StateVector(amps, state.log_norm_offset + log_norm, state.num_sites)

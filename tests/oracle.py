@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from spintherm.hamiltonian import HamiltonianTerms
-from spintherm.hilbert import StateVector
 
 __all__ = [
     "DENSE_CAP",
@@ -88,34 +87,29 @@ def exact_thermal(
     return float(np.dot(diag_o, boltz) / boltz.sum())
 
 
-def exact_evolve(op: DenseOperator, state: StateVector, theta: float, kind: str) -> StateVector:
-    """Exact e^{-i theta H} (kind='real_time') or e^{-theta H} ('imag_time').
+def exact_evolve(op: DenseOperator, amps: np.ndarray, theta: float, kind: str) -> tuple[np.ndarray, float]:
+    """Exact e^{-i theta H} (kind='real_time') or e^{-theta H} ('imag_time') of one (2**L,) state.
 
-    Built from the full eigensystem.  Imaginary time renormalizes and
-    moves the exact log norm into the offset; real time is unitary and
-    leaves the offset untouched.
+    Built from the full eigensystem.  Returns the evolved amplitudes and
+    the ln of the norm divided out of them: imaginary time renormalizes
+    and returns the exact log norm; real time is unitary and returns 0.
     """
-    if op.L != state.num_sites:
-        raise ValueError(f"size mismatch: operator on {op.L} sites, state on {state.num_sites}")
+    if amps.shape != (2**op.L,):
+        raise ValueError(f"size mismatch: operator on {op.L} sites, state of shape {amps.shape}")
     if kind not in ("real_time", "imag_time"):
         raise ValueError(f"kind must be 'real_time' or 'imag_time', got {kind!r}")
     if not np.isfinite(theta):
         raise ValueError("theta must be finite")
     energies, vecs = np.linalg.eigh(op.matrix)
-    rotated = vecs.conj().T @ state.amplitudes
+    rotated = vecs.conj().T @ amps
     if kind == "real_time":
-        amps = vecs @ (np.exp(-1j * theta * energies) * rotated)
-        return StateVector(amps, state.log_norm_offset, state.num_sites)
+        return vecs @ (np.exp(-1j * theta * energies) * rotated), 0.0
     if theta < 0.0:
         raise ValueError(f"imag_time requires theta >= 0, got {theta}")
     # Factor out the dominant Boltzmann weight so theta ~ hundreds stays finite.
     shift = float(np.min(theta * energies))
-    amps = vecs @ (np.exp(-(theta * energies - shift)) * rotated)
-    nrm = float(np.linalg.norm(amps))
+    out = vecs @ (np.exp(-(theta * energies - shift)) * rotated)
+    nrm = float(np.linalg.norm(out))
     if nrm == 0.0:
         raise ValueError("degenerate state: evolved norm vanished")
-    return StateVector(
-        amps / nrm,
-        state.log_norm_offset + np.log(nrm) - shift,
-        state.num_sites,
-    )
+    return out / nrm, np.log(nrm) - shift

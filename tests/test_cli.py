@@ -71,7 +71,6 @@ def test_parse_minimal_config_defaults():
     assert cfg.n_reps == "2L"
     assert cfg.n_resamples == 4000
     assert cfg.threads is None
-    assert cfg.full_scale is False
     assert cfg.resolved_label() == "haar"
     assert cfg.reps_for(6) == 12
 
@@ -106,8 +105,6 @@ def test_parse_rejects_unknown_missing_duplicate():
 def test_parse_rejects_bad_values():
     with pytest.raises(ConfigError, match="beta_grid"):
         parse_config(MINIMAL.replace("beta_grid = 1.0,2.0", "beta_grid = 1.0,zz"))
-    with pytest.raises(ConfigError, match="full_scale"):
-        parse_config(MINIMAL + "\nfull_scale = maybe")
     with pytest.raises(ConfigError, match="M"):
         parse_config(MINIMAL.replace("M = 8", "M = eight"))
     with pytest.raises(ConfigError, match="system"):
@@ -123,11 +120,12 @@ def test_validate_collects_all_problems():
     assert "trotter" in msg and "M" in msg and "threads" in msg
 
 
-def test_validate_full_scale_gate():
-    cfg = dataclasses.replace(parse_config(MINIMAL), L_list=(16,))
-    with pytest.raises(ConfigError, match="full_scale"):
-        validate_config(cfg)
-    validate_config(dataclasses.replace(cfg, full_scale=True))
+def test_validate_bounds_the_chain_length_by_memory_alone(tmp_path, capsys):
+    # 8 state vectors of 2**16 amplitudes are 8 MiB per worker: no flag is needed
+    cfg_file = tmp_path / "long.cfg"
+    cfg_file.write_text(MINIMAL.replace("L_list = 4", "L_list = 16"))
+    assert main(["validate", "--config", str(cfg_file)]) == 0
+    assert capsys.readouterr().out == "ok\n"
 
 
 def test_validate_rejects_tiny_chain():
@@ -424,7 +422,11 @@ def test_main_run_preset_writes_variant_directories(tmp_path):
     ("trotter.J = -1.000001e6", "trotter: couplings must be finite and at most 1e+06 in magnitude"),
     ("L_list = 1,4", "L_list: every L must be >= 2"),
     # a 2**40-amplitude state is 16 TiB: no worker could hold it
-    ("L_list = 40\nfull_scale = true", "L_list: L = 40 needs 8 state vectors of 2**L amplitudes"),
+    ("L_list = 40", "L_list: L = 40 needs 8 state vectors of 2**L amplitudes"),
+    ("full_scale = true", "unknown keys: full_scale"),
+    # printed and written to summary.csv whatever the locale's encoding
+    ("label = β-scan", "label: must not contain a comma, quote or any character but printable ASCII, "
+                        "got '\\u03b2-scan'"),
     # the byte 0xe9 alone, which is not UTF-8
     ("label = caf\udce9", "{path}: 'utf-8' codec can't decode byte 0xe9"),
 ])
@@ -475,16 +477,16 @@ def test_couplings_and_beta_run_at_their_bounds_and_are_refused_beyond(tmp_path,
 
 # The package's top-level names, and the names perfbench's tracer wraps per module.
 PUBLIC = {
-    "StateVector", "normalize", "schmidt_spectrum", "ModelSpec", "HamiltonianTerms", "build_hamiltonian",
-    "SampleSeed", "TrotterCircuit", "sample_rpps", "sample_haar", "build_trotter_circuit", "apply_circuit",
-    "BetaGrid", "evolve", "evolve_with_checkpoints", "weights", "efficiency", "weighted_expectation",
+    "schmidt_spectrum", "ModelSpec", "HamiltonianTerms", "build_hamiltonian",
+    "SampleSeed", "TrotterCircuit", "sample_rpps", "sample_haar", "build_trotter_circuit", "scramble",
+    "BetaGrid", "evolve", "walk", "weights", "efficiency", "weighted_expectation",
     "simple_expectation", "entanglement_entropy", "bootstrap_sigma", "__version__",
 }
 TRACED = {
     "hilbert": ("apply_two_site", "schmidt_spectrum"),
     "hamiltonian": ("apply_terms", "build_hamiltonian"),
-    "imagtime": ("evolve_with_checkpoints",),
-    "state_prep": ("apply_circuit", "sample_rpps", "sample_haar", "build_trotter_circuit"),
+    "imagtime": ("walk",),
+    "state_prep": ("scramble", "sample_rpps", "sample_haar", "build_trotter_circuit"),
     "estimators": ("entanglement_entropy", "bootstrap_sigma", "weights", "efficiency",
                    "weighted_expectation", "simple_expectation"),
     "cli": ("main", "emit_results"),
@@ -543,16 +545,17 @@ def test_load_run_json_validates(tmp_path):
     path.write_text(json.dumps({**raw, "M": "-5"}))
     with pytest.raises(ConfigError, match="M: must be >= 1, got -5"):
         load_run_json(path)
-    path.write_text(json.dumps({**raw, "n_reps_rule": "2L"}))
-    with pytest.raises(ConfigError, match="unknown keys: n_reps_rule"):
-        load_run_json(path)
+    for old_key, text in (("n_reps_rule", "2L"), ("full_scale", "false")):
+        path.write_text(json.dumps({**raw, old_key: text}))
+        with pytest.raises(ConfigError, match=f"unknown keys: {old_key}"):
+            load_run_json(path)
     path.write_text(json.dumps({**raw, "M": 8}))
     with pytest.raises(ConfigError, match="JSON object"):
         load_run_json(path)
     path.write_bytes(json.dumps({**raw, "label": "caf\udce9"}, ensure_ascii=False).encode("utf-8", "surrogateescape"))
     with pytest.raises(ConfigError, match="'utf-8' codec can't decode byte 0xe9"):
         load_run_json(path)
-    for label in ("a,b", "a\nb", "a\rb", 'a"b'):
+    for label in ("a,b", "a\nb", "a\rb", 'a"b', "a\tb", "\u03b2", "a\x7fb"):
         path.write_text(json.dumps({**raw, "label": label}))
         with pytest.raises(ConfigError, match="label: must not contain"):
             load_run_json(path)

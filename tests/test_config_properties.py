@@ -20,7 +20,7 @@ from spintherm.cli import PRESET_NAMES, ConfigError, emit_results, load_run_json
 MODEL_KEYS = ("kind", "J", "delta", "h_stag", "h_x", "h_z")
 KEYS = (
     "init_class", "tau", "n_reps", "beta_grid", "L_list", "M", "master_seed", "n_resamples",
-    "output_path", "threads", "label", "full_scale",
+    "output_path", "threads", "label",
     *(f"{model}.{name}" for model in ("system", "trotter") for name in MODEL_KEYS),
 )
 # Which couplings each model kind reads (hamiltonian.ModelSpec rejects the others).
@@ -67,7 +67,7 @@ garbage = st.one_of(
 raw_configs = st.builds(
     lambda dropped, changed: {**{k: v for k, v in VALID.items() if k not in dropped}, **changed},
     st.sets(st.sampled_from(sorted(VALID))),
-    st.dictionaries(st.sampled_from(KEYS + ("n_reps_rule", "systm.kind")), garbage, max_size=4),
+    st.dictionaries(st.sampled_from(KEYS + ("n_reps_rule", "full_scale", "systm.kind")), garbage, max_size=4),
 )
 
 
@@ -137,8 +137,8 @@ def bad_overrides(draw) -> dict:
 
 
 @PROPERTY
-@given(st.sampled_from(PRESET_NAMES + ("config",)), bad_overrides(), st.booleans())
-def test_bad_overrides_exit_2_before_any_run(source, overrides, full_scale):
+@given(st.sampled_from(PRESET_NAMES + ("config",)), bad_overrides())
+def test_bad_overrides_exit_2_before_any_run(source, overrides):
     with tempfile.TemporaryDirectory() as tmp:
         if source == "config":
             cfg_path = Path(tmp) / "run.cfg"
@@ -147,7 +147,7 @@ def test_bad_overrides_exit_2_before_any_run(source, overrides, full_scale):
         else:
             argv = ["run", "--preset", source]
         argv += [f"--{opt}={value}" for opt, value in overrides.items()]
-        argv += ["--out", str(Path(tmp) / "out")] + (["--full-scale"] if full_scale else [])
+        argv += ["--out", str(Path(tmp) / "out")]
         rc, err = _main(argv)
         assert rc == 2
         assert err.startswith("invalid: ")
@@ -189,7 +189,6 @@ def valid_configs(draw) -> dict:
         "threads": st.integers(1, 64).map(str),
         "output_path": names,
         "label": names,
-        "full_scale": st.sampled_from(["true", "false", "yes", "0"]),
     }
     for key in draw(st.sets(st.sampled_from(sorted(optional)))):
         raw[key] = draw(optional[key])

@@ -16,7 +16,6 @@ from spintherm.estimators import (
     weights,
 )
 from helpers import basis_state, bootstrap_reference
-from spintherm.hilbert import StateVector
 from spintherm.state_prep import SampleSeed, sample_haar, sample_rpps
 
 
@@ -78,7 +77,7 @@ def test_weights_match_dense_norm_ratios():
     logs = np.empty(16)
     for m in range(16):
         state = sample_haar(L, SampleSeed(50, m))
-        coeffs = np.abs(vectors.conj().T @ state.amplitudes) ** 2
+        coeffs = np.abs(vectors.conj().T @ state) ** 2
         norms[m] = np.sum(coeffs * boltz)
         logs[m] = np.log(norms[m]) - beta * energies[0]
     assert np.allclose(weights(logs), norms / norms.sum(), atol=1e-9)
@@ -151,8 +150,20 @@ def test_entanglement_entropy_product_and_bell():
     assert entanglement_entropy(basis_state(6, down_sites=(2, 5))) == pytest.approx(0.0, abs=1e-14)
     bell = np.zeros(4, dtype=complex)
     bell[0b00] = bell[0b11] = 1.0 / np.sqrt(2.0)
-    assert entanglement_entropy(StateVector(bell, 0.0, 2)) == pytest.approx(np.log(2.0), abs=1e-12)
+    assert entanglement_entropy(bell) == pytest.approx(np.log(2.0), abs=1e-12)
     assert entanglement_entropy(sample_rpps(7, SampleSeed(0, 0))) <= 1e-10
+
+
+def test_entanglement_entropy_of_stacked_rows_is_that_of_each_row():
+    # one stacked SVD, the same bits per row as each row alone, at even and odd L
+    for L in (2, 5, 8):
+        rows = np.array([sample_haar(L, SampleSeed(60, m)) for m in range(3)] + [basis_state(L, (1,))])
+        ent = entanglement_entropy(rows)
+        assert ent.shape == (4,)
+        assert np.array_equal(ent, [entanglement_entropy(row) for row in rows])
+        assert np.array_equal(entanglement_entropy(rows.reshape(2, 2, -1)), ent.reshape(2, 2))
+    with pytest.raises(ValueError, match="is not"):
+        entanglement_entropy(np.ones((2, 6), dtype=complex))
 
 
 def test_bootstrap_sigma_tracks_gaussian_standard_error():

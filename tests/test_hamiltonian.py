@@ -18,7 +18,6 @@ from spintherm.hamiltonian import (
     build_hamiltonian,
 )
 from spintherm import hamiltonian, hilbert
-from spintherm.hilbert import StateVector
 
 CATALOG = [
     (ModelSpec(kind="heisenberg", L=2, J=1.3), lambda L: ref.heisenberg_matrix(L, J=1.3)),
@@ -51,7 +50,7 @@ def matrix_from_apply(terms):
 def random_state(L, seed):
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(2**L) + 1j * rng.standard_normal(2**L)
-    return StateVector(amps / np.linalg.norm(amps), 0.0, L)
+    return amps / np.linalg.norm(amps)
 
 
 def test_heisenberg_bond_spectrum():
@@ -63,7 +62,7 @@ def test_heisenberg_bond_spectrum():
 def test_apply_h_heisenberg_basis_states():
     J = 1.0
     terms = build_hamiltonian(ModelSpec(kind="heisenberg", L=2, J=J))
-    up = basis_state(2).amplitudes
+    up = basis_state(2)
     assert np.allclose(apply_terms(terms, up), (J / 4.0) * up, atol=1e-15)
     singlet = np.zeros(4, dtype=complex)
     singlet[1] = 1.0 / np.sqrt(2.0)
@@ -94,21 +93,21 @@ def test_expectation_matches_dense_quadratic_form():
         spec = ModelSpec(**{**spec.__dict__, "L": 6})
         terms = build_hamiltonian(spec)
         state = random_state(6, 17)
-        want = float((state.amplitudes.conj() @ reference(6) @ state.amplitudes).real)
+        want = float((state.conj() @ reference(6) @ state).real)
         assert expectation(terms, state) == pytest.approx(want, abs=1e-12)
 
 
 def test_expectation_ignores_offset_and_norm():
     terms = build_hamiltonian(ModelSpec(kind="heisenberg", L=5))
     state = random_state(5, 3)
-    scaled = StateVector(2.0 * state.amplitudes, 7.0, 5)
+    scaled = 2.0 * state
     assert expectation(terms, scaled) == pytest.approx(expectation(terms, state), abs=1e-12)
 
 
 def test_apply_h_is_hermitian_in_inner_products():
     terms = build_hamiltonian(ModelSpec(kind="mixed_ising", L=5, J=1.0, h_x=1.5, h_z=0.5))
-    a = random_state(5, 8).amplitudes
-    b = random_state(5, 9).amplitudes
+    a = random_state(5, 8)
+    b = random_state(5, 9)
     lhs = np.vdot(a, apply_terms(terms, b))
     rhs = np.conj(np.vdot(b, apply_terms(terms, a)))
     assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -116,8 +115,8 @@ def test_apply_h_is_hermitian_in_inner_products():
 
 def test_apply_h_linearity():
     terms = build_hamiltonian(ModelSpec(kind="heisenberg", L=4))
-    a = random_state(4, 30).amplitudes
-    b = random_state(4, 31).amplitudes
+    a = random_state(4, 30)
+    b = random_state(4, 31)
     want = 0.3 * apply_terms(terms, a) + 1.7j * apply_terms(terms, b)
     assert np.allclose(apply_terms(terms, 0.3 * a + 1.7j * b), want, atol=1e-13)
 

@@ -1,4 +1,4 @@
-"""State container, inner products, Schmidt spectra, and the site kernels."""
+"""Amplitude rows, inner products, Schmidt spectra, and the site kernels."""
 
 import numpy as np
 import pytest
@@ -10,69 +10,35 @@ from helpers import basis_state
 from spintherm.hilbert import (
     BLOCK_SITES,
     SMALL_SIDE,
-    StateVector,
     apply_two_site,
     compile_block,
     compile_chain,
-    normalize,
+    row_norms,
     schmidt_spectrum,
 )
 
 
-def random_state(L, seed, normalized=True):
+def random_state(L, seed):
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(2**L) + 1j * rng.standard_normal(2**L)
-    if normalized:
-        amps /= np.linalg.norm(amps)
-    return StateVector(amps, 0.0, L)
-
-
-def test_normalize_scales_into_offset():
-    state = StateVector(np.array([2.0, 0.0, 0.0, 0.0]), 0.0, 2)
-    out = normalize(state)
-    assert np.allclose(out.amplitudes, [1.0, 0.0, 0.0, 0.0])
-    assert out.log_norm_offset == pytest.approx(np.log(2.0), abs=1e-15)
-
-
-def test_normalize_unit_vector_is_idempotent():
-    state = basis_state(3, down_sites=(2,))
-    out = normalize(state)
-    assert np.array_equal(out.amplitudes, state.amplitudes)
-    assert abs(out.log_norm_offset) <= 1e-15
-
-
-def test_normalize_bookkeeping_random_states():
-    # exp(2 * offset) of the unit output must recover the input squared norm
-    for seed in range(12):
-        L = 2 + seed % 5
-        state = random_state(L, seed, normalized=False)
-        sq_before = np.linalg.norm(state.amplitudes) ** 2
-        out = normalize(state)
-        assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
-        assert np.exp(2.0 * out.log_norm_offset) == pytest.approx(sq_before, rel=1e-12)
-
-
-def test_normalize_zero_state_raises():
-    state = StateVector(np.zeros(4), 0.0, 2)
-    with pytest.raises(ValueError, match="degenerate"):
-        normalize(state)
+    return amps / np.linalg.norm(amps)
 
 
 def test_inner_on_basis_states():
     up = basis_state(3)
     flipped = basis_state(3, down_sites=(2,))
-    assert np.vdot(up.amplitudes, up.amplitudes) == pytest.approx(1.0)
-    assert np.vdot(up.amplitudes, flipped.amplitudes) == pytest.approx(0.0)
+    assert np.vdot(up, up) == pytest.approx(1.0)
+    assert np.vdot(up, flipped) == pytest.approx(0.0)
 
 
 def test_inner_matches_explicit_sum():
     a = random_state(5, 11)
     b = random_state(5, 12)
-    expected = sum(np.conj(x) * y for x, y in zip(a.amplitudes, b.amplitudes))
-    assert np.vdot(a.amplitudes, b.amplitudes) == pytest.approx(expected, abs=1e-13)
+    expected = sum(np.conj(x) * y for x, y in zip(a, b))
+    assert np.vdot(a, b) == pytest.approx(expected, abs=1e-13)
     # <a|a> is the squared norm and real
-    assert np.vdot(a.amplitudes, a.amplitudes) == pytest.approx(np.linalg.norm(a.amplitudes) ** 2, abs=1e-13)
-    assert abs(np.vdot(a.amplitudes, a.amplitudes).imag) <= 1e-14
+    assert np.vdot(a, a) == pytest.approx(np.linalg.norm(a) ** 2, abs=1e-13)
+    assert abs(np.vdot(a, a).imag) <= 1e-14
 
 
 def test_schmidt_product_state_is_pure():
@@ -86,7 +52,7 @@ def test_schmidt_product_state_is_pure():
 def test_schmidt_bell_pair():
     amps = np.zeros(4, dtype=complex)
     amps[0] = amps[3] = 1.0 / np.sqrt(2.0)  # (|up,up> + |down,down>)/sqrt(2)
-    lam = schmidt_spectrum(StateVector(amps, 0.0, 2), 1)
+    lam = schmidt_spectrum(amps, 1)
     assert np.allclose(lam, [0.5, 0.5], atol=1e-14)
 
 
@@ -94,7 +60,7 @@ def test_schmidt_matches_reduced_density_matrix():
     state = random_state(8, 21)
     for cut in range(1, 8):
         lam = schmidt_spectrum(state, cut)
-        expected = ref.reduced_density_eigs(state.amplitudes, cut, 8)
+        expected = ref.reduced_density_eigs(state, cut, 8)
         n = min(len(lam), len(expected))
         assert np.allclose(np.sort(lam)[::-1][:n], expected[:n], atol=1e-10)
         assert lam.sum() == pytest.approx(1.0, abs=1e-12)
@@ -109,18 +75,21 @@ def test_schmidt_cut_out_of_range_raises():
 
 
 def test_state_vector_validation():
-    with pytest.raises(ValueError, match="num_sites"):
-        StateVector(np.zeros(2), 0.0, 1)
-    with pytest.raises(ValueError, match="does not match"):
-        StateVector(np.zeros(5), 0.0, 2)
-    with pytest.raises(ValueError, match="finite"):
-        StateVector(np.zeros(4), np.inf, 2)
+    # a state is a row of 2**L amplitudes, L >= 2; its norm must be nonzero and finite
+    for shape in ((), (2,), (5,), (3, 6), (1, 0)):
+        with pytest.raises(ValueError, match="is not"):
+            schmidt_spectrum(np.zeros(shape, dtype=complex), 1)
+    for rows in (np.zeros((2, 4)), np.array([[1.0, 0, 0, 0], [np.inf, 0, 0, 0]]), np.full((1, 4), np.nan)):
+        with pytest.raises(ValueError, match="degenerate"):
+            row_norms(rows)
+    with pytest.raises(ValueError, match="rows"):
+        row_norms(np.ones(4))
 
 
 def test_basis_state_bit_convention():
     # site i occupies bit i-1: flipping site 3 of 4 lands on index 4
     state = basis_state(4, down_sites=(3,))
-    assert state.amplitudes[4] == 1.0
+    assert state[4] == 1.0
     with pytest.raises(ValueError, match="outside"):
         basis_state(3, down_sites=(4,))
 
@@ -165,7 +134,7 @@ def test_apply_two_site_matches_dense_on_random_terms(L, data, seed):
     site = data.draw(st.integers(1, L - width + 1))
     rng = np.random.default_rng(seed)
     mat = random_hermitian(rng, 1 << width)
-    amps = random_state(L, seed).amplitudes
+    amps = random_state(L, seed)
     expected = ref.embed_block_matrix(mat, site, L) @ amps
     assert np.allclose(apply_two_site(amps, compile_block(mat, site, L)), expected, rtol=0.0, atol=1e-12)
 

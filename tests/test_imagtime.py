@@ -12,8 +12,7 @@ import dense_reference as ref
 from helpers import basis_state, expectation
 from oracle import dense_build, exact_evolve
 from spintherm.hamiltonian import HamiltonianTerms, ModelSpec, build_hamiltonian
-from spintherm.hilbert import StateVector
-from spintherm.imagtime import MAX_BETA_POINTS, BetaGrid, evolve, evolve_with_checkpoints
+from spintherm.imagtime import MAX_BETA_POINTS, BetaGrid, evolve, walk
 from spintherm.state_prep import SampleSeed, sample_haar
 
 CASES = [
@@ -30,9 +29,9 @@ CASES = [
 def test_theta_zero_is_identity():
     terms = build_hamiltonian(ModelSpec(kind="heisenberg", L=4, J=1.0))
     state = sample_haar(4, SampleSeed(0, 0))
-    out = evolve(state, terms, 0.0)
-    assert np.array_equal(out.amplitudes, state.amplitudes)
-    assert out.log_norm_offset == state.log_norm_offset
+    out, log_norm = evolve(state[None], terms, 0.0)
+    assert np.array_equal(out, state[None])
+    assert np.array_equal(log_norm, [0.0])
 
 
 @pytest.mark.parametrize("spec,matrix", CASES, ids=[c[0].kind for c in CASES])
@@ -40,31 +39,41 @@ def test_theta_zero_is_identity():
 def test_evolve_matches_dense_expm(spec, matrix, theta):
     terms = build_hamiltonian(spec)
     state = sample_haar(spec.L, SampleSeed(13, 0))
-    raw = scipy.linalg.expm(-theta * matrix()) @ state.amplitudes
+    raw = scipy.linalg.expm(-theta * matrix()) @ state
     nrm = np.linalg.norm(raw)
-    out = evolve(state, terms, theta)
-    assert np.max(np.abs(out.amplitudes - raw / nrm)) <= 1e-10
-    assert out.log_norm_offset - state.log_norm_offset == pytest.approx(np.log(nrm), abs=1e-10)
+    (out,), (log_norm,) = evolve(state[None], terms, theta)
+    assert np.max(np.abs(out - raw / nrm)) <= 1e-10
+    assert log_norm == pytest.approx(np.log(nrm), abs=1e-10)
 
 
 def test_semigroup_property():
     terms = build_hamiltonian(ModelSpec(kind="heisenberg", L=6, J=1.0))
     state = sample_haar(6, SampleSeed(21, 0))
-    once = evolve(state, terms, 1.1)
-    twice = evolve(evolve(state, terms, 0.4), terms, 0.7)
-    assert np.max(np.abs(once.amplitudes - twice.amplitudes)) <= 1e-11
-    assert once.log_norm_offset == pytest.approx(twice.log_norm_offset, abs=1e-11)
+    once, once_log = evolve(state[None], terms, 1.1)
+    half, half_log = evolve(state[None], terms, 0.4)
+    twice, twice_log = evolve(half, terms, 0.7)
+    assert np.max(np.abs(once - twice)) <= 1e-11
+    assert once_log[0] == pytest.approx(half_log[0] + twice_log[0], abs=1e-11)
+
+
+def test_evolve_rows_do_not_depend_on_the_batch():
+    terms = build_hamiltonian(ModelSpec(kind="mixed_ising", L=6, J=1.0, h_x=1.0, h_z=1.0))
+    rows = np.array([sample_haar(6, SampleSeed(22, m)) for m in range(3)])
+    out, log_norms = evolve(rows, terms, 1.5)
+    for row, want, want_log in zip(rows, out, log_norms):
+        (alone,), (alone_log,) = evolve(row[None], terms, 1.5)
+        assert np.array_equal(alone, want) and alone_log == want_log
 
 
 def test_ground_state_is_fixed_point():
     spec = ModelSpec(kind="heisenberg", L=4, J=1.0)
     matrix = ref.heisenberg_matrix(4)
     energies, vectors = np.linalg.eigh(matrix)
-    ground = StateVector(vectors[:, 0].astype(complex), 0.0, 4)
-    out = evolve(ground, build_hamiltonian(spec), 2.0)
-    overlap = abs(np.vdot(out.amplitudes, ground.amplitudes))
+    ground = vectors[:, 0].astype(complex)
+    (out,), (log_norm,) = evolve(ground[None], build_hamiltonian(spec), 2.0)
+    overlap = abs(np.vdot(out, ground))
     assert overlap == pytest.approx(1.0, abs=1e-11)
-    assert out.log_norm_offset == pytest.approx(-2.0 * energies[0], abs=1e-9)
+    assert log_norm == pytest.approx(-2.0 * energies[0], abs=1e-9)
 
 
 def test_energy_decreases_along_checkpoints():
@@ -72,8 +81,7 @@ def test_energy_decreases_along_checkpoints():
     terms = build_hamiltonian(spec)
     state = sample_haar(8, SampleSeed(5, 0))
     grid = BetaGrid.uniform(0.5, 4.0, 0.5)
-    rows = evolve_with_checkpoints(state, terms, grid)
-    obs = [row[2] for row in rows]
+    _, (obs,) = walk(state[None], terms, grid)
     assert all(b < a + 1e-12 for a, b in zip(obs, obs[1:]))
 
 
@@ -88,9 +96,15 @@ def dense_walk(matrix, amps, betas):
     return rows
 
 
+def walk_one(amps, terms, grid):
+    """walk of one state: (ln-norm, energy) at each beta."""
+    log_sq, energy = walk(amps[None], terms, grid)
+    return list(zip(log_sq[0], energy[0]))
+
+
 def assert_walk_matches_dense(rows, matrix, amps, betas, tol=1e-10):
-    assert [row[0] for row in rows] == list(betas)
-    for (_, log_sq_norm, energy), (want_log, want_energy) in zip(rows, dense_walk(matrix, amps, betas)):
+    assert len(rows) == len(betas)
+    for (log_sq_norm, energy), (want_log, want_energy) in zip(rows, dense_walk(matrix, amps, betas)):
         assert abs(log_sq_norm - want_log) <= tol
         assert abs(energy - want_energy) <= tol
 
@@ -110,8 +124,8 @@ def test_walk_matches_dense_oracle(fields, matrix):
     for L in (2, 4, 6, 8):
         terms = build_hamiltonian(ModelSpec(L=L, **fields))
         state = sample_haar(L, SampleSeed(17, L))
-        rows = evolve_with_checkpoints(state, terms, grid)
-        assert_walk_matches_dense(rows, matrix(L), state.amplitudes, grid.checkpoints)
+        rows = walk_one(state, terms, grid)
+        assert_walk_matches_dense(rows, matrix(L), state, grid.checkpoints)
 
 
 def test_walk_restarts_keep_large_beta_exact():
@@ -120,8 +134,8 @@ def test_walk_restarts_keep_large_beta_exact():
     spec = ModelSpec(kind="mixed_ising", L=6, J=1.0, h_x=1.0, h_z=1.0)
     state = sample_haar(6, SampleSeed(4, 0))
     grid = BetaGrid.uniform(2.0, 40.0, 2.0)
-    rows = evolve_with_checkpoints(state, build_hamiltonian(spec), grid)
-    assert_walk_matches_dense(rows, ref.mixed_ising_matrix(6, h_x=1.0, h_z=1.0), state.amplitudes, grid.checkpoints)
+    rows = walk_one(state, build_hamiltonian(spec), grid)
+    assert_walk_matches_dense(rows, ref.mixed_ising_matrix(6, h_x=1.0, h_z=1.0), state, grid.checkpoints)
 
 
 @settings(max_examples=60, deadline=None)
@@ -149,7 +163,7 @@ def test_walk_matches_dense_on_random_terms(L, data, seed):
         dense += ref.embed_site(mat, i, L)
     amps = rng.standard_normal(2**L) + 1j * rng.standard_normal(2**L)
     grid = BetaGrid(tuple(sorted(betas)))
-    rows = evolve_with_checkpoints(StateVector(amps, 0.0, L), terms, grid)
+    rows = walk_one(amps, terms, grid)
     assert_walk_matches_dense(rows, dense, amps, grid.checkpoints)
 
 
@@ -157,11 +171,11 @@ def test_single_checkpoint_matches_dense_oracle():
     spec = ModelSpec(kind="mixed_ising", L=6, J=1.0, h_x=1.0, h_z=1.0)
     terms = build_hamiltonian(spec)
     state = sample_haar(6, SampleSeed(8, 0))
-    rows = evolve_with_checkpoints(state, terms, BetaGrid((3.0,)))
-    assert_walk_matches_dense(rows, ref.mixed_ising_matrix(6, h_x=1.0, h_z=1.0), state.amplitudes, (3.0,))
-    direct = evolve(state, terms, 1.5)
-    assert rows[0][1] == pytest.approx(2.0 * (direct.log_norm_offset - state.log_norm_offset), abs=1e-10)
-    assert rows[0][2] == pytest.approx(expectation(terms, direct), abs=1e-10)
+    rows = walk_one(state, terms, BetaGrid((3.0,)))
+    assert_walk_matches_dense(rows, ref.mixed_ising_matrix(6, h_x=1.0, h_z=1.0), state, (3.0,))
+    (direct,), (log_norm,) = evolve(state[None], terms, 1.5)
+    assert rows[0][0] == pytest.approx(2.0 * log_norm, abs=1e-10)
+    assert rows[0][1] == pytest.approx(expectation(terms, direct), abs=1e-10)
 
 
 def test_run_costs_the_walks_of_its_samples_and_nothing_more(monkeypatch):
@@ -182,7 +196,7 @@ def test_run_costs_the_walks_of_its_samples_and_nothing_more(monkeypatch):
     walks = 0
     for m in range(cfg.M):
         calls.clear()
-        evolve_with_checkpoints(sample_haar(6, SampleSeed(8, m)), terms, grid)
+        walk(sample_haar(6, SampleSeed(8, m))[None], terms, grid)
         walks += sum(calls)
     calls.clear()
     monkeypatch.setattr("spintherm.cli.emit_results", lambda *args: {})
@@ -193,17 +207,17 @@ def test_run_costs_the_walks_of_its_samples_and_nothing_more(monkeypatch):
     terms = build_hamiltonian(dataclasses.replace(spec, L=12))
     for m in range(3):
         calls.clear()
-        evolve_with_checkpoints(sample_haar(12, SampleSeed(8, m)), terms, BetaGrid((3.0,)))
+        walk(sample_haar(12, SampleSeed(8, m))[None], terms, BetaGrid((3.0,)))
         assert sum(calls) <= 25
 
 
 def test_evolve_stays_exact_at_large_theta():
     spec = ModelSpec(kind="xxz_staggered", L=6, J=1.0, delta=5.0, h_stag=1.0)
     state = sample_haar(6, SampleSeed(10, 0))
-    out = evolve(state, build_hamiltonian(spec), 20.0)
-    want = exact_evolve(dense_build(build_hamiltonian(spec)), state, 20.0, "imag_time")
-    assert np.linalg.norm(out.amplitudes - want.amplitudes) <= 1e-10
-    assert out.log_norm_offset == pytest.approx(want.log_norm_offset, abs=1e-10)
+    (out,), (log_norm,) = evolve(state[None], build_hamiltonian(spec), 20.0)
+    want, want_log = exact_evolve(dense_build(build_hamiltonian(spec)), state, 20.0, "imag_time")
+    assert np.linalg.norm(out - want) <= 1e-10
+    assert log_norm == pytest.approx(want_log, abs=1e-10)
 
 
 def test_checkpoint_log_norms_match_dense_boltzmann_factor():
@@ -213,9 +227,9 @@ def test_checkpoint_log_norms_match_dense_boltzmann_factor():
     energies, vectors = np.linalg.eigh(matrix)
     state = sample_haar(8, SampleSeed(40, 0))
     grid = BetaGrid.uniform(0.5, 3.0, 0.5)
-    rows = evolve_with_checkpoints(state, terms, grid)
-    coeffs = np.abs(vectors.conj().T @ state.amplitudes) ** 2
-    for beta, log_sq_norm, _ in rows:
+    (log_sq_norms,), _ = walk(state[None], terms, grid)
+    coeffs = np.abs(vectors.conj().T @ state) ** 2
+    for beta, log_sq_norm in zip(grid.checkpoints, log_sq_norms):
         want = np.log(np.sum(coeffs * np.exp(-beta * (energies - energies[0])))) - beta * energies[0]
         assert log_sq_norm == pytest.approx(want, abs=1e-8)
 
@@ -224,38 +238,24 @@ def test_small_beta_limit_recovers_initial_energy():
     spec = ModelSpec(kind="heisenberg", L=6, J=1.0)
     terms = build_hamiltonian(spec)
     state = sample_haar(6, SampleSeed(3, 0))
-    rows = evolve_with_checkpoints(state, terms, BetaGrid((1e-6,)))
-    assert abs(rows[0][2] - expectation(terms, state)) <= 1e-5 * 6
+    _, energy = walk(state[None], terms, BetaGrid((1e-6,)))
+    assert abs(energy[0, 0] - expectation(terms, state)) <= 1e-5 * 6
 
 
 def test_evolve_input_validation():
     terms = build_hamiltonian(ModelSpec(kind="heisenberg", L=4, J=1.0))
     state = sample_haar(4, SampleSeed(0, 0))
     with pytest.raises(ValueError, match="theta"):
-        evolve(state, terms, -0.1)
+        evolve(state[None], terms, -0.1)
     with pytest.raises(ValueError, match="sites"):
-        evolve(sample_haar(5, SampleSeed(0, 0)), terms, 1.0)
+        evolve(sample_haar(5, SampleSeed(0, 0))[None], terms, 1.0)
     with pytest.raises(ValueError, match="sites"):
-        evolve_with_checkpoints(sample_haar(5, SampleSeed(0, 0)), terms, BetaGrid((1.0,)))
-    zero = StateVector(np.zeros(16, dtype=complex), 0.0, 4)
+        walk(sample_haar(5, SampleSeed(0, 0))[None], terms, BetaGrid((1.0,)))
+    zero = np.array([state, np.zeros(16, dtype=complex)])  # a zero row fails the batch
     with pytest.raises(ValueError, match="degenerate state: zero norm"):
         evolve(zero, terms, 1.0)
     with pytest.raises(ValueError, match="degenerate state: zero norm"):
-        evolve_with_checkpoints(zero, terms, BetaGrid((1.0,)))
-
-
-def test_log_norms_are_relative_to_input_offset():
-    # a pre-existing offset must not leak into the reported log square norms
-    spec = ModelSpec(kind="heisenberg", L=4, J=1.0)
-    terms = build_hamiltonian(spec)
-    base = sample_haar(4, SampleSeed(60, 0))
-    shifted = StateVector(base.amplitudes.copy(), 5.0, 4)
-    grid = BetaGrid((1.0, 2.0))
-    rows_a = evolve_with_checkpoints(base, terms, grid)
-    rows_b = evolve_with_checkpoints(shifted, terms, grid)
-    for (_, la, oa), (_, lb, ob) in zip(rows_a, rows_b):
-        assert la == pytest.approx(lb, abs=1e-12)
-        assert oa == pytest.approx(ob, abs=1e-12)
+        walk(zero, terms, BetaGrid((1.0,)))
 
 
 def test_beta_grid_uniform_and_lookup():

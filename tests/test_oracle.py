@@ -124,11 +124,11 @@ def test_exact_evolve_real_time_matches_expm():
     op = dense_build(terms)
     state = sample_haar(4, SampleSeed(1, 0))
     theta = 0.9
-    want = scipy.linalg.expm(-1j * theta * op.matrix) @ state.amplitudes
-    out = exact_evolve(op, state, theta, "real_time")
-    assert np.max(np.abs(out.amplitudes - want)) <= 1e-12
-    assert out.log_norm_offset == state.log_norm_offset
-    assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
+    want = scipy.linalg.expm(-1j * theta * op.matrix) @ state
+    out, log_norm = exact_evolve(op, state, theta, "real_time")
+    assert np.max(np.abs(out - want)) <= 1e-12
+    assert log_norm == 0.0
+    assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exact_evolve_imag_time_matches_expm_with_offset():
@@ -136,24 +136,25 @@ def test_exact_evolve_imag_time_matches_expm_with_offset():
     op = dense_build(terms)
     state = sample_haar(4, SampleSeed(2, 0))
     theta = 1.7
-    raw = scipy.linalg.expm(-theta * op.matrix) @ state.amplitudes
+    raw = scipy.linalg.expm(-theta * op.matrix) @ state
     nrm = np.linalg.norm(raw)
-    out = exact_evolve(op, state, theta, "imag_time")
-    assert np.max(np.abs(out.amplitudes - raw / nrm)) <= 1e-12
-    assert out.log_norm_offset - state.log_norm_offset == pytest.approx(np.log(nrm), abs=1e-12)
+    out, log_norm = exact_evolve(op, state, theta, "imag_time")
+    assert np.max(np.abs(out - raw / nrm)) <= 1e-12
+    assert log_norm == pytest.approx(np.log(nrm), abs=1e-12)
 
 
 def test_exact_evolve_theta_zero_and_semigroup():
     terms = build_hamiltonian(ModelSpec(kind="heisenberg", L=4, J=1.0))
     op = dense_build(terms)
     state = sample_haar(4, SampleSeed(3, 0))
-    still = exact_evolve(op, state, 0.0, "imag_time")
-    assert np.max(np.abs(still.amplitudes - state.amplitudes)) <= 1e-12
-    assert still.log_norm_offset == pytest.approx(state.log_norm_offset, abs=1e-12)
-    once = exact_evolve(op, state, 1.0, "imag_time")
-    twice = exact_evolve(op, exact_evolve(op, state, 0.6, "imag_time"), 0.4, "imag_time")
-    assert np.max(np.abs(once.amplitudes - twice.amplitudes)) <= 1e-12
-    assert once.log_norm_offset == pytest.approx(twice.log_norm_offset, abs=1e-12)
+    still, still_log = exact_evolve(op, state, 0.0, "imag_time")
+    assert np.max(np.abs(still - state)) <= 1e-12
+    assert still_log == pytest.approx(0.0, abs=1e-12)
+    once, once_log = exact_evolve(op, state, 1.0, "imag_time")
+    half, half_log = exact_evolve(op, state, 0.6, "imag_time")
+    twice, twice_log = exact_evolve(op, half, 0.4, "imag_time")
+    assert np.max(np.abs(once - twice)) <= 1e-12
+    assert once_log == pytest.approx(half_log + twice_log, abs=1e-12)
 
 
 def test_exact_evolve_error_paths():

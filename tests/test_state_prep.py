@@ -19,15 +19,15 @@ from spintherm.hamiltonian import (
     build_hamiltonian,
     model_terms,
 )
-from spintherm.hilbert import BLOCK_SITES, SMALL_SIDE, StateVector, apply_two_site, compile_block, schmidt_spectrum
+from spintherm.hilbert import BLOCK_SITES, SMALL_SIDE, apply_two_site, compile_block, schmidt_spectrum
 from spintherm.state_prep import (
     MAX_TAU,
     SampleSeed,
     TrotterCircuit,
-    apply_circuit,
     build_trotter_circuit,
     sample_haar,
     sample_rpps,
+    scramble,
 )
 
 MIXED = ModelSpec(kind="mixed_ising", L=6, J=1.0, h_x=1.0, h_z=1.0)
@@ -36,9 +36,9 @@ XXZ = ModelSpec(kind="xxz_staggered", L=6, J=1.0, delta=5.0, h_stag=1.0)
 
 def test_rpps_amplitude_moduli_and_norm():
     state = sample_rpps(5, SampleSeed(3, 0))
-    assert np.allclose(np.abs(state.amplitudes), 2.0 ** (-2.5), atol=1e-14)
-    assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
-    assert state.log_norm_offset == 0.0
+    assert state.shape == (2**5,) and state.dtype == np.complex128
+    assert np.allclose(np.abs(state), 2.0 ** (-2.5), atol=1e-14)
+    assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rpps_has_zero_entanglement():
@@ -59,7 +59,7 @@ def test_rpps_consumes_two_phases_per_site():
     for i in range(L):
         expected = np.kron(np.exp(1j * phases[i]) / np.sqrt(2.0), expected)
     state = sample_rpps(L, seed)
-    assert np.array_equal(state.amplitudes, expected)
+    assert np.array_equal(state, expected)
 
 
 def test_sampling_is_a_pure_function_of_seed():
@@ -68,17 +68,17 @@ def test_sampling_is_a_pure_function_of_seed():
     for m in range(4):
         sample_rpps(6, SampleSeed(7, m))
     b = sample_rpps(6, SampleSeed(7, 9))
-    assert np.array_equal(a.amplitudes, b.amplitudes)
-    assert not np.allclose(a.amplitudes, sample_rpps(6, SampleSeed(7, 10)).amplitudes)
-    assert not np.allclose(a.amplitudes, sample_rpps(6, SampleSeed(8, 9)).amplitudes)
+    assert np.array_equal(a, b)
+    assert not np.allclose(a, sample_rpps(6, SampleSeed(7, 10)))
+    assert not np.allclose(a, sample_rpps(6, SampleSeed(8, 9)))
 
 
 def test_haar_sample_normalized_and_deterministic():
     a = sample_haar(6, SampleSeed(1, 3))
     b = sample_haar(6, SampleSeed(1, 3))
-    assert np.array_equal(a.amplitudes, b.amplitudes)
-    assert np.linalg.norm(a.amplitudes) == pytest.approx(1.0, abs=1e-12)
-    assert a.log_norm_offset == 0.0
+    assert a.shape == (2**6,) and a.dtype == np.complex128
+    assert np.array_equal(a, b)
+    assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_haar_mean_energy_is_trace_mean():
@@ -152,25 +152,28 @@ def test_single_step_matches_expm_oracle(tau):
     state = sample_rpps(5, SampleSeed(2, 0))
     # even sublayer acts first
     want = scipy.linalg.expm(-1j * tau * h_odd) @ (
-        scipy.linalg.expm(-1j * tau * h_even) @ state.amplitudes
+        scipy.linalg.expm(-1j * tau * h_even) @ state
     )
-    got = apply_circuit(state, build_trotter_circuit(spec, tau=tau, n_reps=1))
-    assert np.max(np.abs(got.amplitudes - want)) <= 1e-12
+    (got,), _ = scramble(state[None], build_trotter_circuit(spec, tau=tau, n_reps=1))
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_apply_circuit_zero_reps_returns_same_amplitudes():
+    # no step: the rows are only divided by their norms
     state = sample_rpps(6, SampleSeed(4, 1))
-    out = apply_circuit(state, build_trotter_circuit(MIXED, tau=10.0, n_reps=0))
-    assert np.array_equal(out.amplitudes, state.amplitudes)
+    nrm = np.linalg.norm(state)
+    out, log_norm = scramble(state[None], build_trotter_circuit(MIXED, tau=10.0, n_reps=0))
+    assert np.array_equal(out, state[None] / nrm)
+    assert np.array_equal(log_norm, [np.log(nrm)])
 
 
 def test_apply_circuit_preserves_norm_and_renormalizes():
     state = sample_rpps(8, SampleSeed(6, 0))
     spec = ModelSpec(kind="mixed_ising", L=8, J=1.0, h_x=1.0, h_z=1.0)
-    out = apply_circuit(state, build_trotter_circuit(spec, tau=10.0, n_reps=16))
-    assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-13)
-    # drift absorbed by the final normalize stays at rounding level
-    assert abs(out.log_norm_offset - state.log_norm_offset) <= 1e-10
+    (out,), (log_norm,) = scramble(state[None], build_trotter_circuit(spec, tau=10.0, n_reps=16))
+    assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-13)
+    # drift divided out by the final normalization stays at rounding level
+    assert abs(log_norm) <= 1e-10
 
 
 def test_apply_circuit_preserves_inner_products():
@@ -178,8 +181,9 @@ def test_apply_circuit_preserves_inner_products():
     circuit = build_trotter_circuit(spec, tau=10.0, n_reps=4)
     a = sample_rpps(6, SampleSeed(9, 0))
     b = sample_haar(6, SampleSeed(9, 1))
-    before = np.vdot(a.amplitudes, b.amplitudes)
-    after = np.vdot(apply_circuit(a, circuit).amplitudes, apply_circuit(b, circuit).amplitudes)
+    before = np.vdot(a, b)
+    (a_out, b_out), _ = scramble(np.array([a, b]), circuit)
+    after = np.vdot(a_out, b_out)
     assert abs(after) == pytest.approx(abs(before), abs=1e-10)
 
 
@@ -188,18 +192,17 @@ def test_scrambled_entropy_approaches_haar_mean():
     spec = ModelSpec(kind="mixed_ising", L=L, J=1.0, h_x=1.0, h_z=1.0)
     circuit = build_trotter_circuit(spec, tau=10.0, n_reps=2 * L)
     n = 100
-    scrambled = np.empty(n)
-    haar = np.empty(n)
-    for m in range(n):
-        scrambled[m] = entanglement_entropy(apply_circuit(sample_rpps(L, SampleSeed(31, m)), circuit))
-        haar[m] = entanglement_entropy(sample_haar(L, SampleSeed(32, m)))
+    rows, _ = scramble(np.array([sample_rpps(L, SampleSeed(31, m)) for m in range(n)]), circuit)
+    scrambled = entanglement_entropy(rows)
+    haar = entanglement_entropy(np.array([sample_haar(L, SampleSeed(32, m)) for m in range(n)]))
     assert abs(scrambled.mean() - haar.mean()) <= 0.1 * haar.mean()
 
 
 def test_apply_circuit_size_mismatch_raises():
-    circuit = build_trotter_circuit(MIXED, tau=1.0, n_reps=1)
-    with pytest.raises(ValueError, match="sites"):
-        apply_circuit(sample_rpps(8, SampleSeed(0, 0)), circuit)
+    for n_reps in (0, 1):
+        circuit = build_trotter_circuit(MIXED, tau=1.0, n_reps=n_reps)
+        with pytest.raises(ValueError, match="circuit built for 6 sites"):
+            scramble(sample_rpps(8, SampleSeed(0, 0))[None], circuit)
 
 
 def test_build_circuit_validation():
@@ -269,8 +272,8 @@ def test_compiled_kernels_match_dense_on_both_sides_of_the_small_inner_threshold
     for _ in range(n_reps):
         for i in [i for i in dense if i % 2 == 0] + [i for i in dense if i % 2 == 1]:
             want = dense[i] @ want
-    got = apply_circuit(StateVector(amps / np.linalg.norm(amps), 0.0, L), circuit)
-    assert np.allclose(got.amplitudes, want, rtol=0.0, atol=1e-11)
+    (got,), _ = scramble((amps / np.linalg.norm(amps))[None], circuit)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-11)
 
     bond_sites = data.draw(st.lists(st.integers(1, L - 1), max_size=L))
     field_sites = data.draw(st.lists(st.integers(1, L), min_size=1, max_size=L))
