@@ -7,20 +7,23 @@ L_list, M samples are drawn, scrambled, evolved in imaginary time, and
 measured; per-sample rows and per-(L, beta) aggregates are written as
 CSV plus a JSON echo of the resolved configuration.
 
-A command runs as a stream of batch tasks on one pool of
-min(threads, M, os.cpu_count()) worker processes (threads = the cpu
-count when unset; the most any variant asks for), shared by every preset
-variant and chain length, or in-process with one worker.  A task draws,
-scrambles, measures and walks B samples in lockstep, the rows of one
-(B, 2**L) array: B = BATCH_AMPLITUDES >> L, at least 1 and at most M /
-workers rounded up.  The next (variant, L) is submitted before the
-current one is gathered and bootstrapped.  Sample m derives all of its
-randomness from (master_seed, m), a row's values do not depend on the
-rows beside it, and rows are made in file order (L ascending, then
-sample, then beta), so the output files are byte-identical whatever the
-worker count, the batch size or the order of L_list.  The error bars of
-one L come from one bootstrap stream seeded from (master_seed, L), which
-keeps them reproducible from samples.csv alone.
+A command runs as a stream of batch tasks on one pool of min(threads, M,
+os.cpu_count()) worker processes (threads = the cpu count when unset;
+the most any variant asks for), shared by every preset variant and chain
+length, or in-process with one worker.  A task draws, scrambles,
+measures and walks B samples in lockstep, the rows of one (B, 2**L)
+array: B = BATCH_AMPLITUDES >> L, at least 1 and at most M / workers
+rounded up.  A task carries the model specs, not the operators: each
+worker compiles the H and the circuit it applies, once per (variant, L),
+so the run process compiles none.  The next (variant, L) is submitted
+before the current one is gathered and bootstrapped.  Sample m derives
+all of its randomness from (master_seed, m), a row's values do not
+depend on the rows beside it, and rows are made in file order (L
+ascending, then sample, then beta), so the output files are
+byte-identical whatever the worker count, the batch size or the order of
+L_list.  The error bars of one L come from one bootstrap stream seeded
+from (master_seed, L), which keeps them reproducible from samples.csv
+alone.
 
 One schema reads every RunConfig: a table of keys (model fields are
 dotted, ``system.kind``, ``trotter.h_x``), each with a text-to-value and
@@ -42,7 +45,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -321,9 +324,16 @@ def preset_variants(name: str) -> list[RunConfig]:
 # Execution
 
 
-def _run_batch(L: int, init_class: str, master_seed: int, circuit, system_terms, grid: BetaGrid,
-               samples: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@lru_cache(maxsize=2)  # the current (variant, L) and the one ahead
+def _operators(system: ModelSpec, trotter: ModelSpec | None, tau: float, n_reps: int):
+    """The compiled H of ``system`` and the scrambling circuit of ``trotter`` (None without one)."""
+    return build_hamiltonian(system), trotter and build_trotter_circuit(trotter, tau, n_reps)
+
+
+def _run_batch(L: int, init_class: str, master_seed: int, system: ModelSpec, trotter: ModelSpec | None,
+               tau: float, n_reps: int, grid: BetaGrid, samples: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Initial entropies (B,), and ln-norms and energies (B, K), of the samples drawn and run in lockstep."""
+    system_terms, circuit = _operators(system, trotter, tau, n_reps)
     sample = sample_haar if init_class == "haar" else sample_rpps
     rows = np.array([sample(L, SampleSeed(master_seed, m)) for m in samples])
     if init_class == "trotter_rpps":
@@ -339,6 +349,7 @@ def _workers(cfg: RunConfig) -> int:
 
 def _process_pool(workers: int):
     """A pool of worker processes, imported only here: a single-worker run never loads it."""
+    import numpy.random  # noqa: F401  # imported before the workers fork, not at each one's first draw
     from concurrent.futures import ProcessPoolExecutor
 
     return ProcessPoolExecutor(workers)
@@ -349,13 +360,11 @@ def _submit(pool, workers: int, cfg: RunConfig, L: int):
 
     Returns an iterator over the batches' results in sample order.
     """
-    system_terms = build_hamiltonian(dataclasses.replace(cfg.system, L=L))
-    circuit = None
-    if cfg.init_class == "trotter_rpps":
-        circuit = build_trotter_circuit(dataclasses.replace(cfg.trotter, L=L), cfg.tau, cfg.reps_for(L))
+    trotter = dataclasses.replace(cfg.trotter, L=L) if cfg.init_class == "trotter_rpps" else None
     size = max(1, min(BATCH_AMPLITUDES >> L, -(-cfg.M // workers)))
     batches = [range(start, min(start + size, cfg.M)) for start in range(0, cfg.M, size)]
-    task = partial(_run_batch, L, cfg.init_class, cfg.master_seed, circuit, system_terms, cfg.beta_grid)
+    task = partial(_run_batch, L, cfg.init_class, cfg.master_seed, dataclasses.replace(cfg.system, L=L), trotter,
+                   cfg.tau, cfg.reps_for(L), cfg.beta_grid)
     if pool is None:
         return map(task, batches)
     return pool.map(task, batches, chunksize=max(1, len(batches) // (4 * workers)))

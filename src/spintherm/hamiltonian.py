@@ -4,9 +4,9 @@ Operators are kept as a catalog of local terms: 4x4 matrices on bonds
 (i, i+1) and 2x2 matrices on single sites.  At construction the terms are
 folded into L - 1 bond generators (each field split between the bonds
 touching its site, see bond_generators) and compiled once by
-``hilbert.compile_chain``, which sums the generators of each 4-site block.
-Applying the operator is then one kernel call per compiled entry; the
-full 2**L x 2**L matrix is never formed.
+``hilbert.compile_chain``, which sums the generators of each block of
+four bonds.  Applying the operator is then one kernel call per compiled
+entry; the full 2**L x 2**L matrix is never formed.
 Spin operators are S = sigma/2 and couplings are measured in units of
 the exchange J, so inverse temperatures are in 1/J.
 
@@ -66,9 +66,9 @@ MODEL_KINDS = tuple(_KIND_FIELDS)
 MAX_COUPLING = 1e6
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelSpec:
-    """Parameters selecting a catalog Hamiltonian.
+    """Parameters selecting a catalog Hamiltonian; immutable and hashable.
 
     ``heisenberg`` reads J; ``xxz_staggered`` J, delta and h_stag;
     ``transverse_ising`` J and h_x; ``mixed_ising`` J, h_x and h_z.  A

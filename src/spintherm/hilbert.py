@@ -15,9 +15,9 @@ exp(-beta*E) representable far beyond float range.
 
 Every chain operator reaches a state through one kernel,
 ``apply_two_site``, which applies a block compiled once by
-``compile_block``: a 2**k x 2**k matrix on k neighbouring sites (a 4x4
-bond, or a 16x16 block of BLOCK_SITES = 4 sites) permuted to memory order
-(the rightmost site in the highest bit).  On the low sites, where the
+``compile_block``: a 2**k x 2**k matrix on k neighbouring sites (up to a
+32x32 block of BLOCK_SITES = 5 sites) permuted to memory order (the
+rightmost site in the highest bit).  On the low sites, where the
 2**(site-1) amplitudes below the block are few, the compiled matrix is
 ``kron(mem, I_inner).T`` instead, so the contraction is one GEMM rather
 than thousands of tiny ones.  That form needs at least two GEMM rows per
@@ -26,15 +26,16 @@ differently from the same state among the rows of a batch.
 
 ``compile_chain`` builds every chain operator from its L - 1 bond
 operators and is the one place that knows the block layout and the order
-of a step.  The bonds of sites s .. s+3, s = 1, 5, 9, ..., form a 4-site
-block while it fits the chain, and the caller fuses each block's three
-bonds into one matrix (H sums them, a Trotter step multiplies them).  The
-entries come in application order: the even bonds outside every block,
-the blocks, then the odd bonds past the last block; each group acts on
-disjoint sites, so a step still applies its even bonds first.  The H
-matvec and a Trotter step then pass over the state L - 1 - 2 (L // 4)
-times instead of L - 1: 7 passes at L = 14, 5 at L = 12 (gate fusion as
-in state-vector simulators: Haener & Steiger, SC'17; the qsim gate fuser).
+of a step.  Block j holds the four bonds s .. s+3 (sites s .. s+4), s = 1,
+5, 9, ..., and the last block the 1-3 bonds left; neighbouring blocks share
+a site.  The caller fuses each block's bonds into one matrix: H sums them,
+a Trotter step multiplies them with the block's even bonds acting first.
+The blocks are applied in ascending s.  Each starts at an odd bond, so
+every even gate still acts before the odd gates that touch its sites, and
+the step is the even-then-odd step exactly.  The H matvec and a Trotter
+step then pass over the state ceil((L - 1) / 4) times instead of L - 1: 2
+at L = 8, 3 at L = 10 and 12, 4 at L = 14 and 16 (gate fusion as in
+state-vector simulators: Haener & Steiger, SC'17; the qsim gate fuser).
 """
 
 from __future__ import annotations
@@ -56,19 +57,20 @@ __all__ = [
     "apply_two_site",
 ]
 
-# Sites per fused block.  It must be even: every block starts at an odd
-# site, so its outer bonds are odd ones and a Trotter step can fold its
-# odd gates and its inner even gates into one block.  At L = 12 and 14 (one
-# BLAS thread, 2-core x86) 4-site blocks cut the time of the 2L-step brick
-# by 30-50 % and of the H matvec by 15-35 %; a 6-site prototype was no
-# faster.
-BLOCK_SITES = 4
+# Sites per fused block, BLOCK_SITES - 1 = 4 bonds.  The bond count must be
+# even: then every block starts at an odd bond and a step can apply the
+# blocks one after another.  At L = 8 to 16 (one BLAS thread, 2-core x86)
+# these 32x32 blocks cut the H matvec by 19-46 % and a Trotter step by
+# 17-45 % against 4-site blocks with the bonds between them applied alone.
+# 6-site blocks (64x64) were no faster: they cost 64 complex MACs per
+# amplitude, twice a 5-site block.
+BLOCK_SITES = 5
 
 # Largest side 2**width * 2**(site-1) of a compiled matrix kept in the
 # kron(mem, I_inner).T form.  At L = 12 and 14 (complex128, OpenBLAS on one
 # thread of a 2-core x86 box) that form beats the batched matmul by 1.5-20x
 # up to side 32, for 4x4 bonds and 16x16 blocks alike; it ties or loses at
-# side 64 and loses by 2-150x beyond.
+# side 64 and loses by 2-150x beyond.  So the site-1 block, 32x32, keeps it.
 SMALL_SIDE = 32
 
 
@@ -137,8 +139,8 @@ class CompiledBlock:
 def compile_block(mat: np.ndarray, site: int, num_sites: int) -> CompiledBlock:
     """Compile an operator on the sites site, site+1, ... of an L-site chain.
 
-    ``mat`` is a 2**width x 2**width matrix (a 4x4 bond, a 16x16 block of
-    BLOCK_SITES sites, ...); its shape gives the width.  It is given in the
+    ``mat`` is a 2**width x 2**width matrix (a 4x4 bond, ..., a 32x32 block
+    of BLOCK_SITES sites); its shape gives the width.  It is given in the
     product basis |s_site, s_site+1, ...> with the leftmost site as the
     major index (a bond's index is 2*s_site + s_site+1).
     """
@@ -160,28 +162,23 @@ def compile_block(mat: np.ndarray, site: int, num_sites: int) -> CompiledBlock:
     return CompiledBlock(site, width, num_sites, matrix)
 
 
-# Identities on the j sites left or right of a bond inside a block (side 2**j).
-_EYES = [np.eye(1 << j, dtype=np.complex128) for j in range(BLOCK_SITES - 1)]
-
-
 def compile_chain(ops, fuse) -> tuple[CompiledBlock, ...]:
     """Compile the 4x4 operators of bonds 1..L-1 (``ops[i - 1]`` on bond i) of an L-site chain.
 
-    ``fuse(lifted)`` returns the matrix of one block on sites s ..
-    s+BLOCK_SITES-1, given the operators ``lifted[j]`` of its bonds s + j
-    lifted to the block's 2**BLOCK_SITES-dim basis (site s major), so
-    ``lifted[0::2]`` are its odd bonds and ``lifted[1::2]`` its even one.
-    Returns the compiled entries in application order (module docstring).
+    ``fuse(lifted)`` returns the matrix of one block on sites s .. s+n,
+    given the operators ``lifted[j]`` of its n <= BLOCK_SITES - 1 bonds
+    s + j lifted to the block's 2**(n+1)-dim basis (site s major), so
+    ``lifted[0::2]`` are its odd bonds and ``lifted[1::2]`` its even ones.
+    Returns the ceil((L - 1) / 4) compiled blocks in application order,
+    ascending s (module docstring).
     """
-    num_sites = len(ops) + 1
-    covered = num_sites - num_sites % BLOCK_SITES  # sites 1..covered lie in blocks
-    blocks = [
-        (s, fuse([kron(kron(_EYES[j], ops[s - 1 + j]), _EYES[BLOCK_SITES - 2 - j]) for j in range(BLOCK_SITES - 1)]))
-        for s in range(1, covered, BLOCK_SITES)
-    ]
-    outside = [(i, op) for i, op in enumerate(ops, start=1) if i % BLOCK_SITES == 0 or i >= covered]
-    order = [b for b in outside if b[0] % 2 == 0] + blocks + [b for b in outside if b[0] % 2 == 1]
-    return tuple(compile_block(mat, i, num_sites) for i, mat in order)
+    num_sites, bonds = len(ops) + 1, BLOCK_SITES - 1
+    blocks = []
+    for s in range(1, num_sites, bonds):
+        block = ops[s - 1 : s - 1 + bonds]
+        lifted = [kron(kron(np.eye(1 << j), op), np.eye(1 << (len(block) - 1 - j))) for j, op in enumerate(block)]
+        blocks.append(compile_block(fuse(lifted), s, num_sites))
+    return tuple(blocks)
 
 
 def apply_two_site(amps: np.ndarray, block: CompiledBlock) -> np.ndarray:

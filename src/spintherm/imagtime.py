@@ -114,9 +114,10 @@ def _lanczos(terms: HamiltonianTerms, units: np.ndarray, read, basis=None) -> li
     Returns each row's (values, ritz) at its stop step.  With ``basis``, B
     lists, each row's Lanczos vectors are appended to its list.
     """
-    rows, final = np.arange(len(units)), [None] * len(units)
+    size, rows, final = units.shape[1], np.arange(len(units)), [None] * len(units)
     vec, prev, off, last = units, None, None, None
-    tri = np.zeros((len(units), 32, 32))  # each row's T_k in its leading k x k, lower triangle
+    del units  # held by vec alone, it is freed once the walk moves past it
+    tri = np.zeros((len(rows), 32, 32))  # each row's T_k in its leading k x k, lower triangle
     k = 0
     while True:
         w = apply_terms(terms, vec)
@@ -142,7 +143,7 @@ def _lanczos(terms: HamiltonianTerms, units: np.ndarray, read, basis=None) -> li
             if prev is not None:
                 w -= off[:, None] * prev
             grown = np.sqrt(_dots(w, w))
-            stop |= (grown <= 1e-12 * np.hypot(alpha, 0.0 if off is None else off)) | (k == units.shape[1])
+            stop |= (grown <= 1e-12 * np.hypot(alpha, 0.0 if off is None else off)) | (k == size)
         for i in np.flatnonzero(stop):
             final[rows[i]] = (values[i], ritz[i])
         if stop.all():
@@ -150,7 +151,8 @@ def _lanczos(terms: HamiltonianTerms, units: np.ndarray, read, basis=None) -> li
         if stop.any():  # the rest run on without the stopped rows
             keep = ~stop
             rows, vec, w, grown, values, tri = rows[keep], vec[keep], w[keep], grown[keep], values[keep], tri[keep]
-        prev, vec, off, last = vec, w / grown[:, None], grown, values
+        w /= grown[:, None]  # in place: the next vector is w itself, so no old w lives through the next matvec
+        prev, vec, off, last = vec, w, grown, values
 
 
 def evolve(rows: np.ndarray, terms: HamiltonianTerms, theta: float) -> tuple[np.ndarray, np.ndarray]:

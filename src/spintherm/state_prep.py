@@ -108,8 +108,8 @@ class TrotterCircuit:
     absorbs the field terms of its two sites (see
     ``hamiltonian.bond_generators``).  The object is immutable: the gates
     are read-only copies, and ``gates`` holds one step compiled at
-    construction by ``hilbert.compile_chain``, each 4-site block fused as
-    odd . odd . (inner even).  It needs at least one gate, each 4x4 and
+    construction by ``hilbert.compile_chain``: ceil((L - 1) / 4) blocks of
+    up to four gates, each fused with its even gates acting first.  It needs at least one gate, each 4x4 and
     finite, and an integer n_reps >= 0; the ValueError otherwise names the fault.
     """
 

@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -31,9 +32,9 @@ import spintherm
 from helpers import bootstrap_reference
 from spintherm import cli, hilbert
 from spintherm.estimators import efficiency, simple_expectation, weighted_expectation
-from spintherm.hamiltonian import MAX_COUPLING, ModelSpec, build_hamiltonian
+from spintherm.hamiltonian import MAX_COUPLING, ModelSpec
 from spintherm.imagtime import MAX_BETA, MAX_BETA_POINTS, BetaGrid
-from spintherm.state_prep import MAX_TAU, build_trotter_circuit
+from spintherm.state_prep import MAX_TAU
 
 MINIMAL = """
 system.kind = heisenberg
@@ -215,12 +216,13 @@ def test_run_outputs_independent_of_thread_count(tmp_path, monkeypatch):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_lockstep_rows_are_bit_identical_whatever_the_batch(L, init_class, M, seed):
-    terms = build_hamiltonian(ModelSpec(kind="heisenberg", L=L))
-    circuit = build_trotter_circuit(ModelSpec(kind="mixed_ising", L=L, h_x=1.0, h_z=1.0), 10.0, 2 * L)
+    system = ModelSpec(kind="heisenberg", L=L)
+    trotter = ModelSpec(kind="mixed_ising", L=L, h_x=1.0, h_z=1.0) if init_class == "trotter_rpps" else None
     grid = BetaGrid((0.5, 1.0, 3.0))
 
     def batched(size):
-        parts = [cli._run_batch(L, init_class, seed, circuit, terms, grid, range(start, min(start + size, M)))
+        parts = [cli._run_batch(L, init_class, seed, system, trotter, 10.0, 2 * L, grid,
+                                range(start, min(start + size, M)))
                  for start in range(0, M, size)]
         return [np.concatenate(part) for part in zip(*parts)]  # entropies, ln-norms, energies
 
@@ -241,12 +243,13 @@ def test_run_compiles_each_operator_once_whatever_m(tmp_path, monkeypatch):
     counts = []
     for M in (2, 7):
         compiled.clear()
+        cli._operators.cache_clear()  # each run compiles its own, as a fresh worker would
         run_experiment(dataclasses.replace(tiny_config(tmp_path / f"m{M}"), M=M, threads=1))
         counts.append(len(compiled))
-    # per L, each compiled once: the system's blocks and left-over bonds, and the
-    # step's (2 bonds at L = 3, one 4-site block at L = 4); the scrambler's
-    # generators are exponentiated uncompiled
-    assert counts == [2 * (2 + 1)] * 2
+    # per L, each compiled once: the system's one block and the step's (the
+    # 2 bonds at L = 3, the 3 at L = 4); the scrambler's generators are
+    # exponentiated uncompiled
+    assert counts == [2 * (1 + 1)] * 2
 
 
 def test_run_json_round_trip(tmp_path):
@@ -336,6 +339,38 @@ def test_pool_is_capped_at_samples_and_cpus(tmp_path, monkeypatch):
     assert main(["run", "--preset", "fig2", "--L", "4", "--samples", "4", "--threads", "2",
                  "--out", str(tmp_path / "fig2")]) == 0
     assert sizes == [2]
+
+
+def test_pool_tasks_carry_specs_not_operators(tmp_path, monkeypatch):
+    # A fake executor that pickles every task as a process pool does, then runs it in this process.
+    tasks = []
+
+    class PicklingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            sent = [pickle.dumps((fn, batch)) for batch in iterable]
+            tasks.extend(sent)
+            return (fn(batch) for fn, batch in map(pickle.loads, sent))
+
+    monkeypatch.setattr(cli, "_process_pool", PicklingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    one = run_experiment(dataclasses.replace(tiny_config(tmp_path / "one"), threads=1))
+    two = run_experiment(dataclasses.replace(tiny_config(tmp_path / "two"), threads=2))
+    assert one["samples"].read_bytes() == two["samples"].read_bytes()
+    assert len(tasks) == 4  # two (L, batch) tasks at each of L = 3, 4
+    for task in tasks:
+        # the model specs, tau, n_reps and the grid: no compiled operator, gate or array
+        for name in (b"HamiltonianTerms", b"TrotterCircuit", b"CompiledBlock", b"ndarray"):
+            assert name not in task
+        assert len(task) < 1024
 
 
 def test_collect_samples_refuses_nonfinite_or_negative_entropy(tmp_path, monkeypatch):

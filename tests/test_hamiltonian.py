@@ -281,6 +281,6 @@ def test_apply_terms_is_one_kernel_call_per_bond_and_compiles_nothing(monkeypatc
     counted(np, "ascontiguousarray")
     out = apply_terms(terms, amps)
     apply_terms(terms, out)
-    # at L = 9: the blocks on sites 1-4 and 5-8 and the bonds (4, 5) and (8, 9), one call each
-    assert calls == {"apply_two_site": 2 * 4, "compile_block": 0, "kron": 0, "ascontiguousarray": 0}
+    # at L = 9: the blocks on sites 1-5 and 5-9, one call each
+    assert calls == {"apply_two_site": 2 * 2, "compile_block": 0, "kron": 0, "ascontiguousarray": 0}
     assert np.allclose(out, ref.xxz_staggered_matrix(9, delta=2.0, h_stag=0.5) @ amps, atol=1e-12)

@@ -1,5 +1,7 @@
 """Amplitude rows, inner products, Schmidt spectra, and the site kernels."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,9 +178,10 @@ def test_compiled_bond_size_and_form():
                 block.matrix[0, 0] = 1.0
 
 
-@pytest.mark.parametrize("L", range(2, 16))
+@pytest.mark.parametrize("L", range(2, 17))
 def test_partition_bonds_covers_each_bond_once(L):
-    # compile_chain's partition of the bonds: blocks on sites (s, s+3), s = 1, 5, 9, ...
+    # compile_chain's partition of the bonds: blocks of bonds s .. s+3 (sites
+    # s .. s+4), s = 1, 5, 9, ..., in ascending s, the last one with the 1-3 left
     rng = np.random.default_rng(L)
     ops = [random_hermitian(rng, 4) for _ in range(L - 1)]
     fused = []
@@ -188,22 +191,43 @@ def test_partition_bonds_covers_each_bond_once(L):
         return sum(lifted)
 
     compiled = compile_chain(ops, fuse)
-    starts = list(range(1, L - BLOCK_SITES + 2, BLOCK_SITES))
-    assert [(b.site, b.width) for b in compiled if b.width != 2] == [(s, BLOCK_SITES) for s in starts]
-    outside = [b.site for b in compiled if b.width == 2]
-    assert sorted(outside + [s + j for s in starts for j in range(BLOCK_SITES - 1)]) == list(range(1, L))
-    # application order: the even bonds outside every block, the blocks, the odd bonds past them
-    groups = [0 if b.width == 2 and b.site % 2 == 0 else 1 if b.width == BLOCK_SITES else 2 for b in compiled]
-    assert groups == sorted(groups)
-    assert len(compiled) == L - 1 - 2 * (L // BLOCK_SITES)  # 5 at L = 12, 7 at L = 14
+    starts = list(range(1, L, BLOCK_SITES - 1))
+    assert [(b.site, b.width) for b in compiled] == [(s, min(BLOCK_SITES, L - s + 1)) for s in starts]
+    assert len(compiled) == -(-(L - 1) // 4)  # 3 at L = 12, 4 at L = 14
     # each lifted bond is its bond embedded in the block's left-major basis
     assert len(fused) == len(starts)
-    for s, lifted in zip(starts, fused):
-        assert len(lifted) == BLOCK_SITES - 1
+    for b, lifted in zip(compiled, fused):
+        assert len(lifted) == b.width - 1
         for j, op in enumerate(lifted):
-            want = ref.embed_pair_matrix(ops[s + j - 1], j + 1, BLOCK_SITES)
-            assert np.array_equal(ref.embed_block_matrix(op, 1, BLOCK_SITES), want)
-    blocks = iter(fused)
-    for b in compiled:
-        mat = ops[b.site - 1] if b.width == 2 else sum(next(blocks))
-        assert np.array_equal(b.matrix, compile_block(mat, b.site, L).matrix)
+            want = ref.embed_pair_matrix(ops[b.site + j - 1], j + 1, b.width)
+            assert np.array_equal(ref.embed_block_matrix(op, 1, b.width), want)
+        assert np.array_equal(b.matrix, compile_block(sum(lifted), b.site, L).matrix)
+
+
+def _random_unitary(rng):
+    q, r = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("L", range(2, 17))
+def test_compiled_chain_matches_bond_by_bond(L):
+    # whatever the layout: the compiled H is the sum of its 4x4 bonds, and one
+    # compiled Trotter step is its even bonds, then its odd bonds, one at a time
+    rng = np.random.default_rng(100 + L)
+    terms = [random_hermitian(rng, 4) for _ in range(L - 1)]
+    gates = [_random_unitary(rng) for _ in range(L - 1)]
+    rows = rng.standard_normal((2, 2**L)) + 1j * rng.standard_normal((2, 2**L))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    bonds = range(1, L)
+
+    want = sum(apply_two_site(rows, compile_block(terms[i - 1], i, L)) for i in bonds)
+    got = sum(apply_two_site(rows, block) for block in compile_chain(terms, sum))
+    assert np.abs(got - want).max() <= 1e-12
+
+    want = rows
+    for i in [i for i in bonds if i % 2 == 0] + [i for i in bonds if i % 2 == 1]:
+        want = apply_two_site(want, compile_block(gates[i - 1], i, L))
+    got = rows
+    for block in compile_chain(gates, lambda lifted: reduce(np.matmul, lifted[0::2] + lifted[1::2])):
+        got = apply_two_site(got, block)
+    assert np.abs(got - want).max() <= 1e-12

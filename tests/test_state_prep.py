@@ -217,7 +217,7 @@ def test_build_circuit_validation():
     eye = np.eye(4)
     for gates, n_reps, reason in (
         ([], 1, "at least one bond gate"),
-        ([eye, eye, np.eye(2)], 1, "bond gate at 3 has shape"),  # inside the block on sites 1-4
+        ([eye, eye, np.eye(2)], 1, "bond gate at 3 has shape"),  # inside the block on sites 1-5
         ([eye, np.full((4, 4), np.nan)], 1, "bond gate at 2 has non-finite entries"),
         ([eye], -3, "n_reps must be an integer >= 0"),
         ([eye], 1.5, "n_reps must be an integer >= 0"),
@@ -229,9 +229,9 @@ def test_build_circuit_validation():
 def test_circuit_is_frozen():
     circuit = build_trotter_circuit(MIXED, tau=1.0, n_reps=2)
     assert isinstance(circuit.bond_gates, tuple)
-    # one step in application order at L = 6: the even gate (4, 5) outside the
-    # block, the block odd . odd . even on sites 1-4, then the odd gate (5, 6)
-    assert [(g.site, g.width) for g in circuit.gates] == [(4, 2), (1, 4), (5, 2)]
+    # one step in application order at L = 6: the block of bonds 1-4 on sites
+    # 1-5, then the odd gate (5, 6)
+    assert [(g.site, g.width) for g in circuit.gates] == [(1, 5), (5, 2)]
     for name in ("bond_gates", "n_reps", "gates"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(circuit, name, getattr(circuit, name))
@@ -253,8 +253,8 @@ def _random_hermitian(rng, dim):
 @given(L=st.integers(2, 10), data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_compiled_kernels_match_dense_on_both_sides_of_the_small_inner_threshold(L, data, seed):
     # a block whose side 2**width * 2**(site-1) is at most SMALL_SIDE uses the
-    # kron(mem, I_inner).T form, the rest the batched matmul; L = 2, 3 hold no
-    # whole 4-site block, and L = 6, 7, 10 leave bonds outside every block
+    # kron(mem, I_inner).T form, the rest the batched matmul; L <= 4 holds no
+    # whole 5-site block, and every L but 5 and 9 ends in a block of 1-3 bonds
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(2**L) + 1j * rng.standard_normal(2**L)
 
@@ -287,5 +287,5 @@ def test_compiled_kernels_match_dense_on_both_sides_of_the_small_inner_threshold
     )
     assert np.allclose(apply_terms(terms, amps), h @ amps, rtol=0.0, atol=1e-10)
     assert max(b.matrix.shape[0] for b in terms.compiled) <= SMALL_SIDE
-    # one pass per 4-site block and per bond outside every block, for H and for a step
-    assert len(terms.compiled) == len(circuit.gates) == L - 1 - 2 * (L // BLOCK_SITES)
+    # one pass per block of up to four bonds, for H and for a step
+    assert len(terms.compiled) == len(circuit.gates) == -(-(L - 1) // 4)
