@@ -5,9 +5,21 @@ product states scrambled by a few Trotter layers), filters them with
 exp(-beta H / 2) applied matrix-free, and averages observables with
 norm weights.  See the module docstrings for conventions; README.md for
 the command-line interface.
+
+Importing the package sets OPENBLAS_NUM_THREADS (OpenBLAS, numpy's
+bundled scipy-openblas too), OMP_NUM_THREADS (OpenMP builds) and
+MKL_NUM_THREADS (Intel MKL) to 1 where unset: the worker count is the one
+parallelism control, and a multithreaded BLAS changes output bits with the
+core count.  It does nothing if numpy was imported first, and nothing for
+other builds (Accelerate).
 """
 
-from .estimators import (
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from .estimators import (  # noqa: E402
     bootstrap_sigma,
     efficiency,
     entanglement_entropy,

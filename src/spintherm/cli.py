@@ -5,7 +5,9 @@ state class (haar, rpps, or trotter_rpps with a scrambling circuit),
 a beta grid, and sampling parameters.  For every chain length in
 L_list, M samples are drawn, scrambled, evolved in imaginary time, and
 measured; per-sample rows and per-(L, beta) aggregates are written as
-CSV plus a JSON echo of the resolved configuration.
+CSV, and the resolved configuration is echoed as run.cfg, a config file
+that ``spintherm run --config`` reruns.  A run writes into its config's
+output_path; a preset variant's is ``<root>/<label>``.
 
 A command runs as a stream of batch tasks on one pool of min(threads, M,
 os.cpu_count()) worker processes (threads = the cpu count when unset;
@@ -27,13 +29,14 @@ alone.
 
 One schema reads every RunConfig: a table of keys (model fields are
 dotted, ``system.kind``, ``trotter.h_x``), each with a text-to-value and
-a value-to-text conversion.  Config files (flat ``key = value`` text),
-run.json (a JSON object of the same keys and texts), the presets (a
-desk base plus each variant's changes) and the run command's overrides
-are key -> text maps given to one reader, which names the key of every
-bad value and ends in validate_config.  The one bound on the chain
-length is memory: a length whose LIVE_VECTORS state vectors per worker
-exceed physical memory is refused.
+a value-to-text conversion.  Config files (flat ``key = value`` text,
+the run.cfg echo among them), the presets (a desk base plus each
+variant's changes) and the run command's overrides are key -> text maps
+given to one reader, which names the key of every bad value and ends in
+validate_config.  validate_config refuses a label or output_path that
+one config line cannot hold, so every valid config round-trips through
+run.cfg.  The one bound on the chain length is memory: a length whose
+LIVE_VECTORS state vectors per worker exceed physical memory is refused.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import json
 import os
 import sys
 from dataclasses import dataclass
@@ -69,10 +71,8 @@ __all__ = [
     "load_config",
     "validate_config",
     "preset_variants",
-    "run_experiment",
     "run_experiments",
     "emit_results",
-    "load_run_json",
     "main",
 ]
 
@@ -152,7 +152,13 @@ def validate_config(cfg: RunConfig) -> None:
         problems.append(f"threads: must be >= 1 or unset, got {cfg.threads}")
     if not cfg.output_path:
         problems.append("output_path: must be nonempty")
-    # written unquoted into a summary.csv field and printed, whatever the locale's encoding
+    # each echoed as one run.cfg line, where '#' starts a comment and a value's ends are stripped
+    for name in ("output_path", "label"):
+        text = getattr(cfg, name)
+        if "#" in text or not text.isprintable() or text != text.strip():
+            problems.append(f"{name}: must not contain '#' or a nonprintable character, nor start or end "
+                            f"with whitespace, got {ascii(text)}")
+    # the label is also written unquoted into a summary.csv field and printed, whatever the locale's encoding
     if not all(" " <= c <= "~" and c not in ',"' for c in cfg.label):
         problems.append(f"label: must not contain a comma, quote or any character but printable ASCII, "
                         f"got {ascii(cfg.label)}")
@@ -300,12 +306,15 @@ _PRESETS = {
 PRESET_NAMES = tuple(_PRESETS)
 
 
-def _preset_maps(name: str) -> list[dict[str, str]]:
+def _preset_maps(name: str, over: dict[str, str]) -> list[dict[str, str]]:
+    """Each variant's key -> text map, overrides applied; a variant writes into <output_path>/<label>."""
     if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}, expected one of {PRESET_NAMES}")
     changes, labels = _PRESETS[name]
-    base = {**_DESK, **changes, "output_path": f"runs/{name}"}
-    return [{**base, **_VARIANTS[label], "label": label} for label in labels]
+    base = {**_DESK, **changes, "output_path": f"runs/{name}", **over}
+    root = base["output_path"]  # an empty root stays empty, for validate_config to refuse
+    return [{**base, **_VARIANTS[label], "label": label, "output_path": root and os.path.join(root, label)}
+            for label in labels]
 
 
 def preset_variants(name: str) -> list[RunConfig]:
@@ -317,7 +326,7 @@ def preset_variants(name: str) -> list[RunConfig]:
     fig4: estimator-difference comparison between L = 10 and L = 12.
     The comparison runs are the Haar baseline and the integrable scramblers.
     """
-    return [_read(raw) for raw in _preset_maps(name)]
+    return [_read(raw) for raw in _preset_maps(name, {})]
 
 
 # ---------------------------------------------------------------------------
@@ -412,58 +421,42 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def emit_results(
-    summary_rows: list[tuple],
-    sample_rows: list[tuple],
-    cfg: RunConfig,
-    out_dir: str | Path,
-) -> dict[str, Path]:
-    """Write summary.csv, samples.csv, and run.json; returns their paths.
+def emit_results(summary_rows: list[tuple], sample_rows: list[tuple], cfg: RunConfig) -> dict[str, Path]:
+    """Write summary.csv, samples.csv and run.cfg into cfg.output_path; returns their paths.
 
     Each CSV gets its header and then the rows it is given, in the order
-    given, with floats printed to 17 significant digits.
+    given, with floats printed to 17 significant digits.  run.cfg holds
+    one ``key = value`` line per set key of cfg: ``spintherm run --config``
+    reruns it.
     """
-    out = Path(out_dir)
+    out = Path(cfg.output_path)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {"summary": out / "summary.csv", "samples": out / "samples.csv", "run_json": out / "run.json"}
+    paths = {"summary": out / "summary.csv", "samples": out / "samples.csv", "config": out / "run.cfg"}
     for key, header, rows in (("summary", SUMMARY_HEADER, summary_rows), ("samples", SAMPLES_HEADER, sample_rows)):
         with paths[key].open("w") as fh:
             fh.write(header + "\n")
             fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
-    with paths["run_json"].open("w") as fh:
-        json.dump(_write(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    paths["config"].write_text("".join(f"{key} = {text}\n" for key, text in _write(cfg).items()), encoding="utf-8")
     return paths
 
 
-def load_run_json(path: str | Path) -> RunConfig:
-    """Rebuild and validate the RunConfig echoed into run.json."""
-    try:
-        raw = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    if not (isinstance(raw, dict) and all(isinstance(text, str) for text in raw.values())):
-        raise ConfigError(f"{path}: expected a JSON object of config keys and value texts")
-    return _read(raw)
-
-
-def run_experiments(runs: list[tuple[RunConfig, str | Path]]):
-    """Execute (config, output directory) pairs in order, on at most one worker pool.
+def run_experiments(cfgs: list[RunConfig]):
+    """Execute configs in order, each into its output_path, on at most one worker pool.
 
     Yields each run's output paths, as emit_results returns them, once its
     last chain length is written.
     """
-    for cfg, _ in runs:
+    for cfg in cfgs:
         validate_config(cfg)
-    workers = max(_workers(cfg) for cfg, _ in runs)
-    jobs = [(cfg, L, out) for cfg, out in runs for L in sorted(cfg.L_list)]
+    workers = max(map(_workers, cfgs))
+    jobs = [(cfg, L) for cfg in cfgs for L in sorted(cfg.L_list)]
     summary_rows: list[tuple] = []
     sample_rows: list[tuple] = []
     with _process_pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        pending = _submit(pool, workers, *jobs[0][:2])
-        for (cfg, L, out), ahead in zip(jobs, jobs[1:] + [None]):
+        pending = _submit(pool, workers, *jobs[0])
+        for (cfg, L), ahead in zip(jobs, jobs[1:] + [None]):
             # the next (variant, L) runs on the workers while this one is gathered and bootstrapped
-            results, pending = pending, ahead and _submit(pool, workers, *ahead[:2])
+            results, pending = pending, ahead and _submit(pool, workers, *ahead)
             s_ini, logs, obs = _collect_samples(L, results)
             summary_rows += _aggregate(cfg, L, s_ini, logs, obs)
             sample_rows += [
@@ -472,14 +465,8 @@ def run_experiments(runs: list[tuple[RunConfig, str | Path]]):
                 for k, beta in enumerate(cfg.beta_grid.checkpoints)
             ]
             if L == max(cfg.L_list):
-                yield emit_results(summary_rows, sample_rows, cfg, out)
+                yield emit_results(summary_rows, sample_rows, cfg)
                 summary_rows, sample_rows = [], []
-
-
-def run_experiment(cfg: RunConfig, out_dir: str | Path | None = None) -> dict[str, Path]:
-    """Execute one configuration and write its three output files."""
-    [paths] = run_experiments([(cfg, out_dir or cfg.output_path)])
-    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +488,7 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument("--L", dest="L_list", help="comma-separated chain lengths overriding L_list")
     run_p.add_argument("--samples", dest="M", help="samples per (L, class)")
     run_p.add_argument("--seed", dest="master_seed", help="master seed")
-    run_p.add_argument("--out", help="output directory")
+    run_p.add_argument("--out", dest="output_path", help="output directory; a preset's has one per variant")
     run_p.add_argument("--threads", help="worker processes, at most M and the cpu count")
 
     val_p = sub.add_parser("validate", help="check a config file without running it")
@@ -515,10 +502,9 @@ def main(argv: list[str] | None = None) -> int:
             print("ok")
             return 0
         over = {key: text for key, text in vars(args).items() if key in _FIELDS and text is not None}
-        raws = [_parse_lines(_read_text(args.config))] if args.config else _preset_maps(args.preset)
-        cfgs = [_read({**raw, **over}) for raw in raws]
-        outs = [Path(args.out or cfg.output_path) / (cfg.resolved_label() if args.preset else "") for cfg in cfgs]
-        for cfg, paths in zip(cfgs, run_experiments(list(zip(cfgs, outs)))):
+        raws = [{**_parse_lines(_read_text(args.config)), **over}] if args.config else _preset_maps(args.preset, over)
+        cfgs = [_read(raw) for raw in raws]
+        for cfg, paths in zip(cfgs, run_experiments(cfgs)):
             print(f"{cfg.resolved_label()}: {paths['summary']}")
     except (ConfigError, OSError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from oracle import dense_build, exact_evolve
-from spintherm.cli import RunConfig, preset_variants, run_experiment
+from spintherm.cli import RunConfig, preset_variants, run_experiments
 from spintherm.estimators import bootstrap_sigma, efficiency, entanglement_entropy, weights
 from spintherm.hamiltonian import ModelSpec, build_hamiltonian
 from spintherm.imagtime import BetaGrid, evolve
@@ -65,7 +65,8 @@ def efficiency_runs(tmp_path_factory):
         cfg = dataclasses.replace(
             variant, M=512, threads=1, output_path=str(base / label)
         )
-        rows[label] = load_summary(run_experiment(cfg)["summary"])
+        [paths] = run_experiments([cfg])
+        rows[label] = load_summary(paths["summary"])
     return rows
 
 
@@ -76,7 +77,8 @@ def estimator_sweep(tmp_path_factory):
     cfg = dataclasses.replace(
         preset_variants("fig4")[0], threads=1, n_resamples=0, output_path=str(base)
     )
-    return load_summary(run_experiment(cfg)["summary"])
+    [paths] = run_experiments([cfg])
+    return load_summary(paths["summary"])
 
 
 def test_a1_weighted_energy_matches_exact_thermal(tmp_path):
@@ -84,7 +86,8 @@ def test_a1_weighted_energy_matches_exact_thermal(tmp_path):
     cfg = dataclasses.replace(
         preset_variants("fig2")[0], L_list=(8,), M=1024, threads=1, output_path=str(tmp_path)
     )
-    summary = load_summary(run_experiment(cfg)["summary"])
+    [paths] = run_experiments([cfg])
+    summary = load_summary(paths["summary"])
     elapsed = time.monotonic() - start
     row = summary[(8, 3.0)]
     exact = frozen_exact("heisenberg", 8, 3.0)
@@ -258,8 +261,9 @@ def test_a7_invariant_suite(tmp_path):
         n_resamples=0,
         output_path="unused",
     )
-    out_one = run_experiment(dataclasses.replace(base, threads=1), tmp_path / "one")
-    out_two = run_experiment(dataclasses.replace(base, threads=2), tmp_path / "two")
+    # one command each: a command's variants share one pool
+    [out_one] = run_experiments([dataclasses.replace(base, threads=1, output_path=str(tmp_path / "one"))])
+    [out_two] = run_experiments([dataclasses.replace(base, threads=2, output_path=str(tmp_path / "two"))])
     if out_one["samples"].read_bytes() != out_two["samples"].read_bytes():
         failures.append("samples.csv differs between 1 and 2 threads")
 

@@ -21,11 +21,11 @@ from spintherm.cli import (
     SAMPLES_HEADER,
     SUMMARY_HEADER,
     emit_results,
-    load_run_json,
+    load_config,
     main,
     parse_config,
     preset_variants,
-    run_experiment,
+    run_experiments,
     validate_config,
 )
 import spintherm
@@ -181,10 +181,10 @@ def tiny_config(out):
 
 
 def test_run_outputs_are_reproducible(tmp_path):
-    paths_a = run_experiment(tiny_config(tmp_path / "a"))
-    paths_b = run_experiment(tiny_config(tmp_path / "b"))
+    [paths_a] = run_experiments([tiny_config(tmp_path / "a")])
+    [paths_b] = run_experiments([tiny_config(tmp_path / "b")])
     # the order of L_list does not change the files: rows are made L ascending
-    paths_r = run_experiment(dataclasses.replace(tiny_config(tmp_path / "r"), L_list=(4, 3)))
+    [paths_r] = run_experiments([dataclasses.replace(tiny_config(tmp_path / "r"), L_list=(4, 3))])
     for key in ("summary", "samples"):
         assert paths_a[key].read_bytes() == paths_b[key].read_bytes() == paths_r[key].read_bytes()
 
@@ -192,8 +192,8 @@ def test_run_outputs_are_reproducible(tmp_path):
 def test_run_outputs_independent_of_thread_count(tmp_path, monkeypatch):
     one = dataclasses.replace(tiny_config(tmp_path / "t1"), threads=1)
     two = dataclasses.replace(tiny_config(tmp_path / "t2"), threads=2)
-    paths_one = run_experiment(one)
-    paths_two = run_experiment(two)
+    [paths_one] = run_experiments([one])
+    [paths_two] = run_experiments([two])
     assert paths_one["samples"].read_bytes() == paths_two["samples"].read_bytes()
     assert paths_one["summary"].read_bytes() == paths_two["summary"].read_bytes()
     # M = 7 is no multiple of most batch sizes: B = 7 (one worker) or 4 (two) by default; with
@@ -203,7 +203,7 @@ def test_run_outputs_independent_of_thread_count(tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "BATCH_AMPLITUDES", budget)
         for threads in (1, 2):
             cfg = dataclasses.replace(tiny_config(tmp_path / f"b{budget}t{threads}"), M=7, threads=threads)
-            paths = run_experiment(cfg)
+            [paths] = run_experiments([cfg])
             files.add((paths["samples"].read_bytes(), paths["summary"].read_bytes()))
     assert len(files) == 1
 
@@ -244,7 +244,7 @@ def test_run_compiles_each_operator_once_whatever_m(tmp_path, monkeypatch):
     for M in (2, 7):
         compiled.clear()
         cli._operators.cache_clear()  # each run compiles its own, as a fresh worker would
-        run_experiment(dataclasses.replace(tiny_config(tmp_path / f"m{M}"), M=M, threads=1))
+        list(run_experiments([dataclasses.replace(tiny_config(tmp_path / f"m{M}"), M=M, threads=1)]))
         counts.append(len(compiled))
     # per L, each compiled once: the system's one block and the step's (the
     # 2 bonds at L = 3, the 3 at L = 4); the scrambler's generators are
@@ -252,15 +252,15 @@ def test_run_compiles_each_operator_once_whatever_m(tmp_path, monkeypatch):
     assert counts == [2 * (1 + 1)] * 2
 
 
-def test_run_json_round_trip(tmp_path):
+def test_run_cfg_round_trip(tmp_path):
     cfg = tiny_config(tmp_path / "r")
-    paths = run_experiment(cfg)
-    assert load_run_json(paths["run_json"]) == cfg
+    [paths] = run_experiments([cfg])
+    assert load_config(paths["config"]) == cfg
 
 
 def test_output_shape_and_sorting(tmp_path):
     cfg = tiny_config(tmp_path / "s")
-    paths = run_experiment(cfg)
+    [paths] = run_experiments([cfg])
     summary = paths["summary"].read_text().splitlines()
     samples = paths["samples"].read_text().splitlines()
     assert summary[0] == SUMMARY_HEADER
@@ -278,7 +278,7 @@ def test_output_shape_and_sorting(tmp_path):
 
 def test_summary_recomputable_from_samples(tmp_path):
     cfg = tiny_config(tmp_path / "agg")
-    paths = run_experiment(cfg)
+    [paths] = run_experiments([cfg])
     with paths["samples"].open() as fh:
         sample_rows = list(csv.DictReader(fh))
     with paths["summary"].open() as fh:
@@ -328,11 +328,11 @@ def test_pool_is_capped_at_samples_and_cpus(tmp_path, monkeypatch):
     # (threads, M) -> the pool size, or None for no pool
     for threads, M, want in ((64, 6, 4), (3, 6, 3), (64, 2, 2), (None, 6, 4), (None, 1, None), (1, 6, None)):
         sizes.clear()
-        run_experiment(dataclasses.replace(base, threads=threads, M=M))
+        list(run_experiments([dataclasses.replace(base, threads=threads, M=M)]))
         assert sizes == ([] if want is None else [want]), (threads, M)
     # one pool serves every chain length of a run
     sizes.clear()
-    run_experiment(dataclasses.replace(base, L_list=(4, 6), threads=2, M=6))
+    list(run_experiments([dataclasses.replace(base, L_list=(4, 6), threads=2, M=6)]))
     assert sizes == [2]
     # and one pool serves every variant of a preset
     sizes.clear()
@@ -362,8 +362,8 @@ def test_pool_tasks_carry_specs_not_operators(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_process_pool", PicklingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    one = run_experiment(dataclasses.replace(tiny_config(tmp_path / "one"), threads=1))
-    two = run_experiment(dataclasses.replace(tiny_config(tmp_path / "two"), threads=2))
+    [one] = run_experiments([dataclasses.replace(tiny_config(tmp_path / "one"), threads=1)])
+    [two] = run_experiments([dataclasses.replace(tiny_config(tmp_path / "two"), threads=2)])
     assert one["samples"].read_bytes() == two["samples"].read_bytes()
     assert len(tasks) == 4  # two (L, batch) tasks at each of L = 3, 4
     for task in tasks:
@@ -388,12 +388,12 @@ def test_collect_samples_refuses_nonfinite_or_negative_entropy(tmp_path, monkeyp
 
         monkeypatch.setattr(cli, "_run_batch", batch)
         with pytest.raises(ValueError, match=reason):
-            run_experiment(cfg)
+            list(run_experiments([cfg]))
 
 
 def test_single_sample_run(tmp_path):
     cfg = dataclasses.replace(tiny_config(tmp_path / "m1"), M=1, L_list=(4,), n_resamples=0)
-    paths = run_experiment(cfg)
+    [paths] = run_experiments([cfg])
     with paths["summary"].open() as fh:
         rows = list(csv.DictReader(fh))
     for row in rows:
@@ -402,7 +402,7 @@ def test_single_sample_run(tmp_path):
 
 
 def test_emit_results_header_only(tmp_path):
-    paths = emit_results([], [], preset_variants("fig2")[0], tmp_path / "empty")
+    paths = emit_results([], [], dataclasses.replace(preset_variants("fig2")[0], output_path=str(tmp_path / "empty")))
     assert paths["summary"].read_text() == SUMMARY_HEADER + "\n"
     assert paths["samples"].read_text() == SAMPLES_HEADER + "\n"
 
@@ -426,7 +426,7 @@ def test_main_run_config_and_overrides(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "summary.csv" in out
-    run_cfg = load_run_json(tmp_path / "direct" / "run.json")
+    run_cfg = load_config(tmp_path / "direct" / "run.cfg")
     assert run_cfg.L_list == (4,)
     assert run_cfg.M == 2
     assert run_cfg.master_seed == 11
@@ -440,8 +440,25 @@ def test_main_run_preset_writes_variant_directories(tmp_path):
         base = tmp_path / "fig2" / label
         assert (base / "summary.csv").exists()
         assert (base / "samples.csv").exists()
-        cfg = load_run_json(base / "run.json")
+        cfg = load_config(base / "run.cfg")
         assert cfg.resolved_label() == label
+
+
+def test_run_cfg_reruns_a_preset_variant(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--preset", "fig2", "--L", "4", "--samples", "4", "--threads", "1", "--out", "A"]) == 0
+    for label in ("ising_mixed", "ising_transverse", "haar"):
+        assert load_config(Path("A", label, "run.cfg")).output_path == os.path.join("A", label)
+    assert main(["run", "--config", os.path.join("A", "haar", "run.cfg"), "--out", "B"]) == 0
+    for name in ("summary.csv", "samples.csv"):
+        assert Path("B", name).read_bytes() == Path("A", "haar", name).read_bytes()
+
+    def echo(directory):
+        return [line for line in Path(directory, "run.cfg").read_text().splitlines()
+                if not line.startswith("output_path =")]
+
+    assert echo("B") == echo(os.path.join("A", "haar"))
+    assert load_config(Path("B", "run.cfg")).output_path == "B"
 
 
 @pytest.mark.parametrize("line,reason", [
@@ -464,6 +481,11 @@ def test_main_run_preset_writes_variant_directories(tmp_path):
                         "got '\\u03b2-scan'"),
     # the byte 0xe9 alone, which is not UTF-8
     ("label = caf\udce9", "{path}: 'utf-8' codec can't decode byte 0xe9"),
+    # control characters a config line can carry; '#' and the ends of a value it cannot
+    ("label = a\tb", "label: must not contain '#' or a nonprintable character"),
+    ("label = a\x7fb", "label: must not contain '#' or a nonprintable character"),
+    ("output_path = out\tb", "output_path: must not contain '#' or a nonprintable character"),
+    ("output_path = out\x1b[1m", "output_path: must not contain '#' or a nonprintable character"),
 ])
 def test_main_validate_names_the_bad_key(tmp_path, capsys, line, reason):
     cfg_file = tmp_path / "bad.cfg"
@@ -531,11 +553,14 @@ TRACED = {
 def test_runtime_imports_no_scipy():
     code = (
         "import sys, spintherm, spintherm.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy') or m == 'spintherm.oracle'))"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy') or m == 'spintherm.oracle')); "
+        "print('json' in sys.modules)"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    scipy_and_oracle, json_loaded = out.stdout.split()
+    assert scipy_and_oracle == "[]"
+    assert json_loaded == "False"  # the run echo is a config file, not JSON
     assert set(spintherm.__all__) == PUBLIC
     for module, names in TRACED.items():
         assert set(names) <= set(importlib.import_module(f"spintherm.{module}").__all__), module
@@ -557,13 +582,23 @@ def test_traced_run_counts_each_bootstrap_draw(tmp_path):
     assert json.loads(trace.read_text())["counters"]["resamples"] == 8
 
 
-def test_main_run_names_the_bad_override(tmp_path, capsys):
+def test_main_run_names_the_bad_override(tmp_path, capsys, monkeypatch):
     bad = (("4,x", ""), ("4,4", "duplicate lengths"), ("1,4", "every L must be >= 2"), ("1", "every L must be >= 2"))
     for lengths, reason in bad:
         rc = main(["run", "--preset", "fig2", "--L", lengths, "--out", str(tmp_path / "none")])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"invalid: L_list: {reason}")
         assert not (tmp_path / "none").exists()
+    # an --out that one run.cfg line cannot hold; a preset's variants write into <out>/<label>,
+    # so only a config's --out ends the value
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text(TINY_RUN)
+    for source, outs in ((["--config", "run.cfg"], ("a#b", " a", "a ", "a\tb", "a\nb")),
+                         (["--preset", "fig2"], ("a#b", " a", "a\tb", "a\nb"))):
+        for out in outs:
+            assert main(["run", *source, "--out", out]) == 2
+            assert capsys.readouterr().err.startswith("invalid: output_path: must not contain '#'"), (source, out)
+            assert sorted(os.listdir()) == ["run.cfg"]
 
 
 def test_n_reps_is_2L_or_a_positive_integer():
@@ -574,23 +609,53 @@ def test_n_reps_is_2L_or_a_positive_integer():
         parse_config(TINY_RUN + "n_reps = 2.5")
 
 
-def test_load_run_json_validates(tmp_path):
-    path = emit_results([], [], tiny_config(tmp_path / "v"), tmp_path / "v")["run_json"]
-    raw = json.loads(path.read_text())
-    path.write_text(json.dumps({**raw, "M": "-5"}))
-    with pytest.raises(ConfigError, match="M: must be >= 1, got -5"):
-        load_run_json(path)
-    for old_key, text in (("n_reps_rule", "2L"), ("full_scale", "false")):
-        path.write_text(json.dumps({**raw, old_key: text}))
-        with pytest.raises(ConfigError, match=f"unknown keys: {old_key}"):
-            load_run_json(path)
-    path.write_text(json.dumps({**raw, "M": 8}))
-    with pytest.raises(ConfigError, match="JSON object"):
-        load_run_json(path)
-    path.write_bytes(json.dumps({**raw, "label": "caf\udce9"}, ensure_ascii=False).encode("utf-8", "surrogateescape"))
-    with pytest.raises(ConfigError, match="'utf-8' codec can't decode byte 0xe9"):
-        load_run_json(path)
-    for label in ("a,b", "a\nb", "a\rb", 'a"b', "a\tb", "\u03b2", "a\x7fb"):
-        path.write_text(json.dumps({**raw, "label": label}))
-        with pytest.raises(ConfigError, match="label: must not contain"):
-            load_run_json(path)
+def test_edited_run_cfg_is_validated(tmp_path, capsys):
+    path = emit_results([], [], tiny_config(tmp_path / "v"))["config"]
+    text = path.read_text()
+
+    def refused(edited: str, reason: str) -> None:
+        path.write_bytes(edited.encode("utf-8", "surrogateescape"))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"invalid: {reason}"), edited
+
+    assert main(["validate", "--config", str(path)]) == 0
+    capsys.readouterr()
+    refused(text.replace("M = 6\n", "M = -5\n"), "M: must be >= 1, got -5")
+    for old_key, value in (("n_reps_rule", "2L"), ("full_scale", "false")):
+        refused(text + f"{old_key} = {value}\n", f"unknown keys: {old_key}")
+    # the byte 0xe9 alone, which is not UTF-8
+    refused(text.replace("label = \n", "label = caf\udce9\n"), f"{path}: 'utf-8' codec can't decode byte 0xe9")
+    for label in ("a,b", 'a"b', "a\tb", "\u03b2", "a\x7fb"):
+        refused(text.replace("label = \n", f"label = {label}\n"), "label: must not contain")
+    # a line break ends the line: the label's rest is no key = value line
+    for label in ("a\nb", "a\rb"):
+        refused(text.replace("label = \n", f"label = {label}\n"), "line ")
+
+
+def test_validate_refuses_what_a_config_line_cannot_hold(tmp_path):
+    cfg = tiny_config(tmp_path / "ok")
+    validate_config(dataclasses.replace(cfg, label="a b", output_path=str(tmp_path / "caf\u00e9 x")))
+    for text in ("a#b", "#", " a", "a ", "a\t", "a\nb", "a\rb", "a\x00b", "a\u2028b", "caf\udce9"):
+        for name in ("label", "output_path"):
+            with pytest.raises(ConfigError, match=f"{name}: must not contain '#' or a nonprintable character"):
+                validate_config(dataclasses.replace(cfg, **{name: text}))
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_outputs_do_not_depend_on_the_blas_environment(tmp_path):
+    # importing spintherm pins an unset BLAS to one thread: a BLAS on every
+    # core changes the last bits of an L = 14 run with the core count
+    cfg_file = tmp_path / "l14.cfg"
+    cfg_file.write_text(MINIMAL.replace("L_list = 4", "L_list = 14").replace("M = 8", "M = 2")
+                        + "n_resamples = 0\nthreads = 1\n")
+    base = {key: value for key, value in os.environ.items() if key not in BLAS_THREADS}
+    base["PYTHONPATH"] = os.pathsep.join(sys.path)
+    outputs = set()
+    for name, env in (("unset", base), ("one", {**base, **dict.fromkeys(BLAS_THREADS, "1")})):
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-m", "spintherm.cli", "run", "--config", str(cfg_file), "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        outputs.add(((out / "samples.csv").read_bytes(), (out / "summary.csv").read_bytes()))
+    assert len(outputs) == 1

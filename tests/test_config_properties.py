@@ -1,21 +1,22 @@
 """Property tests of the config schema: every source fails only with ConfigError.
 
-Config files, run.json and the run command's overrides all go through one
-reader, so random key subsets and garbage values must end in ConfigError
-(exit 2 and ``invalid: ...`` through main), and every valid config must
-survive a round trip through run.json.
+Config files and the run command's overrides all go through one reader, so
+random key subsets and garbage values must end in ConfigError (exit 2 and
+``invalid: ...`` through main), and every valid config must survive a
+round trip through its run.cfg echo.
 """
 
 import contextlib
+import dataclasses
 import io
-import json
+import os
 import tempfile
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spintherm.cli import PRESET_NAMES, ConfigError, emit_results, load_run_json, main, parse_config
+from spintherm.cli import PRESET_NAMES, ConfigError, emit_results, load_config, main, parse_config, validate_config
 
 MODEL_KEYS = ("kind", "J", "delta", "h_stag", "h_x", "h_z")
 KEYS = (
@@ -85,13 +86,13 @@ def _main(argv: list[str]) -> tuple[int, str]:
 def test_fuzz_keys_cover_the_schema():
     valid = {**VALID, "trotter.J": "1.0", "system.J": "1.0"}
     with tempfile.TemporaryDirectory() as tmp:
-        path = emit_results([], [], parse_config(_file_text(valid)), tmp)["run_json"]
-        assert set(json.loads(path.read_text())) == set(KEYS)
+        path = emit_results([], [], parse_config(_file_text({**valid, "output_path": tmp})))["config"]
+        assert {line.split(" = ", 1)[0] for line in path.read_text().splitlines()} == set(KEYS)
 
 
 @PROPERTY
 @given(raw_configs)
-def test_config_file_and_run_json_fail_only_with_config_error(raw):
+def test_config_file_fails_only_with_config_error(raw):
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = Path(tmp) / "run.cfg"
         cfg_path.write_text(_file_text(raw))
@@ -103,13 +104,6 @@ def test_config_file_and_run_json_fail_only_with_config_error(raw):
         rc, err = _main(["validate", "--config", str(cfg_path)])
         assert rc == (0 if accepted else 2)
         assert accepted or err.startswith("invalid: ")
-
-        json_path = Path(tmp) / "run.json"
-        json_path.write_text(json.dumps(raw))
-        try:
-            load_run_json(json_path)
-        except ConfigError:
-            pass
 
 
 def _bad(out_of_range: st.SearchStrategy) -> st.SearchStrategy:
@@ -156,6 +150,7 @@ def test_bad_overrides_exit_2_before_any_run(source, overrides):
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 names = st.text(alphabet="abcxyz_019-./", min_size=1, max_size=10)
+dirnames = st.text(alphabet="abcxyz_019- ", min_size=1, max_size=10).map(str.strip).filter(bool)  # no "/", no ".."
 
 
 @st.composite
@@ -187,7 +182,7 @@ def valid_configs(draw) -> dict:
         "n_reps": st.one_of(st.just("2L"), st.integers(1, 100).map(str)),
         "n_resamples": st.integers(0, 10**5).map(str),
         "threads": st.integers(1, 64).map(str),
-        "output_path": names,
+        "output_path": dirnames,
         "label": names,
     }
     for key in draw(st.sets(st.sampled_from(sorted(optional)))):
@@ -196,12 +191,16 @@ def valid_configs(draw) -> dict:
 
 
 @PROPERTY
-@given(valid_configs())
-def test_run_json_round_trip(raw):
-    cfg = parse_config(_file_text(raw))
+@given(valid_configs(), st.text(alphabet=st.characters(blacklist_characters="/"), max_size=6))
+def test_run_cfg_round_trip(raw, text):
     with tempfile.TemporaryDirectory() as tmp:
-        source = Path(tmp) / "source.json"
-        source.write_text(json.dumps(raw))
-        assert load_run_json(source) == cfg
-        written = emit_results([], [], cfg, tmp)["run_json"]
-        assert load_run_json(written) == cfg
+        # the drawn directory name, under the temp dir
+        cfg = parse_config(_file_text({**raw, "output_path": os.path.join(tmp, raw.get("output_path", "out"))}))
+        # and any label or directory name that validates, though a config file could not carry some
+        for changed in (cfg, dataclasses.replace(cfg, label=text),
+                        dataclasses.replace(cfg, output_path=os.path.join(tmp, "d", text))):
+            try:
+                validate_config(changed)
+            except ConfigError:
+                continue
+            assert load_config(emit_results([], [], changed)["config"]) == changed

@@ -181,7 +181,7 @@ def test_single_checkpoint_matches_dense_oracle():
 def test_run_costs_the_walks_of_its_samples_and_nothing_more(monkeypatch):
     import spintherm.hamiltonian as hamiltonian
     import spintherm.imagtime as imagtime
-    from spintherm.cli import RunConfig, run_experiment
+    from spintherm.cli import RunConfig, run_experiments
 
     calls = []
     original = hamiltonian.apply_terms
@@ -200,7 +200,7 @@ def test_run_costs_the_walks_of_its_samples_and_nothing_more(monkeypatch):
         walks += sum(calls)
     calls.clear()
     monkeypatch.setattr("spintherm.cli.emit_results", lambda *args: {})
-    run_experiment(cfg)
+    list(run_experiments([cfg]))
     assert sum(calls) == walks  # no matvec outside the samples' walks
 
     # the paper's setting: a Haar walk at L = 12, beta J = 3
