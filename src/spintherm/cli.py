@@ -7,7 +7,9 @@ L_list, M samples are drawn, scrambled, evolved in imaginary time, and
 measured; per-sample rows and per-(L, beta) aggregates are written as
 CSV, and the resolved configuration is echoed as run.cfg, a config file
 that ``spintherm run --config`` reruns.  A run writes into its config's
-output_path; a preset variant's is ``<root>/<label>``.
+output_path; a preset variant's is ``<root>/<label>``.  A command makes
+every run's output directory before its first batch, and refuses a run
+whose echo would replace the config file it runs from with other text.
 
 A command runs as a stream of batch tasks on one pool of min(threads, M,
 os.cpu_count()) worker processes (threads = the cpu count when unset;
@@ -44,6 +46,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import gc
 import os
 import sys
 from dataclasses import dataclass
@@ -235,15 +238,15 @@ def _read(raw: dict[str, str]) -> RunConfig:
     return cfg
 
 
-def _write(cfg: RunConfig) -> dict[str, str]:
-    """The schema's key -> text map of cfg; unset values (no trotter, no threads) are left out."""
-    out = {}
+def _write(cfg: RunConfig) -> str:
+    """cfg as config-file text, its run.cfg echo; unset values (no trotter, no threads) are left out."""
+    lines = []
     for key, (_, to_text) in _FIELDS.items():
         model, _, name = key.rpartition(".")
         value = getattr(getattr(cfg, model) if model else cfg, name, None)
         if value is not None:
-            out[key] = to_text(value)
-    return out
+            lines.append(f"{key} = {to_text(value)}\n")
+    return "".join(lines)
 
 
 def _parse_lines(text: str) -> dict[str, str]:
@@ -436,7 +439,7 @@ def emit_results(summary_rows: list[tuple], sample_rows: list[tuple], cfg: RunCo
         with paths[key].open("w") as fh:
             fh.write(header + "\n")
             fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
-    paths["config"].write_text("".join(f"{key} = {text}\n" for key, text in _write(cfg).items()), encoding="utf-8")
+    paths["config"].write_text(_write(cfg), encoding="utf-8")
     return paths
 
 
@@ -448,6 +451,8 @@ def run_experiments(cfgs: list[RunConfig]):
     """
     for cfg in cfgs:
         validate_config(cfg)
+    for cfg in cfgs:  # a directory that cannot be made ends the command before any batch
+        Path(cfg.output_path).mkdir(parents=True, exist_ok=True)
     workers = max(map(_workers, cfgs))
     jobs = [(cfg, L) for cfg in cfgs for L in sorted(cfg.L_list)]
     summary_rows: list[tuple] = []
@@ -495,6 +500,9 @@ def main(argv: list[str] | None = None) -> int:
     val_p.add_argument("--config", required=True)
 
     args = parser.parse_args(argv)
+    # What the imports made lives until exit.  Frozen, it is left out of every
+    # later collection, the ones at exit and in forked workers among them.
+    gc.freeze()
 
     try:
         if args.command == "validate":
@@ -502,8 +510,13 @@ def main(argv: list[str] | None = None) -> int:
             print("ok")
             return 0
         over = {key: text for key, text in vars(args).items() if key in _FIELDS and text is not None}
-        raws = [{**_parse_lines(_read_text(args.config)), **over}] if args.config else _preset_maps(args.preset, over)
+        text = args.config and _read_text(args.config)
+        raws = [{**_parse_lines(text), **over}] if args.config else _preset_maps(args.preset, over)
         cfgs = [_read(raw) for raw in raws]
+        echo = Path(cfgs[0].output_path, "run.cfg")
+        if args.config and echo.exists() and echo.samefile(args.config) and text != _write(cfgs[0]):
+            raise ConfigError(f"output_path: the run.cfg echo in {ascii(cfgs[0].output_path)} would replace "
+                              f"the config file {ascii(args.config)}, whose text differs from it")
         for cfg, paths in zip(cfgs, run_experiments(cfgs)):
             print(f"{cfg.resolved_label()}: {paths['summary']}")
     except (ConfigError, OSError) as exc:

@@ -17,12 +17,8 @@ Every chain operator reaches a state through one kernel,
 ``apply_two_site``, which applies a block compiled once by
 ``compile_block``: a 2**k x 2**k matrix on k neighbouring sites (up to a
 32x32 block of BLOCK_SITES = 5 sites) permuted to memory order (the
-rightmost site in the highest bit).  On the low sites, where the
-2**(site-1) amplitudes below the block are few, the compiled matrix is
-``kron(mem, I_inner).T`` instead, so the contraction is one GEMM rather
-than thousands of tiny ones.  That form needs at least two GEMM rows per
-state: a single row would go to GEMV, and a state alone would then round
-differently from the same state among the rows of a batch.
+rightmost site in the highest bit).  That matrix is the one compiled form;
+the kernel picks the contraction from the block's site (``apply_two_site``).
 
 ``compile_chain`` builds every chain operator from its L - 1 bond
 operators and is the one place that knows the block layout and the order
@@ -49,7 +45,6 @@ __all__ = [
     "row_norms",
     "schmidt_spectrum",
     "BLOCK_SITES",
-    "SMALL_SIDE",
     "kron",
     "CompiledBlock",
     "compile_block",
@@ -65,13 +60,6 @@ __all__ = [
 # 6-site blocks (64x64) were no faster: they cost 64 complex MACs per
 # amplitude, twice a 5-site block.
 BLOCK_SITES = 5
-
-# Largest side 2**width * 2**(site-1) of a compiled matrix kept in the
-# kron(mem, I_inner).T form.  At L = 12 and 14 (complex128, OpenBLAS on one
-# thread of a 2-core x86 box) that form beats the batched matmul by 1.5-20x
-# up to side 32, for 4x4 bonds and 16x16 blocks alike; it ties or loses at
-# side 64 and loses by 2-150x beyond.  So the site-1 block, 32x32, keeps it.
-SMALL_SIDE = 32
 
 
 def chain_length(amps: np.ndarray) -> int:
@@ -125,9 +113,7 @@ class CompiledBlock:
     """An operator on sites site .. site+width-1, stored ready for apply_two_site.
 
     ``matrix`` is read-only: the 2**width x 2**width operator in memory
-    order, or kron(mem, I_inner).T, a square of side 2**width * inner with
-    inner = 2**(site-1), when that side is at most SMALL_SIDE and half the
-    state.
+    order (rightmost site in the highest bit).
     """
 
     site: int
@@ -154,9 +140,6 @@ def compile_block(mat: np.ndarray, site: int, num_sites: int) -> CompiledBlock:
     # Storage puts the rightmost site in the highest bit: reverse the site order once.
     order = tuple(reversed(range(width)))
     mem = mat.reshape((2,) * 2 * width).transpose(order + tuple(width + a for a in order)).reshape(dim, dim)
-    inner_dim = 1 << (site - 1)
-    if dim * inner_dim <= min(SMALL_SIDE, 1 << (num_sites - 1)):
-        mem = kron(mem.T, np.eye(inner_dim))  # = kron(mem, I_inner).T
     matrix = np.ascontiguousarray(mem)
     matrix.setflags(write=False)
     return CompiledBlock(site, width, num_sites, matrix)
@@ -185,15 +168,20 @@ def apply_two_site(amps: np.ndarray, block: CompiledBlock) -> np.ndarray:
     """Apply a compiled block to every row of an amplitude array, shape (..., 2**L); returns a new array.
 
     The name is kept from when every block was a two-site bond: it is the
-    one kernel through which every chain operator reaches a state.  Both
-    forms fold the leading axes into the rows of one product.
+    one kernel through which every chain operator reaches a state.  A block
+    on site 1 that is narrower than the chain is one GEMM over the rows of
+    ``amps.reshape(-1, dim)``, where a batched matmul over its inner index
+    of 1 would be thousands of tiny products.  Being narrower gives at
+    least two GEMM rows per state: a single row would go to GEMV, and a
+    state alone would then round differently from the same state among the
+    rows of a batch.  Every other block, a whole-chain one included, is a
+    batched matmul over the 2**(site-1) amplitudes below it.
     """
     if amps.ndim == 0 or amps.shape[-1] != 1 << block.num_sites:
         raise ValueError(
             f"amplitude array of shape {amps.shape} does not match {block.num_sites} sites"
         )
     dim = 1 << block.width
-    inner_dim = 1 << (block.site - 1)
-    if dim * inner_dim <= min(SMALL_SIDE, 1 << (block.num_sites - 1)):
-        return (amps.reshape(-1, dim * inner_dim) @ block.matrix).reshape(amps.shape)
-    return np.matmul(block.matrix, amps.reshape(-1, dim, inner_dim)).reshape(amps.shape)
+    if block.site == 1 and block.width < block.num_sites:
+        return (amps.reshape(-1, dim) @ block.matrix.T).reshape(amps.shape)
+    return np.matmul(block.matrix, amps.reshape(-1, dim, 1 << (block.site - 1))).reshape(amps.shape)

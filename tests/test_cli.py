@@ -554,13 +554,16 @@ def test_runtime_imports_no_scipy():
     code = (
         "import sys, spintherm, spintherm.cli; "
         "print(sorted(m for m in sys.modules if m.startswith('scipy') or m == 'spintherm.oracle')); "
-        "print('json' in sys.modules)"
+        "print('json' in sys.modules); "
+        "print(sorted(m for m in ('numpy.random', 'concurrent.futures') if m in sys.modules))"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    scipy_and_oracle, json_loaded = out.stdout.split()
+    scipy_and_oracle, json_loaded, lazy = out.stdout.splitlines()
     assert scipy_and_oracle == "[]"
     assert json_loaded == "False"  # the run echo is a config file, not JSON
+    # numpy.random (5.5 MB resident) and concurrent.futures (1.4 MB) load only when a run needs them
+    assert lazy == "[]"
     assert set(spintherm.__all__) == PUBLIC
     for module, names in TRACED.items():
         assert set(names) <= set(importlib.import_module(f"spintherm.{module}").__all__), module
@@ -599,6 +602,59 @@ def test_main_run_names_the_bad_override(tmp_path, capsys, monkeypatch):
             assert main(["run", *source, "--out", out]) == 2
             assert capsys.readouterr().err.startswith("invalid: output_path: must not contain '#'"), (source, out)
             assert sorted(os.listdir()) == ["run.cfg"]
+
+
+def _count_batches(monkeypatch) -> list:
+    """Record each in-process cli._run_batch call."""
+    calls, original = [], cli._run_batch
+
+    def counted(*args):
+        calls.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(cli, "_run_batch", counted)
+    return calls
+
+
+def test_run_refuses_an_echo_that_would_replace_its_config(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    calls = _count_batches(monkeypatch)
+    hand = TINY_RUN + "# my notes\nthreads = 1\n"
+    Path("ow").mkdir()
+    Path("ow", "run.cfg").write_text(hand)
+    assert main(["run", "--config", str(tmp_path / "ow" / "run.cfg"), "--out", "ow", "--samples", "3"]) == 2
+    assert capsys.readouterr().err.startswith("invalid: output_path: ")
+    assert Path("ow", "run.cfg").read_text() == hand
+    assert calls == []
+    assert os.listdir("ow") == ["run.cfg"]
+
+
+def test_unedited_echo_reruns_in_place(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("hand.cfg").write_text(TINY_RUN + "threads = 1\noutput_path = A\n")
+    assert main(["run", "--config", "hand.cfg"]) == 0
+    before = {name: Path("A", name).read_bytes() for name in ("summary.csv", "samples.csv", "run.cfg")}
+    calls = _count_batches(monkeypatch)
+    assert main(["run", "--config", os.path.join("A", "run.cfg")]) == 0
+    assert calls
+    assert {name: Path("A", name).read_bytes() for name in before} == before
+    # an override changes the echo, which would then replace the config
+    assert main(["run", "--config", os.path.join("A", "run.cfg"), "--samples", "2"]) == 2
+    assert capsys.readouterr().err.startswith("invalid: output_path: ")
+    assert Path("A", "run.cfg").read_bytes() == before["run.cfg"]
+
+
+@pytest.mark.parametrize("blocker,out", [("blk/file", "blk/file/out"), ("out/ising_transverse", "out")])
+def test_unmakeable_output_directory_fails_before_any_batch(tmp_path, capsys, monkeypatch, blocker, out):
+    # a regular file where a run's output directory, or one above it, must go
+    monkeypatch.chdir(tmp_path)
+    calls = _count_batches(monkeypatch)
+    Path(blocker).parent.mkdir()
+    Path(blocker).write_text("")
+    assert main(["run", "--preset", "fig2", "--L", "4,5", "--samples", "4", "--threads", "1", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("invalid: ")
+    assert calls == []
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_n_reps_is_2L_or_a_positive_integer():

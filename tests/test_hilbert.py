@@ -11,7 +11,6 @@ import dense_reference as ref
 from helpers import basis_state
 from spintherm.hilbert import (
     BLOCK_SITES,
-    SMALL_SIDE,
     apply_two_site,
     compile_block,
     compile_chain,
@@ -131,7 +130,7 @@ def random_hermitian(rng, dim):
 @settings(max_examples=60, deadline=None)
 @given(L=st.integers(2, 10), data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_apply_two_site_matches_dense_on_random_terms(L, data, seed):
-    # 4x4 bonds and 16x16 blocks at every site, on both sides of SMALL_SIDE
+    # 4x4 bonds and 32x32 blocks at every site: the site-1 GEMM and the batched matmul
     width = data.draw(st.sampled_from([w for w in (2, BLOCK_SITES) if w <= L]))
     site = data.draw(st.integers(1, L - width + 1))
     rng = np.random.default_rng(seed)
@@ -157,25 +156,21 @@ def test_apply_kernels_reject_bad_sites():
 
 
 def test_compiled_bond_size_and_form():
-    # the kron(mem, I_inner).T form, of side 2**width * inner, while that side
-    # is at most SMALL_SIDE; the operator in memory order (rightmost site in
-    # the highest bit) beyond
-    for width in (2, BLOCK_SITES):
-        dim = 1 << width
-        mat = np.arange(dim * dim, dtype=float).reshape(dim, dim)
-        order = tuple(reversed(range(width)))
-        mem = mat.reshape((2,) * 2 * width).transpose(order + tuple(width + a for a in order)).reshape(dim, dim)
-        for site in range(1, 14 - width):
-            block = compile_block(mat, site, 12)
-            inner = 1 << (site - 1)
-            assert block.width == width
-            if dim * inner <= SMALL_SIDE:
-                assert np.array_equal(block.matrix, np.kron(mem, np.eye(inner)).T)
-            else:
+    # one form at every site and width: the 2**width x 2**width operator in
+    # memory order (rightmost site in the highest bit), read-only
+    for L in (BLOCK_SITES, 12):
+        for width in range(2, BLOCK_SITES + 1):
+            dim = 1 << width
+            mat = np.arange(dim * dim, dtype=float).reshape(dim, dim)
+            order = tuple(reversed(range(width)))
+            mem = mat.reshape((2,) * 2 * width).transpose(order + tuple(width + a for a in order)).reshape(dim, dim)
+            for site in range(1, L - width + 2):
+                block = compile_block(mat, site, L)
+                assert (block.site, block.width, block.num_sites) == (site, width, L)
                 assert np.array_equal(block.matrix, mem)
-            assert block.matrix.shape[0] <= SMALL_SIDE
-            with pytest.raises(ValueError, match="read-only"):
-                block.matrix[0, 0] = 1.0
+                assert block.matrix.flags.c_contiguous
+                with pytest.raises(ValueError, match="read-only"):
+                    block.matrix[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("L", range(2, 17))
@@ -212,7 +207,8 @@ def _random_unitary(rng):
 @pytest.mark.parametrize("L", range(2, 17))
 def test_compiled_chain_matches_bond_by_bond(L):
     # whatever the layout: the compiled H is the sum of its 4x4 bonds, and one
-    # compiled Trotter step is its even bonds, then its odd bonds, one at a time
+    # compiled Trotter step is its even bonds, then its odd bonds, one at a
+    # time; and each row applied alone keeps the bits it has in the batch
     rng = np.random.default_rng(100 + L)
     terms = [random_hermitian(rng, 4) for _ in range(L - 1)]
     gates = [_random_unitary(rng) for _ in range(L - 1)]
@@ -220,14 +216,25 @@ def test_compiled_chain_matches_bond_by_bond(L):
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     bonds = range(1, L)
 
+    compiled_h = compile_chain(terms, sum)
+    compiled_step = compile_chain(gates, lambda lifted: reduce(np.matmul, lifted[0::2] + lifted[1::2]))
+
+    def h(amps):
+        return sum(apply_two_site(amps, block) for block in compiled_h)
+
+    def step(amps):
+        return reduce(apply_two_site, compiled_step, amps)
+
     want = sum(apply_two_site(rows, compile_block(terms[i - 1], i, L)) for i in bonds)
-    got = sum(apply_two_site(rows, block) for block in compile_chain(terms, sum))
+    got = h(rows)
     assert np.abs(got - want).max() <= 1e-12
+    for row, batched in zip(rows, got):
+        assert np.array_equal(h(row), batched)
 
     want = rows
     for i in [i for i in bonds if i % 2 == 0] + [i for i in bonds if i % 2 == 1]:
         want = apply_two_site(want, compile_block(gates[i - 1], i, L))
-    got = rows
-    for block in compile_chain(gates, lambda lifted: reduce(np.matmul, lifted[0::2] + lifted[1::2])):
-        got = apply_two_site(got, block)
+    got = step(rows)
     assert np.abs(got - want).max() <= 1e-12
+    for row, batched in zip(rows, got):
+        assert np.array_equal(step(row), batched)

@@ -19,7 +19,7 @@ from spintherm.hamiltonian import (
     build_hamiltonian,
     model_terms,
 )
-from spintherm.hilbert import BLOCK_SITES, SMALL_SIDE, apply_two_site, compile_block, schmidt_spectrum
+from spintherm.hilbert import BLOCK_SITES, apply_two_site, compile_block, schmidt_spectrum
 from spintherm.state_prep import (
     MAX_TAU,
     SampleSeed,
@@ -251,10 +251,10 @@ def _random_hermitian(rng, dim):
 
 @settings(max_examples=25, deadline=None)
 @given(L=st.integers(2, 10), data=st.data(), seed=st.integers(0, 2**32 - 1))
-def test_compiled_kernels_match_dense_on_both_sides_of_the_small_inner_threshold(L, data, seed):
-    # a block whose side 2**width * 2**(site-1) is at most SMALL_SIDE uses the
-    # kron(mem, I_inner).T form, the rest the batched matmul; L <= 4 holds no
-    # whole 5-site block, and every L but 5 and 9 ends in a block of 1-3 bonds
+def test_compiled_kernels_match_dense_in_both_contractions(L, data, seed):
+    # a site-1 block narrower than the chain is one GEMM, the rest the batched
+    # matmul; L <= 4 holds no whole 5-site block, and every L but 5 and 9 ends
+    # in a block of 1-3 bonds
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(2**L) + 1j * rng.standard_normal(2**L)
 
@@ -286,6 +286,6 @@ def test_compiled_kernels_match_dense_on_both_sides_of_the_small_inner_threshold
         ref.embed_site(m, i, L) for i, m in terms.fields
     )
     assert np.allclose(apply_terms(terms, amps), h @ amps, rtol=0.0, atol=1e-10)
-    assert max(b.matrix.shape[0] for b in terms.compiled) <= SMALL_SIDE
+    assert max(b.matrix.shape[0] for b in terms.compiled) <= 2**BLOCK_SITES
     # one pass per block of up to four bonds, for H and for a step
     assert len(terms.compiled) == len(circuit.gates) == -(-(L - 1) // 4)
