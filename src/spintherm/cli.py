@@ -17,7 +17,7 @@ the most any variant asks for), shared by every preset variant and chain
 length, or in-process with one worker.  A task draws, scrambles,
 measures and walks B samples in lockstep, the rows of one (B, 2**L)
 array: B = BATCH_AMPLITUDES >> L, at least 1 and at most M / workers
-rounded up.  A task carries the model specs, not the operators: each
+rounded up.  A task is (RunConfig, L, samples), not the operators: each
 worker compiles the H and the circuit it applies, once per (variant, L),
 so the run process compiles none.  The next (variant, L) is submitted
 before the current one is gathered and bootstrapped.  Sample m derives
@@ -34,11 +34,14 @@ dotted, ``system.kind``, ``trotter.h_x``), each with a text-to-value and
 a value-to-text conversion.  Config files (flat ``key = value`` text,
 the run.cfg echo among them), the presets (a desk base plus each
 variant's changes) and the run command's overrides are key -> text maps
-given to one reader, which names the key of every bad value and ends in
-validate_config.  validate_config refuses a label or output_path that
-one config line cannot hold, so every valid config round-trips through
-run.cfg.  The one bound on the chain length is memory: a length whose
-LIVE_VECTORS state vectors per worker exceed physical memory is refused.
+given to one reader, which names the key of every bad value; each model
+spec is checked even when other values are bad (at L = 2 when L_list is).
+The rules across keys are RunConfig's own, checked whenever one is made,
+so they run only once every value parses.  A RunConfig refuses a label or
+output_path that one config line cannot hold, so every RunConfig
+round-trips through run.cfg.  The one bound on the chain length is
+memory: a length whose LIVE_VECTORS state vectors per worker exceed
+physical memory is refused.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from .estimators import (
     simple_expectation,
     weighted_expectation,
 )
-from .hamiltonian import ModelSpec, build_hamiltonian
+from .hamiltonian import COUPLINGS, ModelSpec, build_hamiltonian
 from .imagtime import BetaGrid, walk
 from .state_prep import MAX_TAU, SampleSeed, build_trotter_circuit, sample_haar, sample_rpps, scramble
 
@@ -72,7 +75,6 @@ __all__ = [
     "RunConfig",
     "parse_config",
     "load_config",
-    "validate_config",
     "preset_variants",
     "run_experiments",
     "emit_results",
@@ -96,9 +98,12 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending fields."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything needed to reproduce one experiment."""
+    """Everything needed to reproduce one experiment; immutable and hashable.
+
+    Making one, by ``dataclasses.replace`` too, raises ConfigError listing every invalid field.
+    """
 
     system: ModelSpec
     init_class: str
@@ -114,59 +119,58 @@ class RunConfig:
     threads: int | None = None
     label: str = ""
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "L_list", tuple(self.L_list))  # hashable, whatever sequence was given
+        problems: list[str] = []
+        if self.init_class not in INIT_CLASSES:
+            problems.append(f"init_class: {self.init_class!r} not in {INIT_CLASSES}")
+        if self.init_class == "trotter_rpps" and self.trotter is None:
+            problems.append("trotter: required when init_class is trotter_rpps")
+        if not self.L_list:
+            problems.append("L_list: must be nonempty")
+        if any(L < 2 for L in self.L_list):
+            problems.append(f"L_list: every L must be >= 2, got {self.L_list}")
+        if len(set(self.L_list)) != len(self.L_list):
+            problems.append(f"L_list: duplicate lengths in {self.L_list}")
+        workers, memory = max(1, _workers(self)), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        fits = (memory // (LIVE_VECTORS * 16 * workers)).bit_length() - 1  # the longest chain whose vectors fit
+        if max(self.L_list, default=2) > fits:
+            problems.append(
+                f"L_list: L = {max(self.L_list)} needs {LIVE_VECTORS} state vectors of 2**L amplitudes on each of "
+                f"{workers} workers, more than the {memory / 2**30:.1f} GiB of physical memory hold (L <= {fits})"
+            )
+        if self.M < 1:
+            problems.append(f"M: must be >= 1, got {self.M}")
+        if self.master_seed < 0:
+            problems.append(f"master_seed: must be >= 0, got {self.master_seed}")
+        if self.n_resamples < 0:
+            problems.append(f"n_resamples: must be >= 0, got {self.n_resamples}")
+        if not 0.0 <= self.tau <= MAX_TAU:
+            problems.append(f"tau: must be in [0, {MAX_TAU:g}], got {self.tau}")
+        if self.n_reps != "2L" and not (isinstance(self.n_reps, int) and self.n_reps >= 1):
+            problems.append(f"n_reps: must be 2L or an integer >= 1, got {self.n_reps!r}")
+        if self.threads is not None and self.threads < 1:
+            problems.append(f"threads: must be >= 1 or unset, got {self.threads}")
+        if not self.output_path:
+            problems.append("output_path: must be nonempty")
+        # each echoed as one run.cfg line, where '#' starts a comment and a value's ends are stripped
+        for name in ("output_path", "label"):
+            text = getattr(self, name)
+            if "#" in text or not text.isprintable() or text != text.strip():
+                problems.append(f"{name}: must not contain '#' or a nonprintable character, nor start or end "
+                                f"with whitespace, got {ascii(text)}")
+        # the label is also written unquoted into a summary.csv field and printed, whatever the locale's encoding
+        if not all(" " <= c <= "~" and c not in ',"' for c in self.label):
+            problems.append(f"label: must not contain a comma, quote or any character but printable ASCII, "
+                            f"got {ascii(self.label)}")
+        if problems:
+            raise ConfigError("; ".join(problems))
+
     def resolved_label(self) -> str:
         return self.label if self.label else self.init_class
 
     def reps_for(self, L: int) -> int:
         return 2 * L if self.n_reps == "2L" else self.n_reps
-
-
-def validate_config(cfg: RunConfig) -> None:
-    """Raise ConfigError listing every invalid field."""
-    problems: list[str] = []
-    if cfg.init_class not in INIT_CLASSES:
-        problems.append(f"init_class: {cfg.init_class!r} not in {INIT_CLASSES}")
-    if cfg.init_class == "trotter_rpps" and cfg.trotter is None:
-        problems.append("trotter: required when init_class is trotter_rpps")
-    if not cfg.L_list:
-        problems.append("L_list: must be nonempty")
-    if any(L < 2 for L in cfg.L_list):
-        problems.append(f"L_list: every L must be >= 2, got {cfg.L_list}")
-    if len(set(cfg.L_list)) != len(cfg.L_list):
-        problems.append(f"L_list: duplicate lengths in {cfg.L_list}")
-    workers, memory = max(1, _workers(cfg)), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    fits = (memory // (LIVE_VECTORS * 16 * workers)).bit_length() - 1  # the longest chain whose vectors fit
-    if max(cfg.L_list, default=2) > fits:
-        problems.append(
-            f"L_list: L = {max(cfg.L_list)} needs {LIVE_VECTORS} state vectors of 2**L amplitudes on each of "
-            f"{workers} workers, more than the {memory / 2**30:.1f} GiB of physical memory hold (L <= {fits})"
-        )
-    if cfg.M < 1:
-        problems.append(f"M: must be >= 1, got {cfg.M}")
-    if cfg.master_seed < 0:
-        problems.append(f"master_seed: must be >= 0, got {cfg.master_seed}")
-    if cfg.n_resamples < 0:
-        problems.append(f"n_resamples: must be >= 0, got {cfg.n_resamples}")
-    if not 0.0 <= cfg.tau <= MAX_TAU:
-        problems.append(f"tau: must be in [0, {MAX_TAU:g}], got {cfg.tau}")
-    if cfg.n_reps != "2L" and not (isinstance(cfg.n_reps, int) and cfg.n_reps >= 1):
-        problems.append(f"n_reps: must be 2L or an integer >= 1, got {cfg.n_reps!r}")
-    if cfg.threads is not None and cfg.threads < 1:
-        problems.append(f"threads: must be >= 1 or unset, got {cfg.threads}")
-    if not cfg.output_path:
-        problems.append("output_path: must be nonempty")
-    # each echoed as one run.cfg line, where '#' starts a comment and a value's ends are stripped
-    for name in ("output_path", "label"):
-        text = getattr(cfg, name)
-        if "#" in text or not text.isprintable() or text != text.strip():
-            problems.append(f"{name}: must not contain '#' or a nonprintable character, nor start or end "
-                            f"with whitespace, got {ascii(text)}")
-    # the label is also written unquoted into a summary.csv field and printed, whatever the locale's encoding
-    if not all(" " <= c <= "~" and c not in ',"' for c in cfg.label):
-        problems.append(f"label: must not contain a comma, quote or any character but printable ASCII, "
-                        f"got {ascii(cfg.label)}")
-    if problems:
-        raise ConfigError("; ".join(problems))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +189,7 @@ def _beta_grid(text: str) -> BetaGrid:
 _TEXT = (str, str)
 _INT = (int, str)
 _FLOAT = (float, lambda value: repr(float(value)))
-_MODEL = {"kind": _TEXT, "J": _FLOAT, "delta": _FLOAT, "h_stag": _FLOAT, "h_x": _FLOAT, "h_z": _FLOAT}
+_MODEL = {"kind": _TEXT, **dict.fromkeys(COUPLINGS, _FLOAT)}
 
 # key -> (text to value, value to text).  Dotted keys are ModelSpec fields.
 _FIELDS = {
@@ -206,7 +210,7 @@ _REQUIRED = ("system.kind", "init_class", "beta_grid", "L_list", "M", "master_se
 
 
 def _read(raw: dict[str, str]) -> RunConfig:
-    """Build and validate a RunConfig from a map of schema keys to value texts."""
+    """Build a RunConfig from a map of schema keys to value texts."""
     unknown = sorted(set(raw) - set(_FIELDS))
     if unknown:
         raise ConfigError("unknown keys: " + ", ".join(unknown))
@@ -224,18 +228,18 @@ def _read(raw: dict[str, str]) -> RunConfig:
         except (ValueError, OverflowError) as exc:
             problems.append(f"{key}: {exc}")
     fields = {k: v for k, v in values.items() if "." not in k}
+    # a chain below 2 sites, or an L_list that does not parse, is L_list's fault: the specs are checked at L = 2
+    L = max(2, min(fields.get("L_list", (2,))))
     for model in ("system", "trotter"):
         spec = {k.split(".", 1)[1]: v for k, v in values.items() if k.startswith(model + ".")}
-        if spec and "L_list" in fields:
-            try:  # a chain below 2 sites is L_list's fault, which validate_config names
-                fields[model] = ModelSpec(L=max(2, min(fields["L_list"])), **spec)
+        if spec:
+            try:
+                fields[model] = ModelSpec(L=L, **spec)
             except ValueError as exc:
                 problems.append(f"{model}: {exc}")
     if problems:
         raise ConfigError("; ".join(problems))
-    cfg = RunConfig(**fields)
-    validate_config(cfg)
-    return cfg
+    return RunConfig(**fields)
 
 
 def _write(cfg: RunConfig) -> str:
@@ -315,7 +319,7 @@ def _preset_maps(name: str, over: dict[str, str]) -> list[dict[str, str]]:
         raise ConfigError(f"unknown preset {name!r}, expected one of {PRESET_NAMES}")
     changes, labels = _PRESETS[name]
     base = {**_DESK, **changes, "output_path": f"runs/{name}", **over}
-    root = base["output_path"]  # an empty root stays empty, for validate_config to refuse
+    root = base["output_path"]  # an empty root stays empty, for RunConfig to refuse
     return [{**base, **_VARIANTS[label], "label": label, "output_path": root and os.path.join(root, label)}
             for label in labels]
 
@@ -337,20 +341,22 @@ def preset_variants(name: str) -> list[RunConfig]:
 
 
 @lru_cache(maxsize=2)  # the current (variant, L) and the one ahead
-def _operators(system: ModelSpec, trotter: ModelSpec | None, tau: float, n_reps: int):
-    """The compiled H of ``system`` and the scrambling circuit of ``trotter`` (None without one)."""
-    return build_hamiltonian(system), trotter and build_trotter_circuit(trotter, tau, n_reps)
+def _operators(cfg: RunConfig, L: int):
+    """The compiled H of cfg's system at L sites, and the scrambling circuit (None unless trotter_rpps)."""
+    system = build_hamiltonian(dataclasses.replace(cfg.system, L=L))
+    if cfg.init_class != "trotter_rpps":
+        return system, None
+    return system, build_trotter_circuit(dataclasses.replace(cfg.trotter, L=L), cfg.tau, cfg.reps_for(L))
 
 
-def _run_batch(L: int, init_class: str, master_seed: int, system: ModelSpec, trotter: ModelSpec | None,
-               tau: float, n_reps: int, grid: BetaGrid, samples: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _run_batch(cfg: RunConfig, L: int, samples: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Initial entropies (B,), and ln-norms and energies (B, K), of the samples drawn and run in lockstep."""
-    system_terms, circuit = _operators(system, trotter, tau, n_reps)
-    sample = sample_haar if init_class == "haar" else sample_rpps
-    rows = np.array([sample(L, SampleSeed(master_seed, m)) for m in samples])
-    if init_class == "trotter_rpps":
+    system, circuit = _operators(cfg, L)
+    sample = sample_haar if cfg.init_class == "haar" else sample_rpps
+    rows = np.array([sample(L, SampleSeed(cfg.master_seed, m)) for m in samples])
+    if circuit is not None:
         rows = scramble(rows, circuit)[0]
-    return (entanglement_entropy(rows), *walk(rows, system_terms, grid))
+    return (entanglement_entropy(rows), *walk(rows, system, cfg.beta_grid))
 
 
 def _workers(cfg: RunConfig) -> int:
@@ -372,11 +378,9 @@ def _submit(pool, workers: int, cfg: RunConfig, L: int):
 
     Returns an iterator over the batches' results in sample order.
     """
-    trotter = dataclasses.replace(cfg.trotter, L=L) if cfg.init_class == "trotter_rpps" else None
     size = max(1, min(BATCH_AMPLITUDES >> L, -(-cfg.M // workers)))
     batches = [range(start, min(start + size, cfg.M)) for start in range(0, cfg.M, size)]
-    task = partial(_run_batch, L, cfg.init_class, cfg.master_seed, dataclasses.replace(cfg.system, L=L), trotter,
-                   cfg.tau, cfg.reps_for(L), cfg.beta_grid)
+    task = partial(_run_batch, cfg, L)
     if pool is None:
         return map(task, batches)
     return pool.map(task, batches, chunksize=max(1, len(batches) // (4 * workers)))
@@ -393,8 +397,8 @@ def _collect_samples(L: int, results) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return s_ini, logs, obs
 
 
-def _aggregate(cfg: RunConfig, L: int, s_ini: np.ndarray, logs: np.ndarray, obs: np.ndarray) -> list[tuple]:
-    """Per-(L, beta) summary rows in SUMMARY_HEADER order; one bootstrap per L, seeded from the run identity."""
+def _aggregate(cfg: RunConfig, L: int, s_ini: np.ndarray, logs: np.ndarray, obs: np.ndarray) -> list[str]:
+    """Per-(L, beta) summary.csv lines; one bootstrap per L, seeded from the run identity."""
     eta_sigma, weighted_sigma, simple_sigma, s_ini_sigma = (
         bootstrap_sigma(logs, obs, cfg.n_resamples, (cfg.master_seed, L), s_ini)
         if cfg.n_resamples >= 2
@@ -402,9 +406,9 @@ def _aggregate(cfg: RunConfig, L: int, s_ini: np.ndarray, logs: np.ndarray, obs:
     )
     s_ini_mean = float(simple_expectation(s_ini))
     return [
-        (L, beta, cfg.resolved_label(), efficiency(logs[k]), eta_sigma[k], s_ini_mean, s_ini_sigma,
-         weighted_expectation(logs[k], obs[k]), weighted_sigma[k], simple_expectation(obs[k]), simple_sigma[k],
-         cfg.M, cfg.master_seed)
+        f"{L},{beta:.17g},{cfg.resolved_label()},{efficiency(logs[k]):.17g},{eta_sigma[k]:.17g},{s_ini_mean:.17g},"
+        f"{s_ini_sigma:.17g},{weighted_expectation(logs[k], obs[k]):.17g},{weighted_sigma[k]:.17g},"
+        f"{simple_expectation(obs[k]):.17g},{simple_sigma[k]:.17g},{cfg.M},{cfg.master_seed}\n"
         for k, beta in enumerate(cfg.beta_grid.checkpoints)
     ]
 
@@ -416,29 +420,21 @@ SUMMARY_HEADER = (
 SAMPLES_HEADER = "L,sample_index,beta,log_sq_norm,obs_value,init_entropy"
 
 
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
-
-
-def emit_results(summary_rows: list[tuple], sample_rows: list[tuple], cfg: RunConfig) -> dict[str, Path]:
+def emit_results(summary_lines: list[str], sample_lines: list[str], cfg: RunConfig) -> dict[str, Path]:
     """Write summary.csv, samples.csv and run.cfg into cfg.output_path; returns their paths.
 
-    Each CSV gets its header and then the rows it is given, in the order
-    given, with floats printed to 17 significant digits.  run.cfg holds
-    one ``key = value`` line per set key of cfg: ``spintherm run --config``
-    reruns it.
+    Each CSV gets its header and then the lines it is given, in the order
+    given: newline-ended, in header order, integers bare, floats to 17
+    significant digits.  run.cfg holds one ``key = value`` line per set key
+    of cfg: ``spintherm run --config`` reruns it.
     """
     out = Path(cfg.output_path)
     out.mkdir(parents=True, exist_ok=True)
     paths = {"summary": out / "summary.csv", "samples": out / "samples.csv", "config": out / "run.cfg"}
-    for key, header, rows in (("summary", SUMMARY_HEADER, summary_rows), ("samples", SAMPLES_HEADER, sample_rows)):
+    for key, header, lines in (("summary", SUMMARY_HEADER, summary_lines), ("samples", SAMPLES_HEADER, sample_lines)):
         with paths[key].open("w") as fh:
             fh.write(header + "\n")
-            fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+            fh.writelines(lines)
     paths["config"].write_text(_write(cfg), encoding="utf-8")
     return paths
 
@@ -449,29 +445,26 @@ def run_experiments(cfgs: list[RunConfig]):
     Yields each run's output paths, as emit_results returns them, once its
     last chain length is written.
     """
-    for cfg in cfgs:
-        validate_config(cfg)
     for cfg in cfgs:  # a directory that cannot be made ends the command before any batch
         Path(cfg.output_path).mkdir(parents=True, exist_ok=True)
     workers = max(map(_workers, cfgs))
     jobs = [(cfg, L) for cfg in cfgs for L in sorted(cfg.L_list)]
-    summary_rows: list[tuple] = []
-    sample_rows: list[tuple] = []
+    summary_lines, sample_lines = [], []
     with _process_pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
         pending = _submit(pool, workers, *jobs[0])
         for (cfg, L), ahead in zip(jobs, jobs[1:] + [None]):
             # the next (variant, L) runs on the workers while this one is gathered and bootstrapped
             results, pending = pending, ahead and _submit(pool, workers, *ahead)
             s_ini, logs, obs = _collect_samples(L, results)
-            summary_rows += _aggregate(cfg, L, s_ini, logs, obs)
-            sample_rows += [
-                (L, m, beta, logs[k, m], obs[k, m], s_ini[m])
+            summary_lines += _aggregate(cfg, L, s_ini, logs, obs)
+            sample_lines += [
+                f"{L},{m},{beta:.17g},{logs[k, m]:.17g},{obs[k, m]:.17g},{s_ini[m]:.17g}\n"
                 for m in range(cfg.M)
                 for k, beta in enumerate(cfg.beta_grid.checkpoints)
             ]
             if L == max(cfg.L_list):
-                yield emit_results(summary_rows, sample_rows, cfg)
-                summary_rows, sample_rows = [], []
+                yield emit_results(summary_lines, sample_lines, cfg)
+                summary_lines, sample_lines = [], []
 
 
 # ---------------------------------------------------------------------------

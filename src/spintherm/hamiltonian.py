@@ -10,17 +10,17 @@ entry; the full 2**L x 2**L matrix is never formed.
 Spin operators are S = sigma/2 and couplings are measured in units of
 the exchange J, so inverse temperatures are in 1/J.
 
-Model catalog (all open boundary, L >= 2 sites):
+Model catalog (all open boundary, L >= 2 sites), one formula for every
+kind:
 
-``heisenberg``
-    J * sum_i (Sx Sx + Sy Sy + Sz Sz) on neighboring sites.
-``xxz_staggered``
-    J * sum_i (Sx Sx + Sy Sy + delta Sz Sz) plus a staggered field
-    h_stag * (-1)**i * Sz_i (sign -1 on site 1).
-``transverse_ising``
-    J * sum_i Sz Sz plus a uniform h_x * Sx_i field.
-``mixed_ising``
-    J * sum_i Sz Sz plus uniform h_x * Sx_i + h_z * Sz_i fields.
+    H = sum_{i<L} b_{i,i+1} + sum_{i<=L} (h_x Sx_i + (h_z + (-1)**i h_stag) Sz_i)
+
+with the bond b = J (Sx Sx + Sy Sy + delta' Sz Sz) for ``heisenberg``
+(delta' = 1) and ``xxz_staggered`` (delta' = delta), and b = J Sz Sz for
+``transverse_ising`` and ``mixed_ising``.  Each kind reads some of the
+COUPLINGS and forces the rest to 0: heisenberg J; xxz_staggered J, delta
+and h_stag (sign -1 on site 1); transverse_ising J and h_x; mixed_ising
+J, h_x and h_z.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ __all__ = [
     "SZ",
     "ID2",
     "MODEL_KINDS",
+    "COUPLINGS",
     "MAX_COUPLING",
     "ModelSpec",
     "HamiltonianTerms",
@@ -51,6 +52,9 @@ SY = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=np.complex128)
 SZ = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=np.complex128)
 ID2 = np.eye(2, dtype=np.complex128)
 
+# A ModelSpec's couplings, in the order config files and run.cfg list them; each
+# kind reads the ones _KIND_FIELDS names and forces the others to 0.
+COUPLINGS = ("J", "delta", "h_stag", "h_x", "h_z")
 _KIND_FIELDS = {
     "heisenberg": ("J",),
     "xxz_staggered": ("J", "delta", "h_stag"),
@@ -95,17 +99,13 @@ class ModelSpec:
             raise ValueError("J must be nonzero")
         too_large = [
             f"{name} = {getattr(self, name)!r}"
-            for name in ("J", "delta", "h_stag", "h_x", "h_z")
+            for name in COUPLINGS
             if not abs(getattr(self, name)) <= MAX_COUPLING
         ]
         if too_large:
             bound = f"finite and at most {MAX_COUPLING:g} in magnitude"
             raise ValueError(f"couplings must be {bound}, got {', '.join(too_large)}")
-        unused = [
-            name
-            for name in ("delta", "h_stag", "h_x", "h_z")
-            if name not in _KIND_FIELDS[self.kind] and getattr(self, name) != 0.0
-        ]
+        unused = [name for name in COUPLINGS if name not in _KIND_FIELDS[self.kind] and getattr(self, name) != 0.0]
         if unused:
             raise ValueError(f"{', '.join(unused)} not used by kind {self.kind!r}; leave unset")
 
@@ -185,33 +185,14 @@ def build_hamiltonian(spec: ModelSpec) -> HamiltonianTerms:
 
 
 def model_terms(spec: ModelSpec) -> tuple[list[tuple[int, np.ndarray]], list[tuple[int, np.ndarray]]]:
-    """The (bonds, fields) term lists of a catalog model, compiling nothing."""
-    J = spec.J
-    bonds: list[tuple[int, np.ndarray]] = []
-    fields: list[tuple[int, np.ndarray]] = []
-    if spec.kind == "heisenberg":
-        mat = J * (kron(SX, SX) + kron(SY, SY) + kron(SZ, SZ))
-        bonds = [(i, mat) for i in range(1, spec.L)]
-    elif spec.kind == "xxz_staggered":
-        mat = J * (kron(SX, SX) + kron(SY, SY) + spec.delta * kron(SZ, SZ))
-        bonds = [(i, mat) for i in range(1, spec.L)]
-        for i in range(1, spec.L + 1):
-            f = spec.h_stag * (-1) ** i * SZ
-            if np.any(f):
-                fields.append((i, f))
-    elif spec.kind == "transverse_ising":
-        mat = J * kron(SZ, SZ)
-        bonds = [(i, mat) for i in range(1, spec.L)]
-        f = spec.h_x * SX
-        if np.any(f):
-            fields = [(i, f) for i in range(1, spec.L + 1)]
-    elif spec.kind == "mixed_ising":
-        mat = J * kron(SZ, SZ)
-        bonds = [(i, mat) for i in range(1, spec.L)]
-        f = spec.h_x * SX + spec.h_z * SZ
-        if np.any(f):
-            fields = [(i, f) for i in range(1, spec.L + 1)]
-    return bonds, fields
+    """The (bonds, fields) term lists of a catalog model, compiling nothing; zero fields are left out."""
+    if spec.kind in ("heisenberg", "xxz_staggered"):
+        delta = spec.delta if spec.kind == "xxz_staggered" else 1.0
+        bond = spec.J * (kron(SX, SX) + kron(SY, SY) + delta * kron(SZ, SZ))
+    else:
+        bond = spec.J * kron(SZ, SZ)
+    fields = ((i, spec.h_x * SX + (spec.h_z + (-1) ** i * spec.h_stag) * SZ) for i in range(1, spec.L + 1))
+    return [(i, bond) for i in range(1, spec.L)], [(i, f) for i, f in fields if np.any(f)]
 
 
 def apply_terms(terms: HamiltonianTerms, amps: np.ndarray) -> np.ndarray:

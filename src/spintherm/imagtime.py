@@ -67,6 +67,7 @@ class BetaGrid:
     checkpoints: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "checkpoints", tuple(self.checkpoints))  # hashable, whatever sequence was given
         if len(self.checkpoints) == 0:
             raise ValueError("beta grid must not be empty")
         if len(self.checkpoints) > MAX_BETA_POINTS:

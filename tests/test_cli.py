@@ -26,7 +26,6 @@ from spintherm.cli import (
     parse_config,
     preset_variants,
     run_experiments,
-    validate_config,
 )
 import spintherm
 from helpers import bootstrap_reference
@@ -114,9 +113,8 @@ def test_parse_rejects_bad_values():
 
 def test_validate_collects_all_problems():
     cfg = parse_config(MINIMAL)
-    bad = dataclasses.replace(cfg, init_class="trotter_rpps", M=0, threads=0)
     with pytest.raises(ConfigError) as exc:
-        validate_config(bad)
+        dataclasses.replace(cfg, init_class="trotter_rpps", M=0, threads=0)
     msg = str(exc.value)
     assert "trotter" in msg and "M" in msg and "threads" in msg
 
@@ -131,7 +129,7 @@ def test_validate_bounds_the_chain_length_by_memory_alone(tmp_path, capsys):
 
 def test_validate_rejects_tiny_chain():
     with pytest.raises(ConfigError, match="L"):
-        validate_config(dataclasses.replace(parse_config(MINIMAL), L_list=(1,)))
+        dataclasses.replace(parse_config(MINIMAL), L_list=(1,))
 
 
 def test_preset_fields():
@@ -172,8 +170,6 @@ def test_preset_variant_labels():
     haar = preset_variants("fig2")[2]
     assert haar.init_class == "haar"
     assert haar.trotter is None
-    for v in preset_variants("fig1") + preset_variants("fig2"):
-        validate_config(v)
 
 
 def tiny_config(out):
@@ -216,14 +212,12 @@ def test_run_outputs_independent_of_thread_count(tmp_path, monkeypatch):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_lockstep_rows_are_bit_identical_whatever_the_batch(L, init_class, M, seed):
-    system = ModelSpec(kind="heisenberg", L=L)
     trotter = ModelSpec(kind="mixed_ising", L=L, h_x=1.0, h_z=1.0) if init_class == "trotter_rpps" else None
-    grid = BetaGrid((0.5, 1.0, 3.0))
+    cfg = RunConfig(system=ModelSpec(kind="heisenberg", L=L), init_class=init_class,
+                    beta_grid=BetaGrid((0.5, 1.0, 3.0)), L_list=(L,), M=M, master_seed=seed, trotter=trotter)
 
     def batched(size):
-        parts = [cli._run_batch(L, init_class, seed, system, trotter, 10.0, 2 * L, grid,
-                                range(start, min(start + size, M)))
-                 for start in range(0, M, size)]
+        parts = [cli._run_batch(cfg, L, range(start, min(start + size, M))) for start in range(0, M, size)]
         return [np.concatenate(part) for part in zip(*parts)]  # entropies, ln-norms, energies
 
     whole = batched(M)
@@ -367,7 +361,7 @@ def test_pool_tasks_carry_specs_not_operators(tmp_path, monkeypatch):
     assert one["samples"].read_bytes() == two["samples"].read_bytes()
     assert len(tasks) == 4  # two (L, batch) tasks at each of L = 3, 4
     for task in tasks:
-        # the model specs, tau, n_reps and the grid: no compiled operator, gate or array
+        # the RunConfig, L and the sample range: no compiled operator, gate or array
         for name in (b"HamiltonianTerms", b"TrotterCircuit", b"CompiledBlock", b"ndarray"):
             assert name not in task
         assert len(task) < 1024
@@ -473,6 +467,9 @@ def test_run_cfg_reruns_a_preset_variant(tmp_path, monkeypatch):
     ("system.J = 1e300", "system: couplings must be finite and at most 1e+06 in magnitude, got J = 1e+300"),
     ("trotter.J = -1.000001e6", "trotter: couplings must be finite and at most 1e+06 in magnitude"),
     ("L_list = 1,4", "L_list: every L must be >= 2"),
+    # the model specs are checked, at L = 2, when L_list does not parse
+    ("L_list = x\nsystem.kind = heisenbrg", "L_list: invalid literal for int() with base 10: 'x'; "
+                                            "system: unknown model kind 'heisenbrg'"),
     # a 2**40-amplitude state is 16 TiB: no worker could hold it
     ("L_list = 40", "L_list: L = 40 needs 8 state vectors of 2**L amplitudes"),
     ("full_scale = true", "unknown keys: full_scale"),
@@ -489,7 +486,8 @@ def test_run_cfg_reruns_a_preset_variant(tmp_path, monkeypatch):
 ])
 def test_main_validate_names_the_bad_key(tmp_path, capsys, line, reason):
     cfg_file = tmp_path / "bad.cfg"
-    text = TINY_RUN.replace("L_list = 3,4\n", "") if line.startswith("L_list") else TINY_RUN
+    keys = {part.split("=")[0] for part in line.splitlines()}
+    text = "".join(part + "\n" for part in TINY_RUN.splitlines() if part.split("=")[0] not in keys)
     cfg_file.write_bytes((text + line + "\n").encode("utf-8", "surrogateescape"))
     for command in ("validate", "run"):
         assert main([command, "--config", str(cfg_file)]) == 2
@@ -690,11 +688,41 @@ def test_edited_run_cfg_is_validated(tmp_path, capsys):
 
 def test_validate_refuses_what_a_config_line_cannot_hold(tmp_path):
     cfg = tiny_config(tmp_path / "ok")
-    validate_config(dataclasses.replace(cfg, label="a b", output_path=str(tmp_path / "caf\u00e9 x")))
+    dataclasses.replace(cfg, label="a b", output_path=str(tmp_path / "caf\u00e9 x"))
     for text in ("a#b", "#", " a", "a ", "a\t", "a\nb", "a\rb", "a\x00b", "a\u2028b", "caf\udce9"):
         for name in ("label", "output_path"):
             with pytest.raises(ConfigError, match=f"{name}: must not contain '#' or a nonprintable character"):
-                validate_config(dataclasses.replace(cfg, **{name: text}))
+                dataclasses.replace(cfg, **{name: text})
+
+
+def test_run_config_is_frozen_hashable_and_valid_once_made(tmp_path):
+    cfg = tiny_config(tmp_path / "f")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.M = 0
+    assert cfg == tiny_config(tmp_path / "f") and hash(cfg) == hash(tiny_config(tmp_path / "f"))
+    assert {cfg: "cached"}[dataclasses.replace(cfg)] == "cached"
+    # lists are stored as tuples, so a config made from them still hashes
+    listed = dataclasses.replace(cfg, L_list=[3, 4], beta_grid=BetaGrid([0.5, 1.0]))
+    assert listed == cfg and hash(listed) == hash(cfg)
+    # a replace is a construction: no RunConfig exists whose run.cfg echo could not be read back
+    with pytest.raises(ConfigError, match="label: must not contain '#' or a nonprintable character"):
+        dataclasses.replace(cfg, label="a\nb")
+
+
+def test_csv_number_format(tmp_path):
+    # floats to 17 significant digits, integers bare (a master seed of 1e17 too), the label unquoted
+    cfg = dataclasses.replace(tiny_config(tmp_path / "fmt"), beta_grid=BetaGrid((0.1,)), L_list=(3,), M=2,
+                              master_seed=10**17 + 3, n_resamples=0, label="a b")
+    [paths] = run_experiments([cfg])
+    [summary] = paths["summary"].read_text().splitlines()[1:]
+    fields = summary.split(",")
+    assert fields[:3] == ["3", "0.10000000000000001", "a b"]
+    assert [fields[i] for i in (4, 6, 8, 10)] == ["0"] * 4  # every sigma, with no resamples
+    assert fields[11:] == ["2", "100000000000000003"]
+    samples = [line.split(",") for line in paths["samples"].read_text().splitlines()[1:]]
+    assert [row[:3] for row in samples] == [["3", "0", "0.10000000000000001"], ["3", "1", "0.10000000000000001"]]
+    for text in [fields[i] for i in (3, 5, 7, 9)] + [value for row in samples for value in row[3:]]:
+        assert format(float(text), ".17g") == text
 
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
