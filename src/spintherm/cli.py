@@ -404,11 +404,12 @@ def _aggregate(cfg: RunConfig, L: int, s_ini: np.ndarray, logs: np.ndarray, obs:
         if cfg.n_resamples >= 2
         else (np.zeros(len(logs)),) * 3 + (0.0,)
     )
+    eta, weighted, simple = efficiency(logs), weighted_expectation(logs, obs), simple_expectation(obs)
     s_ini_mean = float(simple_expectation(s_ini))
     return [
-        f"{L},{beta:.17g},{cfg.resolved_label()},{efficiency(logs[k]):.17g},{eta_sigma[k]:.17g},{s_ini_mean:.17g},"
-        f"{s_ini_sigma:.17g},{weighted_expectation(logs[k], obs[k]):.17g},{weighted_sigma[k]:.17g},"
-        f"{simple_expectation(obs[k]):.17g},{simple_sigma[k]:.17g},{cfg.M},{cfg.master_seed}\n"
+        f"{L},{beta:.17g},{cfg.resolved_label()},{eta[k]:.17g},{eta_sigma[k]:.17g},{s_ini_mean:.17g},"
+        f"{s_ini_sigma:.17g},{weighted[k]:.17g},{weighted_sigma[k]:.17g},"
+        f"{simple[k]:.17g},{simple_sigma[k]:.17g},{cfg.M},{cfg.master_seed}\n"
         for k, beta in enumerate(cfg.beta_grid.checkpoints)
     ]
 

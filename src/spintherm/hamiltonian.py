@@ -1,9 +1,10 @@
 """Bond/field representation of open-chain spin-1/2 Hamiltonians.
 
 Operators are kept as a catalog of local terms: 4x4 matrices on bonds
-(i, i+1) and 2x2 matrices on single sites.  At construction the terms are
-folded into L - 1 bond generators (each field split between the bonds
-touching its site, see bond_generators) and compiled once by
+(i, i+1) and 2x2 matrices on single sites, each passing the one
+local-matrix check, ``hilbert.checked_matrix``.  At construction the
+terms are folded into L - 1 bond generators (each field split between the
+bonds touching its site, see bond_generators) and compiled once by
 ``hilbert.compile_chain``, which sums the generators of each block of
 four bonds.  Applying the operator is then one kernel call per compiled
 entry; the full 2**L x 2**L matrix is never formed.
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import CompiledBlock, apply_two_site, compile_chain, kron
+from .hilbert import CompiledBlock, apply_two_site, checked_matrix, compile_chain, kron
 
 __all__ = [
     "SX",
@@ -116,8 +117,8 @@ class HamiltonianTerms:
 
     ``bonds`` holds (i, mat4) pairs acting on sites (i, i+1) in the
     |s_i, s_i+1> product basis with the left site as the major index;
-    ``fields`` holds (i, mat2) single-site pairs.  Every matrix must be
-    finite and Hermitian; the ValueError otherwise names the term.
+    ``fields`` holds (i, mat2) single-site pairs.  Every i must be an
+    integer, every matrix finite and Hermitian; the ValueError names the term.
 
     The object is immutable: the terms are stored as tuples of read-only
     copies, and ``compiled`` is built from them at construction by
@@ -140,43 +141,36 @@ class HamiltonianTerms:
         object.__setattr__(self, "compiled", compile_chain(bond_generators(self.L, bonds, fields), sum))
 
 
-def _checked_term(kind: str, i: int, mat, last: int, dim: int) -> tuple[int, np.ndarray]:
-    if not 1 <= i <= last:
-        raise ValueError(f"{kind} index {i} outside [1, {last}]")
-    mat = np.array(mat, dtype=np.complex128)
-    if mat.shape != (dim, dim):
-        raise ValueError(f"{kind} matrix at {i} has shape {mat.shape}, expected ({dim}, {dim})")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError(f"{kind} matrix at {i} has non-finite entries")
+def _checked_term(kind: str, i, mat, last: int, dim: int) -> tuple[int, np.ndarray]:
+    if not (isinstance(i, (int, np.integer)) and 1 <= i <= last):
+        raise ValueError(f"{kind} index {i!r} is not an integer in [1, {last}]")
+    mat = checked_matrix(f"{kind} matrix at {i}", mat, dim)
     if np.max(np.abs(mat - mat.conj().T)) > 1e-14 * max(1.0, np.max(np.abs(mat))):
         raise ValueError(f"{kind} matrix at {i} is not Hermitian")
-    mat.setflags(write=False)
     return int(i), mat
 
 
 def bond_generators(L: int, bonds, fields) -> list[np.ndarray]:
     """The 4x4 generators of bonds 1..L-1 (item i - 1 on bond i), whose embeddings sum to the terms.
 
-    ``bonds`` and ``fields`` are (i, matrix) pairs as in HamiltonianTerms.
-    Bond (i, i+1) takes its own coupling plus half the field of each
-    interior endpoint and the whole field of a chain-end endpoint.  All
-    L - 1 bonds are returned, zero generators included.
+    ``bonds`` and ``fields`` are (i, matrix) pairs as in HamiltonianTerms;
+    an index off the chain raises ValueError.  Bond (i, i+1) takes its own
+    couplings, then, in the order given, each field on its sites: the whole
+    field at a chain end, half of it to each bond elsewhere.  All L - 1
+    bonds are returned, zero generators included.
     """
-    per_site: dict[int, np.ndarray] = {}
-    for i, mat in fields:
-        per_site[i] = per_site.get(i, np.zeros((2, 2), dtype=np.complex128)) + mat
-    per_bond = {i: np.zeros((4, 4), dtype=np.complex128) for i in range(1, L)}
+    if not (all(1 <= i < L for i, _ in bonds) and all(1 <= i <= L for i, _ in fields)):
+        raise ValueError(f"term index off the {L}-site chain")
+    gens = [np.zeros((4, 4), dtype=np.complex128) for _ in range(L - 1)]
     for i, mat in bonds:
-        per_bond[i] = per_bond[i] + mat
-    for i, f in per_site.items():
-        if i == 1:
-            per_bond[1] = per_bond[1] + kron(f, ID2)
-        elif i == L:
-            per_bond[L - 1] = per_bond[L - 1] + kron(ID2, f)
-        else:
-            per_bond[i - 1] = per_bond[i - 1] + 0.5 * kron(ID2, f)
-            per_bond[i] = per_bond[i] + 0.5 * kron(f, ID2)
-    return [per_bond[i] for i in range(1, L)]
+        gens[i - 1] = gens[i - 1] + mat
+    for i, f in fields:
+        share = 1.0 if i in (1, L) else 0.5
+        if i > 1:
+            gens[i - 2] = gens[i - 2] + share * kron(ID2, f)
+        if i < L:
+            gens[i - 1] = gens[i - 1] + share * kron(f, ID2)
+    return gens
 
 
 def build_hamiltonian(spec: ModelSpec) -> HamiltonianTerms:

@@ -19,6 +19,8 @@ Every chain operator reaches a state through one kernel,
 32x32 block of BLOCK_SITES = 5 sites) permuted to memory order (the
 rightmost site in the highest bit).  That matrix is the one compiled form;
 the kernel picks the contraction from the block's site (``apply_two_site``).
+Every local matrix handed in (a bond or field term, a bond gate) passes
+one check, ``checked_matrix``.
 
 ``compile_chain`` builds every chain operator from its L - 1 bond
 operators and is the one place that knows the block layout and the order
@@ -46,6 +48,7 @@ __all__ = [
     "schmidt_spectrum",
     "BLOCK_SITES",
     "kron",
+    "checked_matrix",
     "CompiledBlock",
     "compile_block",
     "compile_chain",
@@ -108,6 +111,17 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
 
 
+def checked_matrix(name: str, mat, dim: int) -> np.ndarray:
+    """A read-only complex128 copy of ``mat``; ValueError naming ``name`` unless it is dim x dim and finite."""
+    mat = np.array(mat, dtype=np.complex128)
+    if mat.shape != (dim, dim):
+        raise ValueError(f"{name} has shape {mat.shape}, expected ({dim}, {dim})")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{name} has non-finite entries")
+    mat.setflags(write=False)
+    return mat
+
+
 @dataclass(frozen=True, eq=False)
 class CompiledBlock:
     """An operator on sites site .. site+width-1, stored ready for apply_two_site.
@@ -139,8 +153,7 @@ def compile_block(mat: np.ndarray, site: int, num_sites: int) -> CompiledBlock:
         raise ValueError(f"block on sites {site}..{site + width - 1} outside chain of {num_sites} sites")
     # Storage puts the rightmost site in the highest bit: reverse the site order once.
     order = tuple(reversed(range(width)))
-    mem = mat.reshape((2,) * 2 * width).transpose(order + tuple(width + a for a in order)).reshape(dim, dim)
-    matrix = np.ascontiguousarray(mem)
+    matrix = mat.reshape((2,) * 2 * width).transpose(order + tuple(width + a for a in order)).reshape(dim, dim)
     matrix.setflags(write=False)
     return CompiledBlock(site, width, num_sites, matrix)
 

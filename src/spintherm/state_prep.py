@@ -6,11 +6,12 @@ where each site carries independent uniform phases on its up and down
 components.  Product states carry zero entanglement; applying a few
 layers of two-site Trotter gates built from a nonintegrable chain
 scrambles them toward volume-law entanglement while keeping the
-preparation cost at L - 1 gates per step.  A step is compiled once by
-``hilbert.compile_chain``, so the brick and the H matvec run through the
-same kernel.  ``scramble`` runs the brick on the rows of a (B, 2**L)
-array in lockstep, one kernel call per compiled entry for all B rows;
-the run command takes B from L (cli.BATCH_AMPLITUDES).  A sampler
+preparation cost at L - 1 gates per step.  Each gate passes the one
+local-matrix check, ``hilbert.checked_matrix``, and a step is compiled
+once by ``hilbert.compile_chain``, so the brick and the H matvec run
+through the same kernel.  ``scramble`` runs the brick on the rows of a
+(B, 2**L) array in lockstep, one kernel call per compiled entry for all B
+rows; the run command takes B from L (cli.BATCH_AMPLITUDES).  A sampler
 returns one state as a (2**L,) array; stacked, the draws are such rows.
 
 Randomness is derived per sample from (master_seed, sample_index)
@@ -26,7 +27,7 @@ from functools import reduce
 import numpy as np
 
 from .hamiltonian import ModelSpec, bond_generators, model_terms
-from .hilbert import CompiledBlock, apply_two_site, compile_chain, row_norms
+from .hilbert import CompiledBlock, apply_two_site, checked_matrix, compile_chain, row_norms
 
 __all__ = [
     "MAX_TAU",
@@ -105,12 +106,12 @@ class TrotterCircuit:
     """First-order Trotter steps U = exp(-i tau H_odd) exp(-i tau H_even), n_reps of them.
 
     ``bond_gates[i - 1]`` is the 4x4 gate on bond (i, i+1), left-major; it
-    absorbs the field terms of its two sites (see
-    ``hamiltonian.bond_generators``).  The object is immutable: the gates
-    are read-only copies, and ``gates`` holds one step compiled at
-    construction by ``hilbert.compile_chain``: ceil((L - 1) / 4) blocks of
-    up to four gates, each fused with its even gates acting first.  It needs at least one gate, each 4x4 and
-    finite, and an integer n_reps >= 0; the ValueError otherwise names the fault.
+    absorbs the field terms of its two sites (``hamiltonian.bond_generators``).
+    It needs at least one gate, each passing ``hilbert.checked_matrix`` as a
+    4x4, and an integer n_reps >= 0; the ValueError otherwise names the
+    fault.  The object is immutable, and ``gates`` holds one step compiled
+    at construction by ``hilbert.compile_chain``: ceil((L - 1) / 4) blocks
+    of up to four gates, each fused with its even gates acting first.
     """
 
     bond_gates: tuple[np.ndarray, ...]
@@ -118,7 +119,7 @@ class TrotterCircuit:
     gates: tuple[CompiledBlock, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        bond_gates = tuple(_checked_gate(i, gate) for i, gate in enumerate(self.bond_gates, start=1))
+        bond_gates = tuple(checked_matrix(f"bond gate at {i}", g, 4) for i, g in enumerate(self.bond_gates, start=1))
         if not bond_gates:
             raise ValueError("circuit needs at least one bond gate")
         if not (isinstance(self.n_reps, (int, np.integer)) and self.n_reps >= 0):
@@ -126,16 +127,6 @@ class TrotterCircuit:
         object.__setattr__(self, "bond_gates", bond_gates)
         fused = compile_chain(bond_gates, lambda lifted: reduce(np.matmul, lifted[0::2] + lifted[1::2]))
         object.__setattr__(self, "gates", fused)
-
-
-def _checked_gate(i: int, gate) -> np.ndarray:
-    gate = np.array(gate, dtype=np.complex128)
-    if gate.shape != (4, 4):
-        raise ValueError(f"bond gate at {i} has shape {gate.shape}, expected (4, 4)")
-    if not np.all(np.isfinite(gate)):
-        raise ValueError(f"bond gate at {i} has non-finite entries")
-    gate.setflags(write=False)
-    return gate
 
 
 def build_trotter_circuit(spec: ModelSpec, tau: float, n_reps: int) -> TrotterCircuit:

@@ -55,16 +55,20 @@ def test_estimators_refuse_empty_input():
 
 
 def test_estimators_act_row_by_row():
+    # M = 1,000 and 4,097 exceed numpy's pairwise-summation block (128): the
+    # run's summary calls each estimator once on its (K, M) stack, and every
+    # row must keep the bits it has alone.
     rng = np.random.default_rng(3)
-    logs = rng.normal(scale=5.0, size=(6, 40))
-    obs = rng.normal(size=(6, 40))
-    assert weights(logs).shape == (6, 40)
-    assert efficiency(logs).shape == weighted_expectation(logs, obs).shape == simple_expectation(obs).shape == (6,)
-    for row in range(6):
-        assert np.array_equal(weights(logs)[row], weights(logs[row]))
-        assert efficiency(logs)[row] == efficiency(logs[row])
-        assert weighted_expectation(logs, obs)[row] == weighted_expectation(logs[row], obs[row])
-        assert simple_expectation(obs)[row] == simple_expectation(obs[row])
+    for m in (40, 1000, 4097):
+        logs = rng.normal(scale=5.0, size=(6, m))
+        obs = rng.normal(size=(6, m))
+        assert weights(logs).shape == (6, m)
+        assert efficiency(logs).shape == weighted_expectation(logs, obs).shape == simple_expectation(obs).shape == (6,)
+        for row in range(6):
+            assert np.array_equal(weights(logs)[row], weights(logs[row]))
+            assert efficiency(logs)[row] == efficiency(logs[row])
+            assert weighted_expectation(logs, obs)[row] == weighted_expectation(logs[row], obs[row])
+            assert simple_expectation(obs)[row] == simple_expectation(obs[row])
 
 
 def test_weights_match_dense_norm_ratios():

@@ -140,6 +140,15 @@ def test_terms_validation():
         HamiltonianTerms(L=3, fields=[(4, np.eye(2))])
     with pytest.raises(ValueError, match="shape"):
         HamiltonianTerms(L=3, bonds=[(1, np.eye(2))])
+    # a non-integer index is refused, not truncated onto a site
+    with pytest.raises(ValueError, match="bond index"):
+        HamiltonianTerms(L=3, bonds=[(1.5, hilbert.kron(SZ, SZ))])
+    with pytest.raises(ValueError, match="field index"):
+        HamiltonianTerms(L=3, fields=[(2.9, SZ)])
+    # the fold indexes a list: an index off the chain must not wrap round to its end
+    for bonds, fields in (([(0, good)], []), ([(3, good)], []), ([], [(0, SZ)]), ([], [(4, SZ)])):
+        with pytest.raises(ValueError, match="off the 3-site chain"):
+            bond_generators(3, bonds, fields)
 
 
 @pytest.mark.parametrize("kind", ["bond", "field"])
@@ -229,6 +238,35 @@ def test_apply_terms_field_only_matches_embedding():
             share = 1.0 / len(touching) if bond in touching else 0.0
             want = share * ref.embed_site(mat, site, 6)
             assert np.allclose(ref.embed_pair_matrix(gen, bond, 6), want, atol=1e-14)
+
+
+def test_bond_generators_fold_catalog_fields_bit_for_bit():
+    # Reference: sum the fields of each site first, then share the sum out.
+    # With one field per site, as in every catalog model, one pass over the
+    # fields must give the same bits; every compiled H and gate starts here.
+    def presummed(L, bonds, fields):
+        per_site = {}
+        for i, mat in fields:
+            per_site[i] = per_site.get(i, np.zeros((2, 2), dtype=complex)) + mat
+        per_bond = {i: np.zeros((4, 4), dtype=complex) for i in range(1, L)}
+        for i, mat in bonds:
+            per_bond[i] = per_bond[i] + mat
+        for i, f in per_site.items():
+            if i == 1:
+                per_bond[1] = per_bond[1] + hilbert.kron(f, hamiltonian.ID2)
+            elif i == L:
+                per_bond[L - 1] = per_bond[L - 1] + hilbert.kron(hamiltonian.ID2, f)
+            else:
+                per_bond[i - 1] = per_bond[i - 1] + 0.5 * hilbert.kron(hamiltonian.ID2, f)
+                per_bond[i] = per_bond[i] + 0.5 * hilbert.kron(f, hamiltonian.ID2)
+        return [per_bond[i] for i in range(1, L)]
+
+    for spec, _ in CATALOG:
+        for L in range(2, 10):
+            terms = hamiltonian.model_terms(dataclasses.replace(spec, L=L))
+            gens, want = bond_generators(L, *terms), presummed(L, *terms)
+            assert len(gens) == len(want) == L - 1
+            assert all(np.array_equal(g, w) for g, w in zip(gens, want)), (spec.kind, L)
 
 
 @settings(max_examples=60, deadline=None)
