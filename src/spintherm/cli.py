@@ -11,21 +11,22 @@ output_path; a preset variant's is ``<root>/<label>``.  A command makes
 every run's output directory before its first batch, and refuses a run
 whose echo would replace the config file it runs from with other text.
 
-A command runs as a stream of batch tasks on one pool of min(threads, M,
-os.cpu_count()) worker processes (threads = the cpu count when unset;
-the most any variant asks for), shared by every preset variant and chain
-length, or in-process with one worker.  A task draws, scrambles,
-measures and walks B samples in lockstep, the rows of one (B, 2**L)
-array: B = BATCH_AMPLITUDES >> L, at least 1 and at most M / workers
-rounded up.  A task is (RunConfig, L, samples), not the operators: each
-worker compiles the H and the circuit it applies, once per (variant, L),
-so the run process compiles none.  The next (variant, L) is submitted
-before the current one is gathered and bootstrapped.  Sample m derives
-all of its randomness from (master_seed, m), a row's values do not
-depend on the rows beside it, and rows are made in file order (L
-ascending, then sample, then beta), so the output files are
-byte-identical whatever the worker count, the batch size or the order of
-L_list.  The error bars of one L come from one bootstrap stream seeded
+A command runs as batch tasks, a list of them per (variant, L), on
+min(threads, M, os.cpu_count()) worker processes (threads = the cpu count
+when unset; the most any variant asks for; one where the platform cannot
+fork), forked once per command and shared by every preset variant and
+chain length (see workers.py), or in-process with one worker.  A task
+draws, scrambles, measures and walks B samples in lockstep, the rows of
+one (B, 2**L) array: B = BATCH_AMPLITUDES >> L, at least 1 and at most M /
+workers rounded up.  A worker inherits the task lists, which hold
+(RunConfig, L, samples), not the operators: each worker compiles the H and
+the circuit it applies, once per (variant, L), so the run process compiles
+none, and the workers run ahead while it gathers and bootstraps each
+(variant, L).  Sample m derives all of its randomness from (master_seed,
+m), a row's values do not depend on the rows beside it, and rows are
+made in file order (L ascending, then sample, then beta), so the output
+files are byte-identical whatever the worker count, the batch size or
+the order of L_list.  The error bars of one L come from one bootstrap stream seeded
 from (master_seed, L), which keeps them reproducible from samples.csv
 alone.
 
@@ -47,7 +48,6 @@ physical memory is refused.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import gc
 import os
@@ -340,7 +340,7 @@ def preset_variants(name: str) -> list[RunConfig]:
 # Execution
 
 
-@lru_cache(maxsize=2)  # the current (variant, L) and the one ahead
+@lru_cache(maxsize=1)  # every process walks the (variant, L) jobs in file order, one at a time
 def _operators(cfg: RunConfig, L: int):
     """The compiled H of cfg's system at L sites, and the scrambling circuit (None unless trotter_rpps)."""
     system = build_hamiltonian(dataclasses.replace(cfg.system, L=L))
@@ -360,30 +360,20 @@ def _run_batch(cfg: RunConfig, L: int, samples: range) -> tuple[np.ndarray, np.n
 
 
 def _workers(cfg: RunConfig) -> int:
-    """Worker processes for one run: threads (the cpu count when unset), at most M and the cpu count."""
+    """Worker processes for one run: threads (the cpu count when unset), at most M and the cpu count.
+
+    One where the platform cannot fork.
+    """
+    if not hasattr(os, "fork"):
+        return 1
     cpus = os.cpu_count() or 1
     return min(cfg.threads or cpus, cfg.M, cpus)
 
 
-def _process_pool(workers: int):
-    """A pool of worker processes, imported only here: a single-worker run never loads it."""
-    import numpy.random  # noqa: F401  # imported before the workers fork, not at each one's first draw
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(workers)
-
-
-def _submit(pool, workers: int, cfg: RunConfig, L: int):
-    """Start the batch tasks of one (variant, L) on the pool (None: run them in-process when read).
-
-    Returns an iterator over the batches' results in sample order.
-    """
-    size = max(1, min(BATCH_AMPLITUDES >> L, -(-cfg.M // workers)))
-    batches = [range(start, min(start + size, cfg.M)) for start in range(0, cfg.M, size)]
-    task = partial(_run_batch, cfg, L)
-    if pool is None:
-        return map(task, batches)
-    return pool.map(task, batches, chunksize=max(1, len(batches) // (4 * workers)))
+def _tasks(n: int, cfg: RunConfig, L: int) -> list[partial]:
+    """The batch tasks of one (variant, L) on n workers, in sample order; each returns _run_batch's arrays."""
+    size = max(1, min(BATCH_AMPLITUDES >> L, -(-cfg.M // n)))
+    return [partial(_run_batch, cfg, L, range(start, min(start + size, cfg.M))) for start in range(0, cfg.M, size)]
 
 
 def _collect_samples(L: int, results) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -441,22 +431,26 @@ def emit_results(summary_lines: list[str], sample_lines: list[str], cfg: RunConf
 
 
 def run_experiments(cfgs: list[RunConfig]):
-    """Execute configs in order, each into its output_path, on at most one worker pool.
+    """Execute configs in order, each into its output_path, on workers forked once for them all.
 
     Yields each run's output paths, as emit_results returns them, once its
     last chain length is written.
     """
     for cfg in cfgs:  # a directory that cannot be made ends the command before any batch
         Path(cfg.output_path).mkdir(parents=True, exist_ok=True)
-    workers = max(map(_workers, cfgs))
+    n = max(map(_workers, cfgs))
     jobs = [(cfg, L) for cfg in cfgs for L in sorted(cfg.L_list)]
+    tasks = [_tasks(n, cfg, L) for cfg, L in jobs]
+    if n > 1:
+        from . import workers  # a single-worker run never loads it
+
+        results = workers.fork(n, tasks)  # the workers run ahead while each (variant, L) is bootstrapped
+    else:
+        results = ([task() for task in batches] for batches in tasks)
     summary_lines, sample_lines = [], []
-    with _process_pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        pending = _submit(pool, workers, *jobs[0])
-        for (cfg, L), ahead in zip(jobs, jobs[1:] + [None]):
-            # the next (variant, L) runs on the workers while this one is gathered and bootstrapped
-            results, pending = pending, ahead and _submit(pool, workers, *ahead)
-            s_ini, logs, obs = _collect_samples(L, results)
+    try:
+        for (cfg, L), batches in zip(jobs, results):
+            s_ini, logs, obs = _collect_samples(L, batches)
             summary_lines += _aggregate(cfg, L, s_ini, logs, obs)
             sample_lines += [
                 f"{L},{m},{beta:.17g},{logs[k, m]:.17g},{obs[k, m]:.17g},{s_ini[m]:.17g}\n"
@@ -466,6 +460,8 @@ def run_experiments(cfgs: list[RunConfig]):
             if L == max(cfg.L_list):
                 yield emit_results(summary_lines, sample_lines, cfg)
                 summary_lines, sample_lines = [], []
+    finally:
+        results.close()  # now, not when the frame is freed: the workers end with the run, however it ends
 
 
 # ---------------------------------------------------------------------------

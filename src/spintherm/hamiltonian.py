@@ -142,7 +142,7 @@ class HamiltonianTerms:
 
 
 def _checked_term(kind: str, i, mat, last: int, dim: int) -> tuple[int, np.ndarray]:
-    if not (isinstance(i, (int, np.integer)) and 1 <= i <= last):
+    if isinstance(i, bool) or not (isinstance(i, (int, np.integer)) and 1 <= i <= last):
         raise ValueError(f"{kind} index {i!r} is not an integer in [1, {last}]")
     mat = checked_matrix(f"{kind} matrix at {i}", mat, dim)
     if np.max(np.abs(mat - mat.conj().T)) > 1e-14 * max(1.0, np.max(np.abs(mat))):

@@ -122,7 +122,7 @@ class TrotterCircuit:
         bond_gates = tuple(checked_matrix(f"bond gate at {i}", g, 4) for i, g in enumerate(self.bond_gates, start=1))
         if not bond_gates:
             raise ValueError("circuit needs at least one bond gate")
-        if not (isinstance(self.n_reps, (int, np.integer)) and self.n_reps >= 0):
+        if isinstance(self.n_reps, bool) or not (isinstance(self.n_reps, (int, np.integer)) and self.n_reps >= 0):
             raise ValueError(f"n_reps must be an integer >= 0, got {self.n_reps!r}")
         object.__setattr__(self, "bond_gates", bond_gates)
         fused = compile_chain(bond_gates, lambda lifted: reduce(np.matmul, lifted[0::2] + lifted[1::2]))

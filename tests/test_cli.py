@@ -5,7 +5,6 @@ import dataclasses
 import importlib
 import json
 import os
-import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -29,7 +28,7 @@ from spintherm.cli import (
 )
 import spintherm
 from helpers import bootstrap_reference
-from spintherm import cli, hilbert
+from spintherm import cli, hilbert, workers
 from spintherm.estimators import efficiency, simple_expectation, weighted_expectation
 from spintherm.hamiltonian import MAX_COUPLING, ModelSpec
 from spintherm.imagtime import MAX_BETA, MAX_BETA_POINTS, BetaGrid
@@ -300,26 +299,17 @@ def test_summary_recomputable_from_samples(tmp_path):
 
 
 def test_pool_is_capped_at_samples_and_cpus(tmp_path, monkeypatch):
-    # A fake executor that maps in this process: the test starts no process.
+    # A fake fork that runs every task in this process: the test starts no process.
     sizes = []
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def in_process(n, jobs):
+        sizes.append(n)
+        return ([task() for task in tasks] for tasks in jobs)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
-
-    monkeypatch.setattr(cli, "_process_pool", InProcessPool)
+    monkeypatch.setattr(workers, "fork", in_process)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     base = dataclasses.replace(tiny_config(tmp_path / "pool"), L_list=(4,), n_resamples=0)
-    # (threads, M) -> the pool size, or None for no pool
+    # (threads, M) -> the worker count, or None for no pool
     for threads, M, want in ((64, 6, 4), (3, 6, 3), (64, 2, 2), (None, 6, 4), (None, 1, None), (1, 6, None)):
         sizes.clear()
         list(run_experiments([dataclasses.replace(base, threads=threads, M=M)]))
@@ -335,36 +325,55 @@ def test_pool_is_capped_at_samples_and_cpus(tmp_path, monkeypatch):
     assert sizes == [2]
 
 
-def test_pool_tasks_carry_specs_not_operators(tmp_path, monkeypatch):
-    # A fake executor that pickles every task as a process pool does, then runs it in this process.
-    tasks = []
+def test_run_without_fork_uses_one_in_process_worker(tmp_path, monkeypatch):
+    [ref] = run_experiments([dataclasses.replace(tiny_config(tmp_path / "ref"), threads=1)])
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(workers, "fork", None)  # a pooled run would fail calling it
+    cfg = dataclasses.replace(tiny_config(tmp_path / "nofork"), threads=4)
+    assert cli._workers(cfg) == 1
+    [paths] = run_experiments([cfg])
+    assert paths["samples"].read_bytes() == ref["samples"].read_bytes()
 
-    class PicklingPool:
-        def __init__(self, max_workers):
-            pass
 
-        def __enter__(self):
-            return self
+def test_worker_failures_end_the_run_and_leave_no_process(tmp_path, monkeypatch):
+    pids, real_fork, real_batch = [], os.fork, cli._run_batch
 
-        def __exit__(self, *exc):
-            return False
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-        def map(self, fn, iterable, chunksize=1):
-            sent = [pickle.dumps((fn, batch)) for batch in iterable]
-            tasks.extend(sent)
-            return (fn(batch) for fn, batch in map(pickle.loads, sent))
+    def failing(cfg, L, samples):
+        if L == 4 and 4 in samples:
+            raise ValueError("sample 4 fails")
+        return real_batch(cfg, L, samples)
 
-    monkeypatch.setattr(cli, "_process_pool", PicklingPool)
+    def exiting(cfg, L, samples):
+        os._exit(3)  # only ever called in a worker: the run has two
+
+    monkeypatch.setattr(os, "fork", recording_fork)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    [one] = run_experiments([dataclasses.replace(tiny_config(tmp_path / "one"), threads=1)])
-    [two] = run_experiments([dataclasses.replace(tiny_config(tmp_path / "two"), threads=2)])
-    assert one["samples"].read_bytes() == two["samples"].read_bytes()
-    assert len(tasks) == 4  # two (L, batch) tasks at each of L = 3, 4
-    for task in tasks:
-        # the RunConfig, L and the sample range: no compiled operator, gate or array
-        for name in (b"HamiltonianTerms", b"TrotterCircuit", b"CompiledBlock", b"ndarray"):
-            assert name not in task
-        assert len(task) < 1024
+    cfg = dataclasses.replace(tiny_config(tmp_path / "fail"), threads=2)
+    # a task's exception is raised in the run process
+    monkeypatch.setattr(cli, "_run_batch", failing)
+    with pytest.raises(ValueError, match="sample 4 fails") as raised:
+        list(run_experiments([cfg]))
+    assert "in failing" in str(raised.value.__cause__)  # the worker's traceback
+    # a worker that dies before its last result
+    monkeypatch.setattr(cli, "_run_batch", exiting)
+    with pytest.raises(ChildProcessError, match="ended before sending all its results"):
+        list(run_experiments([cfg]))
+    # a run closed after its first output
+    monkeypatch.setattr(cli, "_run_batch", real_batch)
+    runs = run_experiments([cfg, dataclasses.replace(cfg, output_path=str(tmp_path / "second"))])
+    next(runs)
+    runs.close()
+    assert len(pids) == 6
+    for pid in pids:  # every worker was reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def test_collect_samples_refuses_nonfinite_or_negative_entropy(tmp_path, monkeypatch):
@@ -553,18 +562,38 @@ def test_runtime_imports_no_scipy():
         "import sys, spintherm, spintherm.cli; "
         "print(sorted(m for m in sys.modules if m.startswith('scipy') or m == 'spintherm.oracle')); "
         "print('json' in sys.modules); "
-        "print(sorted(m for m in ('numpy.random', 'concurrent.futures') if m in sys.modules))"
+        "print(sorted(m for m in ('numpy.random', 'concurrent.futures', 'spintherm.workers') if m in sys.modules))"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     scipy_and_oracle, json_loaded, lazy = out.stdout.splitlines()
     assert scipy_and_oracle == "[]"
     assert json_loaded == "False"  # the run echo is a config file, not JSON
-    # numpy.random (5.5 MB resident) and concurrent.futures (1.4 MB) load only when a run needs them
+    # numpy.random (5.5 MB resident) and the worker pool load only when a run needs them
     assert lazy == "[]"
     assert set(spintherm.__all__) == PUBLIC
     for module, names in TRACED.items():
         assert set(names) <= set(importlib.import_module(f"spintherm.{module}").__all__), module
+
+
+def test_pooled_run_loads_no_executor(tmp_path):
+    # the fork pool needs no concurrent.futures, multiprocessing or queue in the run process,
+    # and the workers compile every operator
+    config = tmp_path / "pooled.cfg"
+    config.write_text(MINIMAL + f"n_resamples = 8\nthreads = 2\noutput_path = {tmp_path / 'out'}\n")
+    code = (
+        "import os, sys; os.cpu_count = lambda: 2; import spintherm.cli as cli; "
+        f"assert cli.main(['run', '--config', {str(config)!r}]) == 0; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing', 'queue', 'spintherm.workers') "
+        "if m in sys.modules)); "
+        "print(cli._operators.cache_info().misses)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True,
+                         timeout=300)
+    loaded, compiled = out.stdout.splitlines()[-2:]
+    assert loaded == "['spintherm.workers']"  # the run was pooled
+    assert compiled == "0"
 
 
 def test_traced_run_counts_each_bootstrap_draw(tmp_path):

@@ -145,6 +145,11 @@ def test_terms_validation():
         HamiltonianTerms(L=3, bonds=[(1.5, hilbert.kron(SZ, SZ))])
     with pytest.raises(ValueError, match="field index"):
         HamiltonianTerms(L=3, fields=[(2.9, SZ)])
+    # nor is a bool taken for site 1
+    with pytest.raises(ValueError, match="field index"):
+        HamiltonianTerms(L=3, fields=[(True, SZ)])
+    with pytest.raises(ValueError, match="bond index"):
+        HamiltonianTerms(L=3, bonds=[(True, good)])
     # the fold indexes a list: an index off the chain must not wrap round to its end
     for bonds, fields in (([(0, good)], []), ([(3, good)], []), ([], [(0, SZ)]), ([], [(4, SZ)])):
         with pytest.raises(ValueError, match="off the 3-site chain"):

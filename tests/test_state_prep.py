@@ -221,6 +221,7 @@ def test_build_circuit_validation():
         ([eye, np.full((4, 4), np.nan)], 1, "bond gate at 2 has non-finite entries"),
         ([eye], -3, "n_reps must be an integer >= 0"),
         ([eye], 1.5, "n_reps must be an integer >= 0"),
+        ([eye] * 2, True, "n_reps must be an integer >= 0"),
     ):
         with pytest.raises(ValueError, match=reason):
             TrotterCircuit(gates, n_reps)
