@@ -509,6 +509,9 @@ def main(argv: list[str] | None = None) -> int:
                               f"the config file {ascii(args.config)}, whose text differs from it")
         for cfg, paths in zip(cfgs, run_experiments(cfgs)):
             print(f"{cfg.resolved_label()}: {paths['summary']}")
+    except ChildProcessError as exc:  # an OSError, but of a worker, not of the input
+        print(f"failed: {exc}", file=sys.stderr)
+        return 1
     except (ConfigError, OSError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 2

@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hilbert import chain_length, schmidt_spectrum
+from .state_prep import numpy_random
 
 __all__ = [
     "weights",
@@ -104,9 +105,10 @@ def bootstrap_sigma(logs, obs, n_resamples: int, seed, s_ini):
 
     ``logs`` and ``obs`` are (K, M), one row per beta, and ``s_ini`` is (M,).
     The resamples are the rows of one (n_resamples, M) index draw from
-    np.random.default_rng(seed), taken in blocks; a drawn sample keeps its
-    values at every beta.  Returns the standard deviations over the
-    resamples: (eta_sigma[K], weighted_sigma[K], simple_sigma[K], s_ini_sigma).
+    default_rng(seed) (numpy.random, through ``state_prep.numpy_random``),
+    taken in blocks; a drawn sample keeps its values at every beta.  Returns
+    the standard deviations over the resamples: (eta_sigma[K],
+    weighted_sigma[K], simple_sigma[K], s_ini_sigma).
     """
     logs, obs, s_ini = (np.asarray(a, dtype=np.float64) for a in (logs, obs, s_ini))
     if logs.ndim != 2 or logs.shape[1] == 0 or obs.shape != logs.shape or s_ini.shape != logs.shape[1:]:
@@ -117,7 +119,7 @@ def bootstrap_sigma(logs, obs, n_resamples: int, seed, s_ini):
     d = logs - logs.max(axis=1, keepdims=True)
     e = np.exp(d)
     table = np.concatenate([e, d * e, e * obs, obs, s_ini[None]]).T.copy()
-    rng = np.random.default_rng(seed)
+    rng = numpy_random().default_rng(seed)
     rows = max(1, BOOTSTRAP_BLOCK // table.size)
     moments = np.zeros((2, 3 * k + 1))
     for done in range(0, n_resamples, rows):

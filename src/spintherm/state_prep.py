@@ -16,13 +16,17 @@ returns one state as a (2**L,) array; stacked, the draws are such rows.
 
 Randomness is derived per sample from (master_seed, sample_index)
 through numpy's SeedSequence, so sample m is the same bit pattern no
-matter which worker draws it or in which order.
+matter which worker draws it or in which order.  Every use of
+numpy.random in the package goes through ``numpy_random``.
 """
 
 from __future__ import annotations
 
+import random
+import sys
+import types
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -31,6 +35,7 @@ from .hilbert import CompiledBlock, apply_two_site, checked_matrix, compile_chai
 
 __all__ = [
     "MAX_TAU",
+    "numpy_random",
     "SampleSeed",
     "TrotterCircuit",
     "sample_rpps",
@@ -38,6 +43,29 @@ __all__ = [
     "build_trotter_circuit",
     "scramble",
 ]
+
+
+@cache
+def numpy_random() -> types.ModuleType:
+    """numpy.random, imported on first call without loading OpenSSL.
+
+    numpy.random imports ``randbits`` from ``secrets``, which loads hmac,
+    hashlib and libcrypto (3.6 MB resident) for the entropy of unseeded
+    generators; every generator here is seeded.  So unless ``secrets`` is
+    already loaded, the import sees a stand-in whose one attribute is what
+    ``secrets.randbits`` is, SystemRandom().getrandbits, and the stand-in is
+    removed after it: a later ``import secrets`` loads the real module.
+    """
+    if "secrets" in sys.modules:
+        import numpy.random
+    else:
+        sys.modules["secrets"] = stand_in = types.ModuleType("secrets")
+        stand_in.randbits = random.SystemRandom().getrandbits
+        try:
+            import numpy.random
+        finally:
+            del sys.modules["secrets"]
+    return numpy.random
 
 
 @dataclass(frozen=True)
@@ -59,9 +87,8 @@ class SampleSeed:
             raise ValueError("sample_index must be nonnegative")
 
     def generator(self) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence(entropy=self.master_seed, spawn_key=(self.sample_index,))
-        )
+        rnd = numpy_random()
+        return rnd.default_rng(rnd.SeedSequence(entropy=self.master_seed, spawn_key=(self.sample_index,)))
 
 
 def sample_rpps(num_sites: int, seed: SampleSeed) -> np.ndarray:

@@ -6,7 +6,10 @@ and pickles each result, or the exception that ended it, down its own pipe.
 The run process reads task i of each list from pipe i mod n, the order each
 worker writes in, so no pipe can deadlock.  Only a run with more than one
 worker imports this module; numpy.random is imported here, before the
-workers fork, so they share its pages instead of each importing it.
+workers fork, so they share its pages instead of each importing it.  It is
+imported through ``state_prep.numpy_random``, which leaves out the OpenSSL
+that numpy.random's ``secrets`` import would load: 3.6 MB the run process
+would hold and that no seeded draw uses.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ import os
 import pickle
 import signal
 
-import numpy.random  # noqa: F401  # imported before the workers fork, not at each one's first draw
+from .state_prep import numpy_random
+
+numpy_random()  # before the workers fork, not at each one's first draw
 
 __all__ = ["fork"]
 
@@ -24,15 +29,20 @@ def fork(n: int, jobs: list[list]):
     """Yield the results of each list of zero-argument tasks in jobs, in order, computed on n forked workers.
 
     A task's exception is raised here, caused by a ChildProcessError that
-    holds the worker's traceback, and a worker that ends before its last
-    result raises ChildProcessError.  However the generator ends, every
-    worker is killed and reaped.
+    holds the worker's traceback; a worker that cannot be forked, or that
+    ends before its last result, raises ChildProcessError.  However the
+    generator ends, every worker is killed and reaped.
     """
     pids, pipes = [], []
     try:
         for w in range(n):
             read, write = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError as exc:  # the run's failure, not an OSError of its input or output
+                os.close(read)
+                os.close(write)
+                raise ChildProcessError(f"worker {w} could not be forked: {exc}") from exc
             if pid == 0:  # the worker, which never returns from _work
                 _work(write, [read, *(pipe.fileno() for pipe in pipes)], jobs, w, n)
             pids.append(pid)

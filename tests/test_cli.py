@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import errno
 import importlib
 import json
 import os
@@ -376,6 +377,25 @@ def test_worker_failures_end_the_run_and_leave_no_process(tmp_path, monkeypatch)
             os.waitpid(pid, os.WNOHANG)
 
 
+def test_a_dead_or_unforked_worker_fails_the_run_not_its_input(tmp_path, capsys, monkeypatch):
+    # ChildProcessError is an OSError, the class of output-path errors, which exit 2
+    config = tmp_path / "run.cfg"
+    config.write_text(TINY_RUN + f"threads = 2\noutput_path = {tmp_path / 'out'}\n")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_run_batch", lambda cfg, L, samples: os._exit(3))  # only ever called in a worker
+    assert main(["run", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == "failed: worker 0 ended before sending all its results\n"
+
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert main(["run", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        f"failed: worker 0 could not be forked: [Errno {errno.EAGAIN}] Resource temporarily unavailable\n"
+    )
+
+
 def test_collect_samples_refuses_nonfinite_or_negative_entropy(tmp_path, monkeypatch):
     cfg = dataclasses.replace(tiny_config(tmp_path / "bad"), threads=1)
     for faulty, reason in (
@@ -569,7 +589,7 @@ def test_runtime_imports_no_scipy():
     scipy_and_oracle, json_loaded, lazy = out.stdout.splitlines()
     assert scipy_and_oracle == "[]"
     assert json_loaded == "False"  # the run echo is a config file, not JSON
-    # numpy.random (5.5 MB resident) and the worker pool load only when a run needs them
+    # numpy.random (1.9 MB resident, without OpenSSL) and the worker pool load only when a run needs them
     assert lazy == "[]"
     assert set(spintherm.__all__) == PUBLIC
     for module, names in TRACED.items():
@@ -594,6 +614,29 @@ def test_pooled_run_loads_no_executor(tmp_path):
     loaded, compiled = out.stdout.splitlines()[-2:]
     assert loaded == "['spintherm.workers']"  # the run was pooled
     assert compiled == "0"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_runs_load_no_openssl_and_leave_the_stdlib_intact(tmp_path, threads):
+    # numpy.random's import of secrets would load hmac, hashlib and OpenSSL; a run
+    # imports it without them, and a later import of each gets the real module
+    config = tmp_path / "run.cfg"
+    config.write_text(MINIMAL + f"n_resamples = 8\nthreads = {threads}\noutput_path = {tmp_path / 'out'}\n")
+    code = (
+        "import os, sys; os.cpu_count = lambda: 2; import spintherm.cli as cli; "
+        f"assert cli.main(['run', '--config', {str(config)!r}]) == 0; "
+        "print(sorted(m for m in ('numpy.random', 'secrets', 'hmac', 'hashlib', '_hashlib', 'spintherm.workers') "
+        "if m in sys.modules)); "
+        "import secrets, hmac, hashlib, numpy.random; "
+        "print(callable(hashlib.pbkdf2_hmac), callable(hmac.new), len(secrets.token_bytes(8)), "
+        "numpy.random.SeedSequence().entropy != numpy.random.SeedSequence().entropy)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True,
+                         timeout=300)
+    loaded, stdlib = out.stdout.splitlines()[-2:]
+    assert loaded == ("['numpy.random']" if threads == 1 else "['numpy.random', 'spintherm.workers']")
+    assert stdlib == "True True 8 True"  # unseeded generators still draw fresh entropy
 
 
 def test_traced_run_counts_each_bootstrap_draw(tmp_path):

@@ -1,6 +1,9 @@
 """Random initial states and the Trotter scrambling circuit."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -97,6 +100,34 @@ def test_haar_entropy_near_page_value():
     page = (L / 2.0) * np.log(2.0) - 0.5
     vals = [entanglement_entropy(sample_haar(L, SampleSeed(77, m))) for m in range(500)]
     assert abs(np.mean(vals) - page) <= 0.05
+
+
+def test_seeded_streams_match_an_ordinary_numpy_random_import():
+    # a sample's draws and the bootstrap's resamples, through numpy_random in one
+    # fresh process and through a plain numpy.random import in another
+    draws = (
+        "print(sys.modules.get('secrets')); "
+        "[print(seeded(m, i).uniform(0.0, 6.0, size=(4, 2)).tobytes().hex(), "
+        "seeded(m, i).standard_normal((2, 8)).tobytes().hex()) for m, i in ((42, 0), (42, 7), (0, 3))]; "
+        "[print(rnd.default_rng((42, L)).integers(0, 16, size=(5, 16)).tobytes().hex()) for L in (8, 12)]"
+    )
+    ordinary = (
+        "import sys; import numpy.random as rnd; "
+        "seeded = lambda m, i: rnd.default_rng(rnd.SeedSequence(entropy=m, spawn_key=(i,))); " + draws
+    )
+    entry = (
+        "import sys; from spintherm.state_prep import SampleSeed, numpy_random; rnd = numpy_random(); "
+        "seeded = lambda m, i: SampleSeed(m, i).generator(); " + draws
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    plain, through = (
+        subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
+        for code in (ordinary, entry)
+    )
+    plain_secrets, *plain_draws = plain.splitlines()
+    entry_secrets, *entry_draws = through.splitlines()
+    assert plain_secrets.startswith("<module 'secrets'") and entry_secrets == "None"
+    assert len(entry_draws) == 5 and entry_draws == plain_draws
 
 
 def test_seed_validation():
