@@ -29,7 +29,7 @@ from .estimators import (  # noqa: E402
 )
 from .hamiltonian import HamiltonianTerms, ModelSpec, build_hamiltonian
 from .hilbert import schmidt_spectrum
-from .imagtime import BetaGrid, evolve, walk
+from .imagtime import BetaGrid, walk
 from .state_prep import (
     SampleSeed,
     TrotterCircuit,
@@ -53,7 +53,6 @@ __all__ = [
     "build_trotter_circuit",
     "scramble",
     "BetaGrid",
-    "evolve",
     "walk",
     "weights",
     "efficiency",

@@ -1,4 +1,4 @@
-"""Imaginary-time evolution and beta walks by Lanczos (Gauss) quadrature.
+"""Beta walks by Lanczos (Gauss) quadrature.
 
 k Lanczos steps from psi / |psi| give a k x k tridiagonal T_k with Ritz
 pairs (theta_j, q_j), theta ascending.  Gauss quadrature reads a quadratic
@@ -12,13 +12,11 @@ is the log of a sum of positive terms, none above 1: no cancellation and
 no overflow at any beta.  <H>_beta is the same sum with theta_j inserted.
 The beta walk reads both at every beta of the grid after each step and
 stops when no value changes by more than 1e-14 max(1, |value|), or when
-the Krylov space is exhausted.  evolve builds
-|psi| V_k e^{-theta (T_k - theta_0)} e_1 (V_k the Lanczos vectors) and
-returns it at unit norm with the ln of its norm, which holds
-ln |psi| - theta theta_0.
+the Krylov space is exhausted.  No filtered state is built: the run
+scores a sample through these two values alone.
 
-One recurrence serves both, on the rows of a (B, 2**L) array in lockstep,
-as the finite-temperature Lanczos method runs independent random vectors
+The recurrence runs on the rows of a (B, 2**L) array in lockstep, as the
+finite-temperature Lanczos method runs independent random vectors
 (Jaklic & Prelovsek, PRB 49, 5065 (1994)).  A step is one H application
 to every running row, a dot per row, one stacked eigh of the B
 tridiagonals and a vectorised read-out; a row leaves at its own stop
@@ -27,10 +25,8 @@ command takes B from L (cli.BATCH_AMPLITUDES).
 
 The Ritz values are the part of the spectrum the state sees, so no bound
 on the spectrum is estimated and nothing is restarted.  The vectors are
-not reorthogonalized: both the quadrature and the Krylov exponential
-converge in finite precision all the same (Meurant & Strakos, Acta
-Numerica 15 (2006); Druskin, Greenbaum & Knizhnerman, SIAM J. Sci.
-Comput. 19 (1998)).
+not reorthogonalized: the quadrature converges in finite precision all
+the same (Meurant & Strakos, Acta Numerica 15 (2006)).
 """
 
 from __future__ import annotations
@@ -47,7 +43,6 @@ __all__ = [
     "MAX_BETA_POINTS",
     "MAX_BETA",
     "BetaGrid",
-    "evolve",
     "walk",
 ]
 
@@ -91,29 +86,22 @@ class BetaGrid:
         return cls(tuple(round(start + k * step, 10) for k in range(round(span) + 1)))
 
 
-def _norms(rows: np.ndarray, terms: HamiltonianTerms) -> np.ndarray:
-    """|amplitudes| of each row the operator acts on; ValueError on a size mismatch or a zero or non-finite norm."""
-    if rows.shape[-1] != 1 << terms.L:
-        raise ValueError(f"size mismatch: operator on {terms.L} sites, state on {rows.shape[-1].bit_length() - 1}")
-    return row_norms(rows)
-
-
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Re <a_i|b_i> for each row pair, one vdot per row: the same sum for a row alone or in a batch."""
     return np.array([np.vdot(x, y).real for x, y in zip(a, b)])
 
 
-def _lanczos(terms: HamiltonianTerms, units: np.ndarray, read, basis=None) -> list:
-    """Lanczos on each unit row of ``units`` (B, N) in lockstep, without reorthogonalization.
+def _lanczos(terms: HamiltonianTerms, units: np.ndarray, betas: np.ndarray, log_sq_norms: np.ndarray) -> list:
+    """Walk values of each unit row of ``units`` (B, N): Lanczos in lockstep, without reorthogonalization.
 
-    After step k, ``read(rows, ritz, q)`` gets the indices ``rows`` of the
-    b rows still running and their Ritz pairs of T_k (ritz (b, k)
-    ascending, q[i, :, j] the eigenvector of ritz[i, j]) and returns
-    (values, scale), values (b, n).  A row stops when no value moved by
-    more than 1e-14 scale since its last step, or when its Krylov space is
-    exhausted: the next vector would be below 1e-12 of |H v_k|, or k = N.
-    Returns each row's (values, ritz) at its stop step.  With ``basis``, B
-    lists, each row's Lanczos vectors are appended to its list.
+    After step k, each running row reads its ln-norms and energies at
+    every beta (2K values) from the Ritz pairs of T_k.  A row stops when no
+    value moved by more than 1e-14 max(1, |value|) since its last step, or
+    when its Krylov space is exhausted: the next vector would be below
+    1e-12 of |H v_k|, or k = N.  Returns each row's values at its stop
+    step.  The loop is a function of its own so that its return frees the
+    three (b, N) Lanczos arrays before walk stacks the values; inlined in
+    walk, they would live until walk returns.
     """
     size, rows, final = units.shape[1], np.arange(len(units)), [None] * len(units)
     vec, prev, off, last = units, None, None, None
@@ -122,9 +110,6 @@ def _lanczos(terms: HamiltonianTerms, units: np.ndarray, read, basis=None) -> li
     k = 0
     while True:
         w = apply_terms(terms, vec)
-        if basis is not None:
-            for row, v in zip(rows, vec):
-                basis[row].append(v)
         if k == tri.shape[1]:
             tri = np.pad(tri, ((0, 0), (0, k), (0, k)))
         alpha = _dots(vec, w)
@@ -132,13 +117,15 @@ def _lanczos(terms: HamiltonianTerms, units: np.ndarray, read, basis=None) -> li
         if k:
             tri[:, k, k - 1] = off
         k += 1
-        ritz, q = np.linalg.eigh(tri[:, :k, :k])
-        values, scale = read(rows, ritz, q)
+        ritz, q = np.linalg.eigh(tri[:, :k, :k])  # ritz (b, k) ascending, q[i, :, j] the eigenvector of ritz[i, j]
+        boltz = q[:, :1] ** 2 * np.exp(-betas[:, None] * (ritz - ritz[:, :1])[:, None])  # (row, beta, Ritz pair)
+        total = boltz.sum(axis=2)
+        values = np.concatenate(
+            (log_sq_norms[rows, None] - betas * ritz[:, :1] + np.log(total),
+             np.matmul(boltz, ritz[:, :, None])[:, :, 0] / total), axis=1)
         stop = np.zeros(len(rows), dtype=bool)
         if last is not None:
-            if last.shape[1] < values.shape[1]:  # evolve's coefficients gain one per step
-                last = np.pad(last, ((0, 0), (0, 1)))
-            stop = (abs(values - last) <= 1e-14 * scale).all(axis=1)
+            stop = (abs(values - last) <= 1e-14 * np.maximum(1.0, abs(values))).all(axis=1)
         if not stop.all():
             w -= alpha[:, None] * vec
             if prev is not None:
@@ -146,7 +133,7 @@ def _lanczos(terms: HamiltonianTerms, units: np.ndarray, read, basis=None) -> li
             grown = np.sqrt(_dots(w, w))
             stop |= (grown <= 1e-12 * np.hypot(alpha, 0.0 if off is None else off)) | (k == size)
         for i in np.flatnonzero(stop):
-            final[rows[i]] = (values[i], ritz[i])
+            final[rows[i]] = values[i]
         if stop.all():
             return final
         if stop.any():  # the rest run on without the stopped rows
@@ -156,52 +143,18 @@ def _lanczos(terms: HamiltonianTerms, units: np.ndarray, read, basis=None) -> li
         prev, vec, off, last = vec, w, grown, values
 
 
-def evolve(rows: np.ndarray, terms: HamiltonianTerms, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """exp(-theta H) applied to every row of ``rows`` (B, 2**L): the rows at unit norm and the ln of their norms.
-
-    theta >= 0 (in 1/J); theta = 0 returns a copy of the rows and zeros.
-    Lanczos steps run until no coefficient of a row's result in its
-    Lanczos basis changes by more than 1e-14 of the coefficient vector's
-    norm.
-    """
-    if theta < 0.0 or not np.isfinite(theta):
-        raise ValueError(f"theta must be finite and >= 0, got {theta}")
-    nrm = _norms(rows, terms)
-    if theta == 0.0:
-        return rows.copy(), np.zeros(len(rows))
-
-    def read(live, ritz, q):  # e^{-theta (T_k - theta_0)} e_1
-        coef = np.matmul(q, (q[:, 0] * np.exp(-theta * (ritz - ritz[:, :1])))[:, :, None])[:, :, 0]
-        return coef, np.linalg.norm(coef, axis=1, keepdims=True)
-
-    basis = [[] for _ in rows]
-    out, log_norms = np.empty(rows.shape, dtype=np.complex128), np.empty(len(rows))
-    for i, (coef, ritz) in enumerate(_lanczos(terms, rows / nrm[:, None], read, basis)):
-        row = sum(c * vec for c, vec in zip(coef, basis[i]))
-        sq = float(np.vdot(row, row).real)
-        out[i] = row / math.sqrt(sq)
-        log_norms[i] = math.log(nrm[i]) + 0.5 * math.log(sq) - theta * ritz[0]
-    return out, log_norms
-
-
 def walk(rows: np.ndarray, terms: HamiltonianTerms, grid: BetaGrid) -> tuple[np.ndarray, np.ndarray]:
     """ln <psi|e^{-beta H}|psi> and <H>_beta of every row psi of ``rows`` (B, 2**L), each (B, K).
 
     The rows walk in lockstep, one Lanczos run each for the whole grid, and
     each stops at its own step; a row's values do not depend on the rows
-    beside it.  Builds no filtered state.
+    beside it.  Builds no filtered state.  ValueError on a size mismatch
+    or a zero or non-finite norm.
     """
-    nrm = _norms(rows, terms)
+    if rows.shape[-1] != 1 << terms.L:
+        raise ValueError(f"size mismatch: operator on {terms.L} sites, state on {rows.shape[-1].bit_length() - 1}")
+    nrm = row_norms(rows)
     betas = np.array(grid.checkpoints)
-    minus_betas, log_sq_norm = -betas[:, None], np.array([2.0 * math.log(n) for n in nrm])
-
-    def read(live, ritz, q):  # (row, beta, Ritz pair) quadrature terms
-        boltz = q[:, :1] ** 2 * np.exp(minus_betas * (ritz - ritz[:, :1])[:, None])
-        total = boltz.sum(axis=2)
-        values = np.concatenate(
-            (log_sq_norm[live, None] - betas * ritz[:, :1] + np.log(total),
-             np.matmul(boltz, ritz[:, :, None])[:, :, 0] / total), axis=1)
-        return values, np.maximum(1.0, abs(values))
-
-    values = np.array([v for v, _ in _lanczos(terms, rows / nrm[:, None], read)])
+    log_sq_norms = np.array([2.0 * math.log(n) for n in nrm])
+    values = np.array(_lanczos(terms, rows / nrm[:, None], betas, log_sq_norms))
     return values[:, : len(betas)], values[:, len(betas) :]

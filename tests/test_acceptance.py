@@ -13,11 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import expectation
 from oracle import dense_build, exact_evolve
 from spintherm.cli import RunConfig, preset_variants, run_experiments
 from spintherm.estimators import bootstrap_sigma, efficiency, entanglement_entropy, weights
 from spintherm.hamiltonian import ModelSpec, build_hamiltonian
-from spintherm.imagtime import BetaGrid, evolve
+from spintherm.imagtime import BetaGrid, walk
 from spintherm.state_prep import (
     SampleSeed,
     build_trotter_circuit,
@@ -182,31 +183,32 @@ def test_a5_estimators_agree_without_norms(estimator_sweep):
 
 
 def test_a6_propagator_matches_exact_evolution():
+    # ln <psi|e^{-beta H}|psi> = 2 ln |e^{-theta H} psi| and <H>_beta, at theta = beta / 2
     specs = [
         ModelSpec(kind="heisenberg", L=4, J=1.0),
         ModelSpec(kind="xxz_staggered", L=4, J=1.0, delta=5.0, h_stag=1.0),
         ModelSpec(kind="transverse_ising", L=4, J=1.0, h_x=1.0),
         ModelSpec(kind="mixed_ising", L=4, J=1.0, h_x=1.0, h_z=1.0),
     ]
-    worst_amp = 0.0
     worst_log = 0.0
+    worst_energy = 0.0
     for base in specs:
         for L in (4, 6, 8):
             spec = dataclasses.replace(base, L=L)
             terms = build_hamiltonian(spec)
             op = dense_build(terms)
-            for j, theta in enumerate((0.1, 1.5)):
+            for j, beta in enumerate((0.2, 3.0)):
                 state = sample_haar(L, SampleSeed(100 + L, j))
-                (got,), (got_log,) = evolve(state[None], terms, theta)
-                want, want_log = exact_evolve(op, state, theta, "imag_time")
-                worst_amp = max(worst_amp, float(np.linalg.norm(got - want)))
-                worst_log = max(worst_log, abs(got_log - want_log))
-    ok = worst_amp <= 1e-8 and worst_log <= 1e-8
+                ((got_log,),), ((got_energy,),) = walk(state[None], terms, BetaGrid((beta,)))
+                want, want_log = exact_evolve(op, state, beta / 2.0, "imag_time")
+                worst_log = max(worst_log, abs(got_log - 2.0 * want_log))
+                worst_energy = max(worst_energy, abs(got_energy - np.vdot(want, op.matrix @ want).real))
+    ok = worst_log <= 1e-8 and worst_energy <= 1e-8
     _report(
         "A6",
         ok,
-        f"max state error = {worst_amp:.2e}, max log-norm error = {worst_log:.2e} "
-        "over 4 models x L in (4, 6, 8) x theta in (0.1, 1.5)",
+        f"max log-norm error = {worst_log:.2e}, max energy error = {worst_energy:.2e} "
+        "over 4 models x L in (4, 6, 8) x beta in (0.2, 3.0)",
     )
 
 
@@ -239,11 +241,16 @@ def test_a7_invariant_suite(tmp_path):
             failures.append(f"eta {eta} outside [1/{m}, 1]")
             break
 
+    # beta -> 0: for a unit state, d^2/dbeta^2 ln <e^{-beta H}> = Var_beta(H) <= |H|^2,
+    # so the ln-norm is -beta <H> within beta^2 |H|^2 / 2 and the energy <H> within beta |H|^2
     terms = build_hamiltonian(ModelSpec(kind="heisenberg", L=6, J=1.0))
     probe = sample_haar(6, SampleSeed(2, 0))
-    frozen, frozen_log = evolve(probe[None], terms, 0.0)
-    if not (np.array_equal(frozen, probe[None]) and np.array_equal(frozen_log, [0.0])):
-        failures.append("beta = 0 is not the identity")
+    beta, energy = 1e-6, expectation(terms, probe)
+    h_sq = np.abs(np.linalg.eigvalsh(dense_build(terms).matrix)).max() ** 2
+    ((log_sq_norm,),), ((walked,),) = walk(probe[None], terms, BetaGrid((beta,)))
+    if not (abs(log_sq_norm + beta * energy) <= beta**2 * h_sq / 2.0 and abs(walked - energy) <= beta * h_sq):
+        failures.append(f"beta -> 0: ln-norm {log_sq_norm + beta * energy:.1e} off -beta <H>, "
+                        f"energy {walked - energy:.1e} off <H>")
 
     logs, obs, vals = rng.normal(size=(2, 128)), rng.normal(size=(2, 128)), rng.normal(size=128)
     first, again = (bootstrap_sigma(logs, obs, 300, (5, 6), vals) for _ in range(2))
@@ -259,7 +266,7 @@ def test_a7_invariant_suite(tmp_path):
         M=8,
         master_seed=5,
         n_resamples=0,
-        output_path="unused",
+        output_path=str(tmp_path),
     )
     # one command each: a command's variants share one pool
     [out_one] = run_experiments([dataclasses.replace(base, threads=1, output_path=str(tmp_path / "one"))])

@@ -563,7 +563,7 @@ def test_couplings_and_beta_run_at_their_bounds_and_are_refused_beyond(tmp_path,
 PUBLIC = {
     "schmidt_spectrum", "ModelSpec", "HamiltonianTerms", "build_hamiltonian",
     "SampleSeed", "TrotterCircuit", "sample_rpps", "sample_haar", "build_trotter_circuit", "scramble",
-    "BetaGrid", "evolve", "walk", "weights", "efficiency", "weighted_expectation",
+    "BetaGrid", "walk", "weights", "efficiency", "weighted_expectation",
     "simple_expectation", "entanglement_entropy", "bootstrap_sigma", "__version__",
 }
 TRACED = {

@@ -1,79 +1,33 @@
-"""Lanczos imaginary-time propagation and beta walks against dense references."""
+"""Lanczos beta walks against dense references."""
 
 import dataclasses
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference as ref
-from helpers import basis_state, expectation
-from oracle import dense_build, exact_evolve
+from helpers import expectation
 from spintherm.hamiltonian import HamiltonianTerms, ModelSpec, build_hamiltonian
-from spintherm.imagtime import MAX_BETA_POINTS, BetaGrid, evolve, walk
+from spintherm.imagtime import MAX_BETA_POINTS, BetaGrid, walk
 from spintherm.state_prep import SampleSeed, sample_haar
 
-CASES = [
-    (ModelSpec(kind="heisenberg", L=5, J=1.3), lambda: ref.heisenberg_matrix(5, J=1.3)),
-    (ModelSpec(kind="xxz_staggered", L=5, J=1.1, delta=5.0, h_stag=0.7),
-     lambda: ref.xxz_staggered_matrix(5, J=1.1, delta=5.0, h_stag=0.7)),
-    (ModelSpec(kind="transverse_ising", L=5, J=0.9, h_x=1.2),
-     lambda: ref.transverse_ising_matrix(5, J=0.9, h_x=1.2)),
-    (ModelSpec(kind="mixed_ising", L=5, J=1.0, h_x=1.5, h_z=0.5),
-     lambda: ref.mixed_ising_matrix(5, h_x=1.5, h_z=0.5)),
-]
 
+def test_ground_state_is_fixed_point(monkeypatch):
+    import spintherm.imagtime as imagtime
 
-def test_theta_zero_is_identity():
-    terms = build_hamiltonian(ModelSpec(kind="heisenberg", L=4, J=1.0))
-    state = sample_haar(4, SampleSeed(0, 0))
-    out, log_norm = evolve(state[None], terms, 0.0)
-    assert np.array_equal(out, state[None])
-    assert np.array_equal(log_norm, [0.0])
-
-
-@pytest.mark.parametrize("spec,matrix", CASES, ids=[c[0].kind for c in CASES])
-@pytest.mark.parametrize("theta", [0.1, 1.5])
-def test_evolve_matches_dense_expm(spec, matrix, theta):
-    terms = build_hamiltonian(spec)
-    state = sample_haar(spec.L, SampleSeed(13, 0))
-    raw = scipy.linalg.expm(-theta * matrix()) @ state
-    nrm = np.linalg.norm(raw)
-    (out,), (log_norm,) = evolve(state[None], terms, theta)
-    assert np.max(np.abs(out - raw / nrm)) <= 1e-10
-    assert log_norm == pytest.approx(np.log(nrm), abs=1e-10)
-
-
-def test_semigroup_property():
-    terms = build_hamiltonian(ModelSpec(kind="heisenberg", L=6, J=1.0))
-    state = sample_haar(6, SampleSeed(21, 0))
-    once, once_log = evolve(state[None], terms, 1.1)
-    half, half_log = evolve(state[None], terms, 0.4)
-    twice, twice_log = evolve(half, terms, 0.7)
-    assert np.max(np.abs(once - twice)) <= 1e-11
-    assert once_log[0] == pytest.approx(half_log[0] + twice_log[0], abs=1e-11)
-
-
-def test_evolve_rows_do_not_depend_on_the_batch():
-    terms = build_hamiltonian(ModelSpec(kind="mixed_ising", L=6, J=1.0, h_x=1.0, h_z=1.0))
-    rows = np.array([sample_haar(6, SampleSeed(22, m)) for m in range(3)])
-    out, log_norms = evolve(rows, terms, 1.5)
-    for row, want, want_log in zip(rows, out, log_norms):
-        (alone,), (alone_log,) = evolve(row[None], terms, 1.5)
-        assert np.array_equal(alone, want) and alone_log == want_log
-
-
-def test_ground_state_is_fixed_point():
     spec = ModelSpec(kind="heisenberg", L=4, J=1.0)
-    matrix = ref.heisenberg_matrix(4)
-    energies, vectors = np.linalg.eigh(matrix)
+    energies, vectors = np.linalg.eigh(ref.heisenberg_matrix(4))
     ground = vectors[:, 0].astype(complex)
-    (out,), (log_norm,) = evolve(ground[None], build_hamiltonian(spec), 2.0)
-    overlap = abs(np.vdot(out, ground))
-    assert overlap == pytest.approx(1.0, abs=1e-11)
-    assert log_norm == pytest.approx(-2.0 * energies[0], abs=1e-9)
+    calls, original = [], imagtime.apply_terms
+    monkeypatch.setattr(imagtime, "apply_terms", lambda t, a: calls.append(a.shape[0]) or original(t, a))
+    grid = BetaGrid((0.5, 1.0, 2.0, 4.0))
+    (log_sq_norms,), (energy,) = walk(ground[None], build_hamiltonian(spec), grid)
+    # H ground = E_0 ground exhausts the Krylov space at k = 1: one H application
+    assert calls == [1]
+    assert np.max(np.abs(log_sq_norms + np.array(grid.checkpoints) * energies[0])) <= 1e-12
+    assert np.max(np.abs(energy - energies[0])) <= 1e-12
 
 
 def test_energy_decreases_along_checkpoints():
@@ -173,12 +127,9 @@ def test_single_checkpoint_matches_dense_oracle():
     state = sample_haar(6, SampleSeed(8, 0))
     rows = walk_one(state, terms, BetaGrid((3.0,)))
     assert_walk_matches_dense(rows, ref.mixed_ising_matrix(6, h_x=1.0, h_z=1.0), state, (3.0,))
-    (direct,), (log_norm,) = evolve(state[None], terms, 1.5)
-    assert rows[0][0] == pytest.approx(2.0 * log_norm, abs=1e-10)
-    assert rows[0][1] == pytest.approx(expectation(terms, direct), abs=1e-10)
 
 
-def test_run_costs_the_walks_of_its_samples_and_nothing_more(monkeypatch):
+def test_run_costs_the_walks_of_its_samples_and_nothing_more(monkeypatch, tmp_path):
     import spintherm.hamiltonian as hamiltonian
     import spintherm.imagtime as imagtime
     from spintherm.cli import RunConfig, run_experiments
@@ -192,7 +143,7 @@ def test_run_costs_the_walks_of_its_samples_and_nothing_more(monkeypatch):
     terms = build_hamiltonian(spec)
     grid = BetaGrid((0.5, 1.0, 3.0))
     cfg = RunConfig(system=spec, init_class="haar", beta_grid=grid, L_list=(6,), M=5,
-                    master_seed=8, n_resamples=0, threads=1, output_path="unused")
+                    master_seed=8, n_resamples=0, threads=1, output_path=str(tmp_path))
     walks = 0
     for m in range(cfg.M):
         calls.clear()
@@ -209,15 +160,6 @@ def test_run_costs_the_walks_of_its_samples_and_nothing_more(monkeypatch):
         calls.clear()
         walk(sample_haar(12, SampleSeed(8, m))[None], terms, BetaGrid((3.0,)))
         assert sum(calls) <= 25
-
-
-def test_evolve_stays_exact_at_large_theta():
-    spec = ModelSpec(kind="xxz_staggered", L=6, J=1.0, delta=5.0, h_stag=1.0)
-    state = sample_haar(6, SampleSeed(10, 0))
-    (out,), (log_norm,) = evolve(state[None], build_hamiltonian(spec), 20.0)
-    want, want_log = exact_evolve(dense_build(build_hamiltonian(spec)), state, 20.0, "imag_time")
-    assert np.linalg.norm(out - want) <= 1e-10
-    assert log_norm == pytest.approx(want_log, abs=1e-10)
 
 
 def test_checkpoint_log_norms_match_dense_boltzmann_factor():
@@ -242,18 +184,12 @@ def test_small_beta_limit_recovers_initial_energy():
     assert abs(energy[0, 0] - expectation(terms, state)) <= 1e-5 * 6
 
 
-def test_evolve_input_validation():
+def test_walk_input_validation():
     terms = build_hamiltonian(ModelSpec(kind="heisenberg", L=4, J=1.0))
     state = sample_haar(4, SampleSeed(0, 0))
-    with pytest.raises(ValueError, match="theta"):
-        evolve(state[None], terms, -0.1)
-    with pytest.raises(ValueError, match="sites"):
-        evolve(sample_haar(5, SampleSeed(0, 0))[None], terms, 1.0)
     with pytest.raises(ValueError, match="sites"):
         walk(sample_haar(5, SampleSeed(0, 0))[None], terms, BetaGrid((1.0,)))
     zero = np.array([state, np.zeros(16, dtype=complex)])  # a zero row fails the batch
-    with pytest.raises(ValueError, match="degenerate state: zero norm"):
-        evolve(zero, terms, 1.0)
     with pytest.raises(ValueError, match="degenerate state: zero norm"):
         walk(zero, terms, BetaGrid((1.0,)))
 
