@@ -22,13 +22,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 from .estimators import (  # noqa: E402
     bootstrap_sigma,
     efficiency,
-    entanglement_entropy,
     simple_expectation,
     weighted_expectation,
     weights,
 )
 from .hamiltonian import HamiltonianTerms, ModelSpec, build_hamiltonian
-from .hilbert import schmidt_spectrum
+from .hilbert import entanglement_entropy
 from .imagtime import BetaGrid, walk
 from .state_prep import (
     SampleSeed,
@@ -42,7 +41,6 @@ from .state_prep import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "schmidt_spectrum",
     "ModelSpec",
     "HamiltonianTerms",
     "build_hamiltonian",

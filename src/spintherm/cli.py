@@ -58,14 +58,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import (
-    bootstrap_sigma,
-    efficiency,
-    entanglement_entropy,
-    simple_expectation,
-    weighted_expectation,
-)
+from .estimators import bootstrap_sigma, efficiency, simple_expectation, weighted_expectation
 from .hamiltonian import COUPLINGS, ModelSpec, build_hamiltonian
+from .hilbert import entanglement_entropy
 from .imagtime import BetaGrid, walk
 from .state_prep import MAX_TAU, SampleSeed, build_trotter_circuit, sample_haar, sample_rpps, scramble
 
@@ -278,6 +273,8 @@ def _read_text(path: str | Path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    except OSError as exc:  # the message names the path
+        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -417,16 +414,21 @@ def emit_results(summary_lines: list[str], sample_lines: list[str], cfg: RunConf
     Each CSV gets its header and then the lines it is given, in the order
     given: newline-ended, in header order, integers bare, floats to 17
     significant digits.  run.cfg holds one ``key = value`` line per set key
-    of cfg: ``spintherm run --config`` reruns it.
+    of cfg: ``spintherm run --config`` reruns it.  ConfigError on an
+    output directory or file that cannot be made or written.
     """
     out = Path(cfg.output_path)
-    out.mkdir(parents=True, exist_ok=True)
     paths = {"summary": out / "summary.csv", "samples": out / "samples.csv", "config": out / "run.cfg"}
-    for key, header, lines in (("summary", SUMMARY_HEADER, summary_lines), ("samples", SAMPLES_HEADER, sample_lines)):
-        with paths[key].open("w") as fh:
-            fh.write(header + "\n")
-            fh.writelines(lines)
-    paths["config"].write_text(_write(cfg), encoding="utf-8")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for key, header, lines in (("summary", SUMMARY_HEADER, summary_lines),
+                                   ("samples", SAMPLES_HEADER, sample_lines)):
+            with paths[key].open("w") as fh:
+                fh.write(header + "\n")
+                fh.writelines(lines)
+        paths["config"].write_text(_write(cfg), encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"output_path: {exc}") from exc
     return paths
 
 
@@ -437,7 +439,10 @@ def run_experiments(cfgs: list[RunConfig]):
     last chain length is written.
     """
     for cfg in cfgs:  # a directory that cannot be made ends the command before any batch
-        Path(cfg.output_path).mkdir(parents=True, exist_ok=True)
+        try:
+            Path(cfg.output_path).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"output_path: {exc}") from exc
     n = max(map(_workers, cfgs))
     jobs = [(cfg, L) for cfg in cfgs for L in sorted(cfg.L_list)]
     tasks = [_tasks(n, cfg, L) for cfg, L in jobs]
@@ -509,12 +514,12 @@ def main(argv: list[str] | None = None) -> int:
                               f"the config file {ascii(args.config)}, whose text differs from it")
         for cfg, paths in zip(cfgs, run_experiments(cfgs)):
             print(f"{cfg.resolved_label()}: {paths['summary']}")
-    except ChildProcessError as exc:  # an OSError, but of a worker, not of the input
-        print(f"failed: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, OSError) as exc:
+    except ConfigError as exc:  # the input's I/O errors among them: the config file and output_path
         print(f"invalid: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # a task's or a worker's (ChildProcessError): the run failed, not its input
+        print(f"failed: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

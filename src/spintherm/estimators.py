@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hilbert import chain_length, schmidt_spectrum
 from .state_prep import numpy_random
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "efficiency",
     "weighted_expectation",
     "simple_expectation",
-    "entanglement_entropy",
     "bootstrap_sigma",
 ]
 
@@ -84,20 +82,6 @@ def weighted_expectation(logs, obs):
 def simple_expectation(obs):
     """Norm-free thermal average: the plain mean of the O_m on the last axis."""
     return _samples(obs).mean(axis=-1)
-
-
-def entanglement_entropy(amps):
-    """Half-chain von Neumann entropy in nats (cut after site floor(L/2)) of each row of ``amps`` (..., 2**L).
-
-    A float for one state, one value per row for a stack.  Bounded by
-    floor(L/2) * ln 2; zero for any product state.
-    """
-    lam = schmidt_spectrum(amps, chain_length(amps) // 2)
-    ent = []
-    for row in lam.reshape(-1, lam.shape[-1]):
-        row = row[row > 0.0]  # summed alone: the padded row would group the pairwise sum differently
-        ent.append(-np.sum(row * np.log(row)))
-    return np.reshape(ent, lam.shape[:-1])[()]
 
 
 def bootstrap_sigma(logs, obs, n_resamples: int, seed, s_ini):

@@ -11,7 +11,9 @@ States are the rows of an amplitude array of shape (..., 2**L): one
 state is a (2**L,) array, a batch of B states a (B, 2**L) one.  A routine
 that changes norms returns its rows at unit norm together with the ln of
 the norms it divided out, which keeps imaginary-time weights
-exp(-beta*E) representable far beyond float range.
+exp(-beta*E) representable far beyond float range.  The half-chain
+entropy, ``entanglement_entropy``, sits here because its reshape at the
+cut reads this convention.
 
 Every chain operator reaches a state through one kernel,
 ``apply_two_site``, which applies a block compiled once by
@@ -43,9 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "chain_length",
     "row_norms",
-    "schmidt_spectrum",
+    "entanglement_entropy",
     "BLOCK_SITES",
     "kron",
     "checked_matrix",
@@ -65,15 +66,6 @@ __all__ = [
 BLOCK_SITES = 5
 
 
-def chain_length(amps: np.ndarray) -> int:
-    """Chain length L of an amplitude array of shape (..., 2**L); ValueError unless L >= 2."""
-    size = amps.shape[-1] if amps.ndim else 0
-    L = size.bit_length() - 1
-    if L < 2 or size != 1 << L:
-        raise ValueError(f"amplitude array of shape {amps.shape} is not (..., 2**L) with L >= 2 sites")
-    return L
-
-
 def row_norms(rows: np.ndarray) -> np.ndarray:
     """|row| of each row of a (B, N) array; ValueError on a zero or non-finite norm.
 
@@ -87,22 +79,26 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     return nrm
 
 
-def schmidt_spectrum(amps: np.ndarray, cut_after: int) -> np.ndarray:
-    """Squared Schmidt coefficients of each row of ``amps`` (..., 2**L) across the cut after site ``cut_after``.
+def entanglement_entropy(amps: np.ndarray):
+    """Half-chain von Neumann entropy in nats of each row of ``amps`` (..., 2**L), cut after site floor(L/2).
 
-    The left block holds sites 1..cut_after, the right block the rest.
-    Returns, per row, the descending eigenvalues of either reduced density
-    matrix; they sum to the squared norm of the row (1 for a unit row).
-    One stacked SVD serves every row.
+    A float for one state, one value per row for a stack; ValueError unless
+    L >= 2.  Bounded by floor(L/2) ln 2; zero for any product state.  One
+    stacked SVD gives the squared Schmidt coefficients of every row.
     """
-    L = chain_length(amps)
-    if not 1 <= cut_after <= L - 1:
-        raise ValueError(f"cut_after must be in [1, {L - 1}], got {cut_after}")
+    size = amps.shape[-1] if amps.ndim else 0
+    L = size.bit_length() - 1
+    if L < 2 or size != 1 << L:
+        raise ValueError(f"amplitude array of shape {amps.shape} is not (..., 2**L) with L >= 2 sites")
     # Left sites live in the low bits, so the row index of the reshape
     # enumerates the right block.
-    mat = amps.reshape(amps.shape[:-1] + (2 ** (L - cut_after), 2**cut_after))
-    svals = np.linalg.svd(mat, compute_uv=False)
-    return svals**2
+    mat = amps.reshape(amps.shape[:-1] + (2 ** (L - L // 2), 2 ** (L // 2)))
+    lam = np.linalg.svd(mat, compute_uv=False) ** 2
+    ent = []
+    for row in lam.reshape(-1, lam.shape[-1]):
+        row = row[row > 0.0]  # summed alone: the padded row would group the pairwise sum differently
+        ent.append(-np.sum(row * np.log(row)))
+    return np.reshape(ent, lam.shape[:-1])[()]
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

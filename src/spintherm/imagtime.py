@@ -10,10 +10,10 @@ polynomials of degree 2k - 1.  Every weight q_j[0]^2 is positive, so
 
 is the log of a sum of positive terms, none above 1: no cancellation and
 no overflow at any beta.  <H>_beta is the same sum with theta_j inserted.
-The beta walk reads both at every beta of the grid after each step and
-stops when no value changes by more than 1e-14 max(1, |value|), or when
-the Krylov space is exhausted.  No filtered state is built: the run
-scores a sample through these two values alone.
+The beta walk reads both at every beta of the grid after each step, and
+a row stops once its values settle or its Krylov space is exhausted (the
+rule is stated in ``walk``).  No filtered state is built: the run scores a
+sample through these two values alone.
 
 The recurrence runs on the rows of a (B, 2**L) array in lockstep, as the
 finite-temperature Lanczos method runs independent random vectors
@@ -91,21 +91,21 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([np.vdot(x, y).real for x, y in zip(a, b)])
 
 
-def _lanczos(terms: HamiltonianTerms, units: np.ndarray, betas: np.ndarray, log_sq_norms: np.ndarray) -> list:
-    """Walk values of each unit row of ``units`` (B, N): Lanczos in lockstep, without reorthogonalization.
+def walk(rows: np.ndarray, terms: HamiltonianTerms, grid: BetaGrid) -> tuple[np.ndarray, np.ndarray]:
+    """ln <psi|e^{-beta H}|psi> and <H>_beta of every row psi of ``rows`` (B, 2**L), each (B, K).
 
-    After step k, each running row reads its ln-norms and energies at
-    every beta (2K values) from the Ritz pairs of T_k.  A row stops when no
-    value moved by more than 1e-14 max(1, |value|) since its last step, or
-    when its Krylov space is exhausted: the next vector would be below
-    1e-12 of |H v_k|, or k = N.  Returns each row's values at its stop
-    step.  The loop is a function of its own so that its return frees the
-    three (b, N) Lanczos arrays before walk stacks the values; inlined in
-    walk, they would live until walk returns.
+    The rows walk in lockstep, one Lanczos run each for the whole grid, and
+    each stops at its own step; a row's values do not depend on the rows
+    beside it.  Builds no filtered state.  ValueError on a size mismatch
+    or a zero or non-finite norm.
     """
-    size, rows, final = units.shape[1], np.arange(len(units)), [None] * len(units)
-    vec, prev, off, last = units, None, None, None
-    del units  # held by vec alone, it is freed once the walk moves past it
+    if rows.shape[-1] != 1 << terms.L:
+        raise ValueError(f"size mismatch: operator on {terms.L} sites, state on {rows.shape[-1].bit_length() - 1}")
+    nrm = row_norms(rows)
+    betas = np.array(grid.checkpoints)
+    log_sq_norms = np.array([2.0 * math.log(n) for n in nrm])
+    size, live, final = rows.shape[1], np.arange(len(rows)), [None] * len(rows)
+    vec, prev, off, last = rows / nrm[:, None], None, None, None
     tri = np.zeros((len(rows), 32, 32))  # each row's T_k in its leading k x k, lower triangle
     k = 0
     while True:
@@ -121,9 +121,12 @@ def _lanczos(terms: HamiltonianTerms, units: np.ndarray, betas: np.ndarray, log_
         boltz = q[:, :1] ** 2 * np.exp(-betas[:, None] * (ritz - ritz[:, :1])[:, None])  # (row, beta, Ritz pair)
         total = boltz.sum(axis=2)
         values = np.concatenate(
-            (log_sq_norms[rows, None] - betas * ritz[:, :1] + np.log(total),
+            (log_sq_norms[live, None] - betas * ritz[:, :1] + np.log(total),
              np.matmul(boltz, ritz[:, :, None])[:, :, 0] / total), axis=1)
-        stop = np.zeros(len(rows), dtype=bool)
+        # A row stops when none of its 2K values moved by more than
+        # 1e-14 max(1, |value|) since its last step, or when its Krylov space
+        # is exhausted: the next vector would be below 1e-12 of |H v_k|, or k = N.
+        stop = np.zeros(len(live), dtype=bool)
         if last is not None:
             stop = (abs(values - last) <= 1e-14 * np.maximum(1.0, abs(values))).all(axis=1)
         if not stop.all():
@@ -133,28 +136,13 @@ def _lanczos(terms: HamiltonianTerms, units: np.ndarray, betas: np.ndarray, log_
             grown = np.sqrt(_dots(w, w))
             stop |= (grown <= 1e-12 * np.hypot(alpha, 0.0 if off is None else off)) | (k == size)
         for i in np.flatnonzero(stop):
-            final[rows[i]] = values[i]
+            final[live[i]] = values[i]
         if stop.all():
-            return final
+            break
         if stop.any():  # the rest run on without the stopped rows
             keep = ~stop
-            rows, vec, w, grown, values, tri = rows[keep], vec[keep], w[keep], grown[keep], values[keep], tri[keep]
+            live, vec, w, grown, values, tri = live[keep], vec[keep], w[keep], grown[keep], values[keep], tri[keep]
         w /= grown[:, None]  # in place: the next vector is w itself, so no old w lives through the next matvec
         prev, vec, off, last = vec, w, grown, values
-
-
-def walk(rows: np.ndarray, terms: HamiltonianTerms, grid: BetaGrid) -> tuple[np.ndarray, np.ndarray]:
-    """ln <psi|e^{-beta H}|psi> and <H>_beta of every row psi of ``rows`` (B, 2**L), each (B, K).
-
-    The rows walk in lockstep, one Lanczos run each for the whole grid, and
-    each stops at its own step; a row's values do not depend on the rows
-    beside it.  Builds no filtered state.  ValueError on a size mismatch
-    or a zero or non-finite norm.
-    """
-    if rows.shape[-1] != 1 << terms.L:
-        raise ValueError(f"size mismatch: operator on {terms.L} sites, state on {rows.shape[-1].bit_length() - 1}")
-    nrm = row_norms(rows)
-    betas = np.array(grid.checkpoints)
-    log_sq_norms = np.array([2.0 * math.log(n) for n in nrm])
-    values = np.array(_lanczos(terms, rows / nrm[:, None], betas, log_sq_norms))
-    return values[:, : len(betas)], values[:, len(betas) :]
+    final = np.array(final)
+    return final[:, : len(betas)], final[:, len(betas) :]

@@ -2,8 +2,8 @@
 
 Everything here builds the full 2**L x 2**L matrix and diagonalizes it
 exactly, which is the one thing the production path never does.  It
-exists to pin down correctness: exact thermal averages, exact real and
-imaginary time evolution, and entrywise matrix comparisons.  Guarded by
+exists to pin down correctness: exact thermal averages, exact
+imaginary-time evolution, and entrywise matrix comparisons.  Guarded by
 a size cap (default L <= 12) so nobody dense-builds a large chain by
 accident.
 """
@@ -87,25 +87,18 @@ def exact_thermal(
     return float(np.dot(diag_o, boltz) / boltz.sum())
 
 
-def exact_evolve(op: DenseOperator, amps: np.ndarray, theta: float, kind: str) -> tuple[np.ndarray, float]:
-    """Exact e^{-i theta H} (kind='real_time') or e^{-theta H} ('imag_time') of one (2**L,) state.
+def exact_evolve(op: DenseOperator, amps: np.ndarray, theta: float) -> tuple[np.ndarray, float]:
+    """Exact imaginary-time evolution e^{-theta H} of one (2**L,) state, theta >= 0.
 
-    Built from the full eigensystem.  Returns the evolved amplitudes and
-    the ln of the norm divided out of them: imaginary time renormalizes
-    and returns the exact log norm; real time is unitary and returns 0.
+    Built from the full eigensystem.  Returns the evolved amplitudes at unit
+    norm and the exact ln of the norm divided out of them.
     """
     if amps.shape != (2**op.L,):
         raise ValueError(f"size mismatch: operator on {op.L} sites, state of shape {amps.shape}")
-    if kind not in ("real_time", "imag_time"):
-        raise ValueError(f"kind must be 'real_time' or 'imag_time', got {kind!r}")
-    if not np.isfinite(theta):
-        raise ValueError("theta must be finite")
+    if not (np.isfinite(theta) and theta >= 0.0):
+        raise ValueError(f"theta must be finite and >= 0, got {theta}")
     energies, vecs = np.linalg.eigh(op.matrix)
     rotated = vecs.conj().T @ amps
-    if kind == "real_time":
-        return vecs @ (np.exp(-1j * theta * energies) * rotated), 0.0
-    if theta < 0.0:
-        raise ValueError(f"imag_time requires theta >= 0, got {theta}")
     # Factor out the dominant Boltzmann weight so theta ~ hundreds stays finite.
     shift = float(np.min(theta * energies))
     out = vecs @ (np.exp(-(theta * energies - shift)) * rotated)

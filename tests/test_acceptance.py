@@ -16,8 +16,9 @@ import pytest
 from helpers import expectation
 from oracle import dense_build, exact_evolve
 from spintherm.cli import RunConfig, preset_variants, run_experiments
-from spintherm.estimators import bootstrap_sigma, efficiency, entanglement_entropy, weights
+from spintherm.estimators import bootstrap_sigma, efficiency, weights
 from spintherm.hamiltonian import ModelSpec, build_hamiltonian
+from spintherm.hilbert import entanglement_entropy
 from spintherm.imagtime import BetaGrid, walk
 from spintherm.state_prep import (
     SampleSeed,
@@ -200,7 +201,7 @@ def test_a6_propagator_matches_exact_evolution():
             for j, beta in enumerate((0.2, 3.0)):
                 state = sample_haar(L, SampleSeed(100 + L, j))
                 ((got_log,),), ((got_energy,),) = walk(state[None], terms, BetaGrid((beta,)))
-                want, want_log = exact_evolve(op, state, beta / 2.0, "imag_time")
+                want, want_log = exact_evolve(op, state, beta / 2.0)
                 worst_log = max(worst_log, abs(got_log - 2.0 * want_log))
                 worst_energy = max(worst_energy, abs(got_energy - np.vdot(want, op.matrix @ want).real))
     ok = worst_log <= 1e-8 and worst_energy <= 1e-8

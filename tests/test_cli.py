@@ -378,7 +378,6 @@ def test_worker_failures_end_the_run_and_leave_no_process(tmp_path, monkeypatch)
 
 
 def test_a_dead_or_unforked_worker_fails_the_run_not_its_input(tmp_path, capsys, monkeypatch):
-    # ChildProcessError is an OSError, the class of output-path errors, which exit 2
     config = tmp_path / "run.cfg"
     config.write_text(TINY_RUN + f"threads = 2\noutput_path = {tmp_path / 'out'}\n")
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
@@ -394,6 +393,35 @@ def test_a_dead_or_unforked_worker_fails_the_run_not_its_input(tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"failed: worker 0 could not be forked: [Errno {errno.EAGAIN}] Resource temporarily unavailable\n"
     )
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_task_os_error_fails_the_run_not_its_input(tmp_path, capsys, monkeypatch, threads):
+    config = tmp_path / "run.cfg"
+    config.write_text(TINY_RUN + f"threads = {threads}\noutput_path = {tmp_path / 'out'}\n")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+
+    def denied(cfg, L, samples):
+        raise PermissionError(errno.EACCES, "Permission denied", "scratch.bin")
+
+    monkeypatch.setattr(cli, "_run_batch", denied)
+    assert main(["run", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"failed: [Errno {errno.EACCES}] Permission denied: 'scratch.bin'\n"
+
+
+def test_unreadable_config_and_unwritable_output_are_bad_input(tmp_path, capsys):
+    for path in (tmp_path / "missing.cfg", tmp_path):
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("invalid: [Errno ") and f"'{path}'" in err, (command, err)
+    # an output directory that exists but whose summary.csv cannot be written
+    out = tmp_path / "out"
+    (out / "summary.csv").mkdir(parents=True)
+    config = tmp_path / "run.cfg"
+    config.write_text(TINY_RUN + f"threads = 1\noutput_path = {out}\n")
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"invalid: output_path: [Errno {errno.EISDIR}] ")
 
 
 def test_collect_samples_refuses_nonfinite_or_negative_entropy(tmp_path, monkeypatch):
@@ -561,17 +589,17 @@ def test_couplings_and_beta_run_at_their_bounds_and_are_refused_beyond(tmp_path,
 
 # The package's top-level names, and the names perfbench's tracer wraps per module.
 PUBLIC = {
-    "schmidt_spectrum", "ModelSpec", "HamiltonianTerms", "build_hamiltonian",
+    "ModelSpec", "HamiltonianTerms", "build_hamiltonian",
     "SampleSeed", "TrotterCircuit", "sample_rpps", "sample_haar", "build_trotter_circuit", "scramble",
     "BetaGrid", "walk", "weights", "efficiency", "weighted_expectation",
     "simple_expectation", "entanglement_entropy", "bootstrap_sigma", "__version__",
 }
 TRACED = {
-    "hilbert": ("apply_two_site", "schmidt_spectrum"),
+    "hilbert": ("apply_two_site", "entanglement_entropy"),
     "hamiltonian": ("apply_terms", "build_hamiltonian"),
     "imagtime": ("walk",),
     "state_prep": ("scramble", "sample_rpps", "sample_haar", "build_trotter_circuit"),
-    "estimators": ("entanglement_entropy", "bootstrap_sigma", "weights", "efficiency",
+    "estimators": ("bootstrap_sigma", "weights", "efficiency",
                    "weighted_expectation", "simple_expectation"),
     "cli": ("main", "emit_results"),
 }

@@ -10,12 +10,12 @@ from spintherm.estimators import (
     BOOTSTRAP_BLOCK,
     bootstrap_sigma,
     efficiency,
-    entanglement_entropy,
     simple_expectation,
     weighted_expectation,
     weights,
 )
 from helpers import basis_state, bootstrap_reference
+from spintherm.hilbert import entanglement_entropy
 from spintherm.state_prep import SampleSeed, sample_haar, sample_rpps
 
 

@@ -1,4 +1,4 @@
-"""Amplitude rows, inner products, Schmidt spectra, and the site kernels."""
+"""Amplitude rows, inner products, the half-chain entropy, and the site kernels."""
 
 from functools import reduce
 
@@ -14,8 +14,8 @@ from spintherm.hilbert import (
     apply_two_site,
     compile_block,
     compile_chain,
+    entanglement_entropy,
     row_norms,
-    schmidt_spectrum,
 )
 
 
@@ -43,43 +43,38 @@ def test_inner_matches_explicit_sum():
 
 
 def test_schmidt_product_state_is_pure():
-    state = basis_state(4, down_sites=(1, 3))
-    for cut in range(1, 4):
-        lam = schmidt_spectrum(state, cut)
-        assert lam[0] == pytest.approx(1.0, abs=1e-14)
-        assert np.all(lam[1:] <= 1e-14)
+    for L in range(2, 7):
+        for down in ((), (1,), (1, L), tuple(range(1, L + 1, 2))):
+            assert entanglement_entropy(basis_state(L, down_sites=down)) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_schmidt_bell_pair():
-    amps = np.zeros(4, dtype=complex)
-    amps[0] = amps[3] = 1.0 / np.sqrt(2.0)  # (|up,up> + |down,down>)/sqrt(2)
-    lam = schmidt_spectrum(amps, 1)
-    assert np.allclose(lam, [0.5, 0.5], atol=1e-14)
+    # (|up,up> + |down,down>)/sqrt(2) on sites i, i+1, every other site up: ln 2 only when
+    # the pair straddles the cut after site floor(L/2)
+    for L in range(2, 8):
+        for i in range(1, L):
+            amps = np.zeros(2**L, dtype=complex)
+            amps[0] = amps[3 << (i - 1)] = 1.0 / np.sqrt(2.0)
+            want = np.log(2.0) if i == L // 2 else 0.0
+            assert entanglement_entropy(amps) == pytest.approx(want, abs=1e-14), (L, i)
 
 
 def test_schmidt_matches_reduced_density_matrix():
-    state = random_state(8, 21)
-    for cut in range(1, 8):
-        lam = schmidt_spectrum(state, cut)
-        expected = ref.reduced_density_eigs(state, cut, 8)
-        n = min(len(lam), len(expected))
-        assert np.allclose(np.sort(lam)[::-1][:n], expected[:n], atol=1e-10)
-        assert lam.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(lam >= -1e-14)
-
-
-def test_schmidt_cut_out_of_range_raises():
-    state = random_state(4, 3)
-    for cut in (0, 4, 5):
-        with pytest.raises(ValueError, match="cut_after"):
-            schmidt_spectrum(state, cut)
+    # -sum lam ln lam over the reduced density matrix of sites 1..floor(L/2), odd L included
+    for L in range(2, 10):
+        state = random_state(L, 21 + L)
+        lam = ref.reduced_density_eigs(state, L // 2, L)
+        lam = lam[lam > 0.0]
+        ent = entanglement_entropy(state)
+        assert ent == pytest.approx(-np.sum(lam * np.log(lam)), abs=1e-10), L
+        assert 0.0 <= ent <= (L // 2) * np.log(2.0) + 1e-12
 
 
 def test_state_vector_validation():
     # a state is a row of 2**L amplitudes, L >= 2; its norm must be nonzero and finite
     for shape in ((), (2,), (5,), (3, 6), (1, 0)):
         with pytest.raises(ValueError, match="is not"):
-            schmidt_spectrum(np.zeros(shape, dtype=complex), 1)
+            entanglement_entropy(np.zeros(shape, dtype=complex))
     for rows in (np.zeros((2, 4)), np.array([[1.0, 0, 0, 0], [np.inf, 0, 0, 0]]), np.full((1, 4), np.nan)):
         with pytest.raises(ValueError, match="degenerate"):
             row_norms(rows)

@@ -119,18 +119,6 @@ def test_frozen_thermal_energies(row):
     assert got == pytest.approx(float(row["value"]), abs=float(row["tolerance"]))
 
 
-def test_exact_evolve_real_time_matches_expm():
-    terms = build_hamiltonian(ModelSpec(kind="mixed_ising", L=4, J=1.0, h_x=1.5, h_z=0.5))
-    op = dense_build(terms)
-    state = sample_haar(4, SampleSeed(1, 0))
-    theta = 0.9
-    want = scipy.linalg.expm(-1j * theta * op.matrix) @ state
-    out, log_norm = exact_evolve(op, state, theta, "real_time")
-    assert np.max(np.abs(out - want)) <= 1e-12
-    assert log_norm == 0.0
-    assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_exact_evolve_imag_time_matches_expm_with_offset():
     terms = build_hamiltonian(ModelSpec(kind="heisenberg", L=4, J=1.3))
     op = dense_build(terms)
@@ -138,7 +126,7 @@ def test_exact_evolve_imag_time_matches_expm_with_offset():
     theta = 1.7
     raw = scipy.linalg.expm(-theta * op.matrix) @ state
     nrm = np.linalg.norm(raw)
-    out, log_norm = exact_evolve(op, state, theta, "imag_time")
+    out, log_norm = exact_evolve(op, state, theta)
     assert np.max(np.abs(out - raw / nrm)) <= 1e-12
     assert log_norm == pytest.approx(np.log(nrm), abs=1e-12)
 
@@ -147,12 +135,12 @@ def test_exact_evolve_theta_zero_and_semigroup():
     terms = build_hamiltonian(ModelSpec(kind="heisenberg", L=4, J=1.0))
     op = dense_build(terms)
     state = sample_haar(4, SampleSeed(3, 0))
-    still, still_log = exact_evolve(op, state, 0.0, "imag_time")
+    still, still_log = exact_evolve(op, state, 0.0)
     assert np.max(np.abs(still - state)) <= 1e-12
     assert still_log == pytest.approx(0.0, abs=1e-12)
-    once, once_log = exact_evolve(op, state, 1.0, "imag_time")
-    half, half_log = exact_evolve(op, state, 0.6, "imag_time")
-    twice, twice_log = exact_evolve(op, half, 0.4, "imag_time")
+    once, once_log = exact_evolve(op, state, 1.0)
+    half, half_log = exact_evolve(op, state, 0.6)
+    twice, twice_log = exact_evolve(op, half, 0.4)
     assert np.max(np.abs(once - twice)) <= 1e-12
     assert once_log == pytest.approx(half_log + twice_log, abs=1e-12)
 
@@ -161,12 +149,10 @@ def test_exact_evolve_error_paths():
     terms = build_hamiltonian(ModelSpec(kind="heisenberg", L=4, J=1.0))
     op = dense_build(terms)
     state = sample_haar(4, SampleSeed(4, 0))
-    with pytest.raises(ValueError, match="kind"):
-        exact_evolve(op, state, 1.0, "thermal")
     with pytest.raises(ValueError, match="theta"):
-        exact_evolve(op, state, -1.0, "imag_time")
+        exact_evolve(op, state, -1.0)
     with pytest.raises(ValueError, match="mismatch"):
-        exact_evolve(op, sample_haar(5, SampleSeed(4, 0)), 1.0, "real_time")
+        exact_evolve(op, sample_haar(5, SampleSeed(4, 0)), 1.0)
     with pytest.raises(ValueError):
         DenseOperator(np.eye(8), 4)
 

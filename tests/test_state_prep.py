@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import dense_reference as ref
 from helpers import expectation
-from spintherm.estimators import entanglement_entropy
 from spintherm.hamiltonian import (
     HamiltonianTerms,
     ModelSpec,
@@ -22,7 +21,7 @@ from spintherm.hamiltonian import (
     build_hamiltonian,
     model_terms,
 )
-from spintherm.hilbert import BLOCK_SITES, apply_two_site, compile_block, schmidt_spectrum
+from spintherm.hilbert import BLOCK_SITES, apply_two_site, compile_block, entanglement_entropy
 from spintherm.state_prep import (
     MAX_TAU,
     SampleSeed,
@@ -46,9 +45,8 @@ def test_rpps_amplitude_moduli_and_norm():
 
 def test_rpps_has_zero_entanglement():
     state = sample_rpps(8, SampleSeed(5, 2))
-    for cut in (1, 4, 7):
-        lam = schmidt_spectrum(state, cut)
-        assert lam[0] == pytest.approx(1.0, abs=1e-12)
+    for cut in range(1, 8):
+        assert ref.reduced_density_eigs(state, cut, 8)[0] == pytest.approx(1.0, abs=1e-12)
     assert entanglement_entropy(state) <= 1e-10
 
 
