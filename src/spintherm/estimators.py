@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .state_prep import numpy_random
+from .state_prep import seeded_generator
 
 __all__ = [
     "weights",
@@ -89,21 +89,22 @@ def bootstrap_sigma(logs, obs, n_resamples: int, seed, s_ini):
 
     ``logs`` and ``obs`` are (K, M), one row per beta, and ``s_ini`` is (M,).
     The resamples are the rows of one (n_resamples, M) index draw from
-    default_rng(seed) (numpy.random, through ``state_prep.numpy_random``),
-    taken in blocks; a drawn sample keeps its values at every beta.  Returns
+    ``state_prep.seeded_generator(seed)``, the stream of
+    numpy.random.default_rng(seed), taken in blocks; a drawn sample keeps
+    its values at every beta.  n_resamples is an integer >= 2.  Returns
     the standard deviations over the resamples: (eta_sigma[K],
     weighted_sigma[K], simple_sigma[K], s_ini_sigma).
     """
     logs, obs, s_ini = (np.asarray(a, dtype=np.float64) for a in (logs, obs, s_ini))
     if logs.ndim != 2 or logs.shape[1] == 0 or obs.shape != logs.shape or s_ini.shape != logs.shape[1:]:
         raise ValueError(f"need (K, M >= 1) logs and obs and (M,) s_ini, got {logs.shape}, {obs.shape}, {s_ini.shape}")
-    if n_resamples < 2:
-        raise ValueError(f"n_resamples must be >= 2, got {n_resamples}")
+    if isinstance(n_resamples, bool) or not (isinstance(n_resamples, (int, np.integer)) and n_resamples >= 2):
+        raise ValueError(f"n_resamples must be an integer >= 2, got {n_resamples!r}")
     k, n = logs.shape
     d = logs - logs.max(axis=1, keepdims=True)
     e = np.exp(d)
     table = np.concatenate([e, d * e, e * obs, obs, s_ini[None]]).T.copy()
-    rng = numpy_random().default_rng(seed)
+    rng = seeded_generator(seed)
     rows = max(1, BOOTSTRAP_BLOCK // table.size)
     moments = np.zeros((2, 3 * k + 1))
     for done in range(0, n_resamples, rows):

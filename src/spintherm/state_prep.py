@@ -16,26 +16,32 @@ returns one state as a (2**L,) array; stacked, the draws are such rows.
 
 Randomness is derived per sample from (master_seed, sample_index)
 through numpy's SeedSequence, so sample m is the same bit pattern no
-matter which worker draws it or in which order.  Every use of
-numpy.random in the package goes through ``numpy_random``.
+matter which worker draws it or in which order.  Every random draw in the
+package, the bootstrap's too, comes from a generator of
+``seeded_generator``, which loads only the parts of numpy.random it uses.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import sys
 import types
 from dataclasses import dataclass, field
 from functools import cache, reduce
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .hamiltonian import ModelSpec, bond_generators, model_terms
 from .hilbert import CompiledBlock, apply_two_site, checked_matrix, compile_chain, row_norms
 
+if TYPE_CHECKING:
+    from numpy.random import Generator
+
 __all__ = [
     "MAX_TAU",
-    "numpy_random",
+    "seeded_generator",
     "SampleSeed",
     "TrotterCircuit",
     "sample_rpps",
@@ -45,27 +51,47 @@ __all__ = [
 ]
 
 
-@cache
-def numpy_random() -> types.ModuleType:
-    """numpy.random, imported on first call without loading OpenSSL.
+def seeded_generator(entropy, spawn_key=()) -> Generator:
+    """numpy's Generator(PCG64(SeedSequence(entropy, spawn_key=spawn_key))): default_rng's stream, bit for bit.
 
-    numpy.random imports ``randbits`` from ``secrets``, which loads hmac,
-    hashlib and libcrypto (3.6 MB resident) for the entropy of unseeded
-    generators; every generator here is seeded.  So unless ``secrets`` is
-    already loaded, the import sees a stand-in whose one attribute is what
-    ``secrets.randbits`` is, SystemRandom().getrandbits, and the stand-in is
-    removed after it: a later ``import secrets`` loads the real module.
+    numpy.random.default_rng itself is not called: reaching it through numpy
+    imports the whole of numpy.random.
     """
-    if "secrets" in sys.modules:
-        import numpy.random
-    else:
-        sys.modules["secrets"] = stand_in = types.ModuleType("secrets")
-        stand_in.randbits = random.SystemRandom().getrandbits
-        try:
-            import numpy.random
-        finally:
-            del sys.modules["secrets"]
-    return numpy.random
+    generator, pcg64, seed_sequence = _generator_classes()
+    return generator(pcg64(seed_sequence(entropy, spawn_key=spawn_key)))
+
+
+@cache
+def _generator_classes() -> tuple[type, type, type]:
+    """numpy.random's Generator, PCG64 and SeedSequence, loaded without the rest of numpy.random.
+
+    Its __init__ also loads the legacy RandomState, MT19937, Philox and SFC64
+    (0.7 MB resident), and its ``secrets`` import loads hmac, hashlib and
+    libcrypto (3.6 MB) for unseeded generators; no run uses any of them.
+    So unless numpy.random is loaded, the three modules are imported under a
+    stand-in package on numpy's random/ directory and, unless ``secrets`` is
+    loaded, a stand-in whose ``randbits`` is the real one's,
+    SystemRandom().getrandbits.  Both are removed after: a later import of
+    either runs the real module, and numpy.random's reuses the three, though
+    without binding them as its attributes (``from numpy.random import
+    bit_generator`` still finds them).
+    """
+    if "numpy.random" in sys.modules:
+        rnd = sys.modules["numpy.random"]
+        return rnd.Generator, rnd.PCG64, rnd.SeedSequence
+    stand_ins = {name: types.ModuleType(name) for name in ("numpy.random", "secrets") if name not in sys.modules}
+    stand_ins["numpy.random"].__path__ = [os.path.join(np.__path__[0], "random")]
+    if "secrets" in stand_ins:
+        stand_ins["secrets"].randbits = random.SystemRandom().getrandbits
+    sys.modules.update(stand_ins)
+    try:
+        from numpy.random._generator import Generator
+        from numpy.random._pcg64 import PCG64
+        from numpy.random.bit_generator import SeedSequence
+    finally:
+        for name in stand_ins:
+            del sys.modules[name]
+    return Generator, PCG64, SeedSequence
 
 
 @dataclass(frozen=True)
@@ -81,14 +107,12 @@ class SampleSeed:
     sample_index: int
 
     def __post_init__(self) -> None:
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be nonnegative")
-        if self.sample_index < 0:
-            raise ValueError("sample_index must be nonnegative")
+        for name, value in (("master_seed", self.master_seed), ("sample_index", self.sample_index)):
+            if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= 0):
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
-    def generator(self) -> np.random.Generator:
-        rnd = numpy_random()
-        return rnd.default_rng(rnd.SeedSequence(entropy=self.master_seed, spawn_key=(self.sample_index,)))
+    def generator(self) -> Generator:
+        return seeded_generator(self.master_seed, (self.sample_index,))
 
 
 def sample_rpps(num_sites: int, seed: SampleSeed) -> np.ndarray:

@@ -617,7 +617,8 @@ def test_runtime_imports_no_scipy():
     scipy_and_oracle, json_loaded, lazy = out.stdout.splitlines()
     assert scipy_and_oracle == "[]"
     assert json_loaded == "False"  # the run echo is a config file, not JSON
-    # numpy.random (1.9 MB resident, without OpenSSL) and the worker pool load only when a run needs them
+    # numpy's seeded generator (1.1 MB resident, without the rest of numpy.random) and the worker pool
+    # load only when a run needs them
     assert lazy == "[]"
     assert set(spintherm.__all__) == PUBLIC
     for module, names in TRACED.items():
@@ -646,25 +647,32 @@ def test_pooled_run_loads_no_executor(tmp_path):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_runs_load_no_openssl_and_leave_the_stdlib_intact(tmp_path, threads):
-    # numpy.random's import of secrets would load hmac, hashlib and OpenSSL; a run
-    # imports it without them, and a later import of each gets the real module
+    # A run loads numpy's Generator, PCG64 and SeedSequence alone: not the rest
+    # of numpy.random (its __init__, the legacy RandomState and bit generators),
+    # nor the hmac, hashlib and OpenSSL its import of secrets would load.  A
+    # later import of each gets the real, whole module, which reuses the three
+    # (reached by import: the real package's __init__ does not bind them).
     config = tmp_path / "run.cfg"
     config.write_text(MINIMAL + f"n_resamples = 8\nthreads = {threads}\noutput_path = {tmp_path / 'out'}\n")
+    absent = ["numpy.random", *(f"numpy.random.{m}" for m in ("mtrand", "_mt19937", "_philox", "_sfc64", "_pickle")),
+              "secrets", "hmac", "hashlib", "_hashlib"]
+    present = [f"numpy.random.{m}" for m in ("_generator", "_pcg64", "bit_generator")]
     code = (
         "import os, sys; os.cpu_count = lambda: 2; import spintherm.cli as cli; "
         f"assert cli.main(['run', '--config', {str(config)!r}]) == 0; "
-        "print(sorted(m for m in ('numpy.random', 'secrets', 'hmac', 'hashlib', '_hashlib', 'spintherm.workers') "
-        "if m in sys.modules)); "
-        "import secrets, hmac, hashlib, numpy.random; "
+        f"print(sorted(m for m in {absent + present + ['spintherm.workers']!r} if m in sys.modules)); "
+        "import secrets, hmac, hashlib, numpy.random; from numpy.random import _generator; "
         "print(callable(hashlib.pbkdf2_hmac), callable(hmac.new), len(secrets.token_bytes(8)), "
-        "numpy.random.SeedSequence().entropy != numpy.random.SeedSequence().entropy)"
+        "numpy.random.SeedSequence().entropy != numpy.random.SeedSequence().entropy, "
+        "numpy.random.RandomState(3).randint(0, 2**30) == 218_175_338, "
+        "numpy.random.default_rng is _generator.default_rng)"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True,
                          timeout=300)
-    loaded, stdlib = out.stdout.splitlines()[-2:]
-    assert loaded == ("['numpy.random']" if threads == 1 else "['numpy.random', 'spintherm.workers']")
-    assert stdlib == "True True 8 True"  # unseeded generators still draw fresh entropy
+    loaded, later = out.stdout.splitlines()[-2:]
+    assert loaded == str(sorted(present + (["spintherm.workers"] if threads == 2 else [])))
+    assert later == "True True 8 True True True"  # unseeded generators still draw fresh entropy
 
 
 def test_traced_run_counts_each_bootstrap_draw(tmp_path):

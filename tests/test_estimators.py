@@ -194,8 +194,9 @@ def test_bootstrap_sigma_accepts_lists():
 def test_bootstrap_sigma_validation():
     with pytest.raises(ValueError):
         bootstrap_sigma(np.zeros((1, 0)), np.zeros((1, 0)), 10, 0, np.zeros(0))
-    with pytest.raises(ValueError, match="n_resamples"):
-        bootstrap_sigma(np.ones((1, 5)), np.ones((1, 5)), 1, 0, np.ones(5))
+    for n_resamples in (1, 2.5, 4.0, True, "8"):
+        with pytest.raises(ValueError, match="n_resamples"):
+            bootstrap_sigma(np.ones((1, 5)), np.ones((1, 5)), n_resamples, 0, np.ones(5))
     for obs, s_ini in ((np.ones((1, 5)), np.ones(5)), (np.ones(5), np.ones(5)), (np.ones((2, 5)), np.ones(4))):
         with pytest.raises(ValueError, match="need"):
             bootstrap_sigma(np.ones((2, 5)), obs, 10, 0, s_ini)

@@ -101,38 +101,46 @@ def test_haar_entropy_near_page_value():
 
 
 def test_seeded_streams_match_an_ordinary_numpy_random_import():
-    # a sample's draws and the bootstrap's resamples, through numpy_random in one
-    # fresh process and through a plain numpy.random import in another
+    # a sample's draws and the bootstrap's resamples (even and odd M), through
+    # seeded_generator in fresh processes, with and without secrets loaded
+    # before, and through a plain numpy.random import in another; the entry
+    # point loads neither numpy.random nor secrets
     draws = (
-        "print(sys.modules.get('secrets')); "
         "[print(seeded(m, i).uniform(0.0, 6.0, size=(4, 2)).tobytes().hex(), "
         "seeded(m, i).standard_normal((2, 8)).tobytes().hex()) for m, i in ((42, 0), (42, 7), (0, 3))]; "
-        "[print(rnd.default_rng((42, L)).integers(0, 16, size=(5, 16)).tobytes().hex()) for L in (8, 12)]"
+        "[print(resamples((42, L)).integers(0, m, size=(5, m)).tobytes().hex()) "
+        "for L, m in ((8, 16), (12, 16), (9, 7))]; "
+        "print(sorted(m for m in ('numpy.random', 'secrets') if m in sys.modules))"
     )
     ordinary = (
-        "import sys; import numpy.random as rnd; "
+        "import sys; import numpy.random as rnd; resamples = rnd.default_rng; "
         "seeded = lambda m, i: rnd.default_rng(rnd.SeedSequence(entropy=m, spawn_key=(i,))); " + draws
     )
     entry = (
-        "import sys; from spintherm.state_prep import SampleSeed, numpy_random; rnd = numpy_random(); "
+        "import sys; from spintherm.state_prep import SampleSeed, seeded_generator as resamples; "
         "seeded = lambda m, i: SampleSeed(m, i).generator(); " + draws
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    plain, through = (
+    plain, through, after_secrets = (
         subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
-        for code in (ordinary, entry)
+        for code in (ordinary, entry, "import secrets; " + entry)
     )
-    plain_secrets, *plain_draws = plain.splitlines()
-    entry_secrets, *entry_draws = through.splitlines()
-    assert plain_secrets.startswith("<module 'secrets'") and entry_secrets == "None"
-    assert len(entry_draws) == 5 and entry_draws == plain_draws
+    *plain_draws, plain_loaded = plain.splitlines()
+    *entry_draws, entry_loaded = through.splitlines()
+    *secrets_draws, secrets_loaded = after_secrets.splitlines()
+    assert plain_loaded == "['numpy.random', 'secrets']" and entry_loaded == "[]" and secrets_loaded == "['secrets']"
+    assert len(entry_draws) == 6 and entry_draws == plain_draws == secrets_draws
 
 
 def test_seed_validation():
-    with pytest.raises(ValueError):
-        SampleSeed(-1, 0)
-    with pytest.raises(ValueError):
-        SampleSeed(0, -2)
+    for master_seed, sample_index, field in ((-1, 0, "master_seed"), (0, -2, "sample_index"),
+                                             (True, 0, "master_seed"), (1.5, 0, "master_seed"),
+                                             (0, 2.0, "sample_index"), (0, False, "sample_index"),
+                                             ("3", 0, "master_seed")):
+        with pytest.raises(ValueError, match=field):
+            SampleSeed(master_seed, sample_index)
+    numpy_ints = SampleSeed(np.int64(3), np.uint8(1)).generator()
+    assert numpy_ints.integers(0, 2**62) == SampleSeed(3, 1).generator().integers(0, 2**62)
     with pytest.raises(ValueError, match="num_sites"):
         sample_rpps(1, SampleSeed(0, 0))
 
