@@ -60,7 +60,7 @@ import numpy as np
 
 from .estimators import bootstrap_sigma, efficiency, simple_expectation, weighted_expectation
 from .hamiltonian import COUPLINGS, ModelSpec, build_hamiltonian
-from .hilbert import entanglement_entropy
+from .hilbert import checked_int, entanglement_entropy
 from .imagtime import BetaGrid, walk
 from .state_prep import MAX_TAU, SampleSeed, build_trotter_circuit, sample_haar, sample_rpps, scramble
 
@@ -97,7 +97,8 @@ class ConfigError(ValueError):
 class RunConfig:
     """Everything needed to reproduce one experiment; immutable and hashable.
 
-    Making one, by ``dataclasses.replace`` too, raises ConfigError listing every invalid field.
+    Making one, by ``dataclasses.replace`` too, raises ConfigError listing every invalid field.  Each
+    length, count and seed passes ``hilbert.checked_int``, and the memory bound runs only once they do.
     """
 
     system: ModelSpec
@@ -123,29 +124,27 @@ class RunConfig:
             problems.append("trotter: required when init_class is trotter_rpps")
         if not self.L_list:
             problems.append("L_list: must be nonempty")
-        if any(L < 2 for L in self.L_list):
-            problems.append(f"L_list: every L must be >= 2, got {self.L_list}")
-        if len(set(self.L_list)) != len(self.L_list):
+        refused: set[str] = set()  # the integer fields checked_int refuses; unset threads and 2L check as 1
+        for key, value, low in (*(("L_list", L, 2) for L in self.L_list), ("M", self.M, 1),
+                                ("threads", 1 if self.threads is None else self.threads, 1),
+                                ("master_seed", self.master_seed, 0), ("n_resamples", self.n_resamples, 0),
+                                ("n_reps", 1 if self.n_reps == "2L" else self.n_reps, 1)):
+            try:
+                checked_int(f"{key}:", value, low)
+            except ValueError as exc:
+                problems.append(str(exc))
+                refused.add(key)
+        if "L_list" not in refused and len(set(self.L_list)) != len(self.L_list):
             problems.append(f"L_list: duplicate lengths in {self.L_list}")
-        workers, memory = max(1, _workers(self)), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        fits = (memory // (LIVE_VECTORS * 16 * workers)).bit_length() - 1  # the longest chain whose vectors fit
-        if max(self.L_list, default=2) > fits:
-            problems.append(
-                f"L_list: L = {max(self.L_list)} needs {LIVE_VECTORS} state vectors of 2**L amplitudes on each of "
-                f"{workers} workers, more than the {memory / 2**30:.1f} GiB of physical memory hold (L <= {fits})"
-            )
-        if self.M < 1:
-            problems.append(f"M: must be >= 1, got {self.M}")
-        if self.master_seed < 0:
-            problems.append(f"master_seed: must be >= 0, got {self.master_seed}")
-        if self.n_resamples < 0:
-            problems.append(f"n_resamples: must be >= 0, got {self.n_resamples}")
+        if not refused & {"L_list", "M", "threads"}:  # _workers reads M and threads
+            workers, memory = max(1, _workers(self)), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+            fits = (memory // (LIVE_VECTORS * 16 * workers)).bit_length() - 1  # the longest chain whose vectors fit
+            if max(self.L_list, default=2) > fits:
+                problems.append(f"L_list: L = {max(self.L_list)} needs {LIVE_VECTORS} state vectors of 2**L "
+                                f"amplitudes on each of {workers} workers, more than the {memory / 2**30:.1f} GiB "
+                                f"of physical memory hold (L <= {fits})")
         if not 0.0 <= self.tau <= MAX_TAU:
             problems.append(f"tau: must be in [0, {MAX_TAU:g}], got {self.tau}")
-        if self.n_reps != "2L" and not (isinstance(self.n_reps, int) and self.n_reps >= 1):
-            problems.append(f"n_reps: must be 2L or an integer >= 1, got {self.n_reps!r}")
-        if self.threads is not None and self.threads < 1:
-            problems.append(f"threads: must be >= 1 or unset, got {self.threads}")
         if not self.output_path:
             problems.append("output_path: must be nonempty")
         # each echoed as one run.cfg line, where '#' starts a comment and a value's ends are stripped

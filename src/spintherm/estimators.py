@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .hilbert import checked_int
 from .state_prep import seeded_generator
 
 __all__ = [
@@ -98,8 +99,7 @@ def bootstrap_sigma(logs, obs, n_resamples: int, seed, s_ini):
     logs, obs, s_ini = (np.asarray(a, dtype=np.float64) for a in (logs, obs, s_ini))
     if logs.ndim != 2 or logs.shape[1] == 0 or obs.shape != logs.shape or s_ini.shape != logs.shape[1:]:
         raise ValueError(f"need (K, M >= 1) logs and obs and (M,) s_ini, got {logs.shape}, {obs.shape}, {s_ini.shape}")
-    if isinstance(n_resamples, bool) or not (isinstance(n_resamples, (int, np.integer)) and n_resamples >= 2):
-        raise ValueError(f"n_resamples must be an integer >= 2, got {n_resamples!r}")
+    checked_int("n_resamples", n_resamples, 2)
     k, n = logs.shape
     d = logs - logs.max(axis=1, keepdims=True)
     e = np.exp(d)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import CompiledBlock, apply_two_site, checked_matrix, compile_chain, kron
+from .hilbert import CompiledBlock, apply_two_site, checked_int, checked_matrix, compile_chain, kron
 
 __all__ = [
     "SX",
@@ -94,8 +94,7 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}, expected one of {MODEL_KINDS}")
-        if self.L < 2:
-            raise ValueError(f"L must be >= 2, got {self.L}")
+        checked_int("L", self.L, 2)
         if self.J == 0.0:
             raise ValueError("J must be nonzero")
         too_large = [
@@ -132,8 +131,7 @@ class HamiltonianTerms:
     compiled: tuple[CompiledBlock, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.L < 2:
-            raise ValueError(f"L must be >= 2, got {self.L}")
+        checked_int("L", self.L, 2)
         bonds = tuple(_checked_term("bond", i, mat, self.L - 1, 4) for i, mat in self.bonds)
         fields = tuple(_checked_term("field", i, mat, self.L, 2) for i, mat in self.fields)
         object.__setattr__(self, "bonds", bonds)
@@ -142,12 +140,11 @@ class HamiltonianTerms:
 
 
 def _checked_term(kind: str, i, mat, last: int, dim: int) -> tuple[int, np.ndarray]:
-    if isinstance(i, bool) or not (isinstance(i, (int, np.integer)) and 1 <= i <= last):
-        raise ValueError(f"{kind} index {i!r} is not an integer in [1, {last}]")
+    i = checked_int(f"{kind} index", i, 1, last)
     mat = checked_matrix(f"{kind} matrix at {i}", mat, dim)
     if np.max(np.abs(mat - mat.conj().T)) > 1e-14 * max(1.0, np.max(np.abs(mat))):
         raise ValueError(f"{kind} matrix at {i} is not Hermitian")
-    return int(i), mat
+    return i, mat
 
 
 def bond_generators(L: int, bonds, fields) -> list[np.ndarray]:

@@ -21,8 +21,8 @@ Every chain operator reaches a state through one kernel,
 32x32 block of BLOCK_SITES = 5 sites) permuted to memory order (the
 rightmost site in the highest bit).  That matrix is the one compiled form;
 the kernel picks the contraction from the block's site (``apply_two_site``).
-Every local matrix handed in (a bond or field term, a bond gate) passes
-one check, ``checked_matrix``.
+Every local matrix handed in passes one check, ``checked_matrix``, and
+every chain length, count, index and seed another, ``checked_int``.
 
 ``compile_chain`` builds every chain operator from its L - 1 bond
 operators and is the one place that knows the block layout and the order
@@ -50,6 +50,7 @@ __all__ = [
     "BLOCK_SITES",
     "kron",
     "checked_matrix",
+    "checked_int",
     "CompiledBlock",
     "compile_block",
     "compile_chain",
@@ -118,6 +119,14 @@ def checked_matrix(name: str, mat, dim: int) -> np.ndarray:
     return mat
 
 
+def checked_int(name: str, value, low: int, high: float = np.inf) -> int:
+    """int(value); ValueError naming ``name`` unless it is an integer, not a bool, in [low, high]."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and low <= value <= high):
+        bound = f">= {low}" if high == np.inf else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class CompiledBlock:
     """An operator on sites site .. site+width-1, stored ready for apply_two_site.
@@ -145,8 +154,7 @@ def compile_block(mat: np.ndarray, site: int, num_sites: int) -> CompiledBlock:
     width = dim.bit_length() - 1
     if width < 2 or mat.shape != (dim, dim) or dim != 1 << width:
         raise ValueError(f"block matrix has shape {mat.shape}, expected (2**k, 2**k) with k >= 2")
-    if not 1 <= site <= num_sites - width + 1:
-        raise ValueError(f"block on sites {site}..{site + width - 1} outside chain of {num_sites} sites")
+    site = checked_int("block site", site, 1, num_sites - width + 1)
     # Storage puts the rightmost site in the highest bit: reverse the site order once.
     order = tuple(reversed(range(width)))
     matrix = mat.reshape((2,) * 2 * width).transpose(order + tuple(width + a for a in order)).reshape(dim, dim)

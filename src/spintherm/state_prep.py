@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .hamiltonian import ModelSpec, bond_generators, model_terms
-from .hilbert import CompiledBlock, apply_two_site, checked_matrix, compile_chain, row_norms
+from .hilbert import CompiledBlock, apply_two_site, checked_int, checked_matrix, compile_chain, row_norms
 
 if TYPE_CHECKING:
     from numpy.random import Generator
@@ -71,10 +71,10 @@ def _generator_classes() -> tuple[type, type, type]:
     So unless numpy.random is loaded, the three modules are imported under a
     stand-in package on numpy's random/ directory and, unless ``secrets`` is
     loaded, a stand-in whose ``randbits`` is the real one's,
-    SystemRandom().getrandbits.  Both are removed after: a later import of
-    either runs the real module, and numpy.random's reuses the three, though
-    without binding them as its attributes (``from numpy.random import
-    bit_generator`` still finds them).
+    SystemRandom().getrandbits.  Both are removed after, with the
+    numpy.random submodules loaded under them: a later import of either runs
+    the real module, and numpy.random's binds its submodules again, the
+    three among them (a Cython module imported again is the one already made).
     """
     if "numpy.random" in sys.modules:
         rnd = sys.modules["numpy.random"]
@@ -89,7 +89,7 @@ def _generator_classes() -> tuple[type, type, type]:
         from numpy.random._pcg64 import PCG64
         from numpy.random.bit_generator import SeedSequence
     finally:
-        for name in stand_ins:
+        for name in [*stand_ins, *(m for m in sys.modules if m.startswith("numpy.random."))]:
             del sys.modules[name]
     return Generator, PCG64, SeedSequence
 
@@ -107,9 +107,8 @@ class SampleSeed:
     sample_index: int
 
     def __post_init__(self) -> None:
-        for name, value in (("master_seed", self.master_seed), ("sample_index", self.sample_index)):
-            if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= 0):
-                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+        checked_int("master_seed", self.master_seed, 0)
+        checked_int("sample_index", self.sample_index, 0)
 
     def generator(self) -> Generator:
         return seeded_generator(self.master_seed, (self.sample_index,))
@@ -123,8 +122,7 @@ def sample_rpps(num_sites: int, seed: SampleSeed) -> np.ndarray:
     every amplitude of modulus 2**(-L/2), and has zero entanglement across
     every cut.
     """
-    if num_sites < 2:
-        raise ValueError(f"num_sites must be >= 2, got {num_sites}")
+    checked_int("num_sites", num_sites, 2)
     rng = seed.generator()
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(num_sites, 2))
     local = np.exp(1j * phases) / np.sqrt(2.0)
@@ -136,8 +134,7 @@ def sample_rpps(num_sites: int, seed: SampleSeed) -> np.ndarray:
 
 def sample_haar(num_sites: int, seed: SampleSeed) -> np.ndarray:
     """Haar-random state: 2**L complex standard Gaussians, normalized, as a (2**L,) array."""
-    if num_sites < 2:
-        raise ValueError(f"num_sites must be >= 2, got {num_sites}")
+    checked_int("num_sites", num_sites, 2)
     rng = seed.generator()
     parts = rng.standard_normal((2, 2**num_sites))
     amps = parts[0] + 1j * parts[1]
@@ -173,8 +170,7 @@ class TrotterCircuit:
         bond_gates = tuple(checked_matrix(f"bond gate at {i}", g, 4) for i, g in enumerate(self.bond_gates, start=1))
         if not bond_gates:
             raise ValueError("circuit needs at least one bond gate")
-        if isinstance(self.n_reps, bool) or not (isinstance(self.n_reps, (int, np.integer)) and self.n_reps >= 0):
-            raise ValueError(f"n_reps must be an integer >= 0, got {self.n_reps!r}")
+        checked_int("n_reps", self.n_reps, 0)
         object.__setattr__(self, "bond_gates", bond_gates)
         fused = compile_chain(bond_gates, lambda lifted: reduce(np.matmul, lifted[0::2] + lifted[1::2]))
         object.__setattr__(self, "gates", fused)

@@ -515,15 +515,15 @@ def test_run_cfg_reruns_a_preset_variant(tmp_path, monkeypatch):
 @pytest.mark.parametrize("line,reason", [
     ("tau = abc", "tau: could not convert"),
     ("system.J = abc", "system.J: could not convert"),
-    ("threads = 0", "threads: must be >= 1"),
-    ("n_reps = 0", "n_reps: must be 2L or an integer >= 1"),
+    ("threads = 0", "threads: must be an integer >= 1"),
+    ("n_reps = 0", "n_reps: must be an integer >= 1"),
     ("n_reps_rule = explicit", "unknown keys: n_reps_rule"),
     ("system.delta = 5.0", "system: delta not used by kind 'heisenberg'"),
     ("label = a,b", "label: must not contain a comma"),
     ('label = a"b', "label: must not contain a comma"),
     ("system.J = 1e300", "system: couplings must be finite and at most 1e+06 in magnitude, got J = 1e+300"),
     ("trotter.J = -1.000001e6", "trotter: couplings must be finite and at most 1e+06 in magnitude"),
-    ("L_list = 1,4", "L_list: every L must be >= 2"),
+    ("L_list = 1,4", "L_list: must be an integer >= 2"),
     # the model specs are checked, at L = 2, when L_list does not parse
     ("L_list = x\nsystem.kind = heisenbrg", "L_list: invalid literal for int() with base 10: 'x'; "
                                             "system: unknown model kind 'heisenbrg'"),
@@ -649,30 +649,33 @@ def test_pooled_run_loads_no_executor(tmp_path):
 def test_runs_load_no_openssl_and_leave_the_stdlib_intact(tmp_path, threads):
     # A run loads numpy's Generator, PCG64 and SeedSequence alone: not the rest
     # of numpy.random (its __init__, the legacy RandomState and bit generators),
-    # nor the hmac, hashlib and OpenSSL its import of secrets would load.  A
-    # later import of each gets the real, whole module, which reuses the three
-    # (reached by import: the real package's __init__ does not bind them).
+    # nor the hmac, hashlib and OpenSSL its import of secrets would load, and it
+    # leaves no numpy.random module in sys.modules.  A later import of each gets
+    # the real, whole module, whose submodules are bound as its attributes and
+    # whose three classes are the ones the run drew from.
     config = tmp_path / "run.cfg"
     config.write_text(MINIMAL + f"n_resamples = 8\nthreads = {threads}\noutput_path = {tmp_path / 'out'}\n")
     absent = ["numpy.random", *(f"numpy.random.{m}" for m in ("mtrand", "_mt19937", "_philox", "_sfc64", "_pickle")),
+              *(f"numpy.random.{m}" for m in ("_generator", "_pcg64", "bit_generator", "_common")),
               "secrets", "hmac", "hashlib", "_hashlib"]
-    present = [f"numpy.random.{m}" for m in ("_generator", "_pcg64", "bit_generator")]
     code = (
         "import os, sys; os.cpu_count = lambda: 2; import spintherm.cli as cli; "
         f"assert cli.main(['run', '--config', {str(config)!r}]) == 0; "
-        f"print(sorted(m for m in {absent + present + ['spintherm.workers']!r} if m in sys.modules)); "
-        "import secrets, hmac, hashlib, numpy.random; from numpy.random import _generator; "
+        f"print(sorted(m for m in {absent + ['spintherm.workers']!r} if m in sys.modules)); "
+        "import secrets, hmac, hashlib, numpy.random; "
         "print(callable(hashlib.pbkdf2_hmac), callable(hmac.new), len(secrets.token_bytes(8)), "
         "numpy.random.SeedSequence().entropy != numpy.random.SeedSequence().entropy, "
         "numpy.random.RandomState(3).randint(0, 2**30) == 218_175_338, "
-        "numpy.random.default_rng is _generator.default_rng)"
+        "numpy.random.default_rng is numpy.random._generator.default_rng, "
+        "numpy.random.bit_generator.SeedSequence is numpy.random.SeedSequence, "
+        "type(cli.SampleSeed(1, 0).generator()) is numpy.random.Generator)"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True,
                          timeout=300)
     loaded, later = out.stdout.splitlines()[-2:]
-    assert loaded == str(sorted(present + (["spintherm.workers"] if threads == 2 else [])))
-    assert later == "True True 8 True True True"  # unseeded generators still draw fresh entropy
+    assert loaded == str(["spintherm.workers"] if threads == 2 else [])
+    assert later == "True True 8 True True True True True"  # unseeded generators still draw fresh entropy
 
 
 def test_traced_run_counts_each_bootstrap_draw(tmp_path):
@@ -692,7 +695,8 @@ def test_traced_run_counts_each_bootstrap_draw(tmp_path):
 
 
 def test_main_run_names_the_bad_override(tmp_path, capsys, monkeypatch):
-    bad = (("4,x", ""), ("4,4", "duplicate lengths"), ("1,4", "every L must be >= 2"), ("1", "every L must be >= 2"))
+    bad = (("4,x", ""), ("4,4", "duplicate lengths"), ("1,4", "must be an integer >= 2, got 1"),
+           ("1", "must be an integer >= 2, got 1"))
     for lengths, reason in bad:
         rc = main(["run", "--preset", "fig2", "--L", lengths, "--out", str(tmp_path / "none")])
         assert rc == 2
@@ -782,7 +786,7 @@ def test_edited_run_cfg_is_validated(tmp_path, capsys):
 
     assert main(["validate", "--config", str(path)]) == 0
     capsys.readouterr()
-    refused(text.replace("M = 6\n", "M = -5\n"), "M: must be >= 1, got -5")
+    refused(text.replace("M = 6\n", "M = -5\n"), "M: must be an integer >= 1, got -5")
     for old_key, value in (("n_reps_rule", "2L"), ("full_scale", "false")):
         refused(text + f"{old_key} = {value}\n", f"unknown keys: {old_key}")
     # the byte 0xe9 alone, which is not UTF-8
@@ -815,6 +819,15 @@ def test_run_config_is_frozen_hashable_and_valid_once_made(tmp_path):
     # a replace is a construction: no RunConfig exists whose run.cfg echo could not be read back
     with pytest.raises(ConfigError, match="label: must not contain '#' or a nonprintable character"):
         dataclasses.replace(cfg, label="a\nb")
+    # every length, count and seed is an integer, not a bool, or the run would fail later or echo
+    # a run.cfg that does not read back (M = True)
+    for key, value in (("M", 2.5), ("L_list", (4.0,)), ("n_reps", True), ("master_seed", True),
+                       ("master_seed", 1.5), ("n_resamples", 2.5), ("threads", True), ("M", True)):
+        with pytest.raises(ConfigError, match=f"^{key}: must be an integer >= "):
+            dataclasses.replace(cfg, **{key: value})
+    numpy_ints = dataclasses.replace(cfg, M=np.int64(3), L_list=(np.int64(4),), n_reps=np.int64(2),
+                                     master_seed=np.int64(1), n_resamples=np.int64(8), threads=np.int64(1))
+    assert numpy_ints == dataclasses.replace(cfg, M=3, L_list=(4,), n_reps=2, master_seed=1, n_resamples=8, threads=1)
 
 
 def test_csv_number_format(tmp_path):

@@ -126,6 +126,9 @@ def test_model_spec_validation():
         ModelSpec(kind="xy_chain", L=4)
     with pytest.raises(ValueError, match="L must"):
         ModelSpec(kind="heisenberg", L=1)
+    with pytest.raises(ValueError, match="L must be an integer"):
+        ModelSpec(kind="heisenberg", L=3.0)
+    assert ModelSpec(kind="heisenberg", L=np.int64(3)).L == 3
     with pytest.raises(ValueError, match="J must"):
         ModelSpec(kind="heisenberg", L=4, J=0.0)
 
@@ -140,6 +143,9 @@ def test_terms_validation():
         HamiltonianTerms(L=3, fields=[(4, np.eye(2))])
     with pytest.raises(ValueError, match="shape"):
         HamiltonianTerms(L=3, bonds=[(1, np.eye(2))])
+    with pytest.raises(ValueError, match="L must be an integer"):
+        HamiltonianTerms(L=3.0, bonds=[(1, good)])
+    assert len(HamiltonianTerms(L=np.int64(3), bonds=[(np.int64(2), good)]).compiled) == 1
     # a non-integer index is refused, not truncated onto a site
     with pytest.raises(ValueError, match="bond index"):
         HamiltonianTerms(L=3, bonds=[(1.5, hilbert.kron(SZ, SZ))])

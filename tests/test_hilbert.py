@@ -137,12 +137,15 @@ def test_apply_two_site_matches_dense_on_random_terms(L, data, seed):
 
 def test_apply_kernels_reject_bad_sites():
     amps = np.zeros(8, dtype=complex)
-    with pytest.raises(ValueError, match="outside chain"):
+    with pytest.raises(ValueError, match=r"block site must be an integer in \[1, 2\], got 3"):
         compile_block(np.eye(4), 3, 3)
-    with pytest.raises(ValueError, match="outside chain"):
+    with pytest.raises(ValueError, match="block site"):
         compile_block(np.eye(4), 0, 3)
-    with pytest.raises(ValueError, match="outside chain"):
+    with pytest.raises(ValueError, match="block site"):
         compile_block(np.eye(16), 2, 4)
+    with pytest.raises(ValueError, match="block site"):
+        compile_block(np.eye(4), 2.0, 3)
+    assert compile_block(np.eye(4), np.int64(2), 3).site == 2
     for shape in ((2, 2), (6, 6), (4, 8), (4,)):
         with pytest.raises(ValueError, match="shape"):
             compile_block(np.ones(shape), 1, 3)

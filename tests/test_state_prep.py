@@ -143,6 +143,10 @@ def test_seed_validation():
     assert numpy_ints.integers(0, 2**62) == SampleSeed(3, 1).generator().integers(0, 2**62)
     with pytest.raises(ValueError, match="num_sites"):
         sample_rpps(1, SampleSeed(0, 0))
+    for sample in (sample_rpps, sample_haar):
+        with pytest.raises(ValueError, match="num_sites must be an integer"):
+            sample(3.0, SampleSeed(0, 0))
+        assert np.array_equal(sample(np.int64(3), SampleSeed(0, 0)), sample(3, SampleSeed(0, 0)))
 
 
 def test_gates_are_unitary():
