@@ -30,7 +30,6 @@ from .hamiltonian import HamiltonianTerms, ModelSpec, build_hamiltonian
 from .hilbert import entanglement_entropy
 from .imagtime import BetaGrid, walk
 from .state_prep import (
-    SampleSeed,
     TrotterCircuit,
     build_trotter_circuit,
     sample_haar,
@@ -44,7 +43,6 @@ __all__ = [
     "ModelSpec",
     "HamiltonianTerms",
     "build_hamiltonian",
-    "SampleSeed",
     "TrotterCircuit",
     "sample_rpps",
     "sample_haar",

@@ -62,7 +62,7 @@ from .estimators import bootstrap_sigma, efficiency, simple_expectation, weighte
 from .hamiltonian import COUPLINGS, ModelSpec, build_hamiltonian
 from .hilbert import checked_int, entanglement_entropy
 from .imagtime import BetaGrid, walk
-from .state_prep import MAX_TAU, SampleSeed, build_trotter_circuit, sample_haar, sample_rpps, scramble
+from .state_prep import MAX_TAU, build_trotter_circuit, sample_haar, sample_rpps, scramble
 
 __all__ = [
     "INIT_CLASSES",
@@ -98,7 +98,8 @@ class RunConfig:
     """Everything needed to reproduce one experiment; immutable and hashable.
 
     Making one, by ``dataclasses.replace`` too, raises ConfigError listing every invalid field.  Each
-    length, count and seed passes ``hilbert.checked_int``, and the memory bound runs only once they do.
+    length, count and seed passes ``hilbert.checked_int``, and the memory bound runs only once they do;
+    every other field's range tests run only once it has its annotated type.
     """
 
     system: ModelSpec
@@ -117,7 +118,12 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "L_list", tuple(self.L_list))  # hashable, whatever sequence was given
-        problems: list[str] = []
+        # a non-integer field of the wrong type is named here, and the tests below that read it skip it
+        mistyped = [key for key, kind in (("system", ModelSpec), ("beta_grid", BetaGrid), ("tau", (int, float)),
+                                          ("trotter", (ModelSpec, type(None))), ("output_path", str), ("label", str))
+                    if not isinstance(getattr(self, key), kind)]
+        problems = [f"{key}: must be of type {self.__annotations__[key]}, got {getattr(self, key)!r}"
+                    for key in mistyped]
         if self.init_class not in INIT_CLASSES:
             problems.append(f"init_class: {self.init_class!r} not in {INIT_CLASSES}")
         if self.init_class == "trotter_rpps" and self.trotter is None:
@@ -143,18 +149,18 @@ class RunConfig:
                 problems.append(f"L_list: L = {max(self.L_list)} needs {LIVE_VECTORS} state vectors of 2**L "
                                 f"amplitudes on each of {workers} workers, more than the {memory / 2**30:.1f} GiB "
                                 f"of physical memory hold (L <= {fits})")
-        if not 0.0 <= self.tau <= MAX_TAU:
+        if "tau" not in mistyped and not 0.0 <= self.tau <= MAX_TAU:
             problems.append(f"tau: must be in [0, {MAX_TAU:g}], got {self.tau}")
-        if not self.output_path:
+        if self.output_path == "":
             problems.append("output_path: must be nonempty")
         # each echoed as one run.cfg line, where '#' starts a comment and a value's ends are stripped
-        for name in ("output_path", "label"):
+        for name in [name for name in ("output_path", "label") if name not in mistyped]:
             text = getattr(self, name)
             if "#" in text or not text.isprintable() or text != text.strip():
                 problems.append(f"{name}: must not contain '#' or a nonprintable character, nor start or end "
                                 f"with whitespace, got {ascii(text)}")
         # the label is also written unquoted into a summary.csv field and printed, whatever the locale's encoding
-        if not all(" " <= c <= "~" and c not in ',"' for c in self.label):
+        if "label" not in mistyped and not all(" " <= c <= "~" and c not in ',"' for c in self.label):
             problems.append(f"label: must not contain a comma, quote or any character but printable ASCII, "
                             f"got {ascii(self.label)}")
         if problems:
@@ -349,7 +355,7 @@ def _run_batch(cfg: RunConfig, L: int, samples: range) -> tuple[np.ndarray, np.n
     """Initial entropies (B,), and ln-norms and energies (B, K), of the samples drawn and run in lockstep."""
     system, circuit = _operators(cfg, L)
     sample = sample_haar if cfg.init_class == "haar" else sample_rpps
-    rows = np.array([sample(L, SampleSeed(cfg.master_seed, m)) for m in samples])
+    rows = sample(L, cfg.master_seed, samples)
     if circuit is not None:
         rows = scramble(rows, circuit)[0]
     return (entanglement_entropy(rows), *walk(rows, system, cfg.beta_grid))

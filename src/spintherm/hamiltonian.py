@@ -4,7 +4,7 @@ Operators are kept as a catalog of local terms: 4x4 matrices on bonds
 (i, i+1) and 2x2 matrices on single sites, each passing the one
 local-matrix check, ``hilbert.checked_matrix``.  At construction the
 terms are folded into L - 1 bond generators (each field split between the
-bonds touching its site, see bond_generators) and compiled once by
+bonds touching its site, see _bond_generators) and compiled once by
 ``hilbert.compile_chain``, which sums the generators of each block of
 four bonds.  Applying the operator is then one kernel call per compiled
 entry; the full 2**L x 2**L matrix is never formed.
@@ -42,7 +42,6 @@ __all__ = [
     "MAX_COUPLING",
     "ModelSpec",
     "HamiltonianTerms",
-    "bond_generators",
     "build_hamiltonian",
     "model_terms",
     "apply_terms",
@@ -136,7 +135,7 @@ class HamiltonianTerms:
         fields = tuple(_checked_term("field", i, mat, self.L, 2) for i, mat in self.fields)
         object.__setattr__(self, "bonds", bonds)
         object.__setattr__(self, "fields", fields)
-        object.__setattr__(self, "compiled", compile_chain(bond_generators(self.L, bonds, fields), sum))
+        object.__setattr__(self, "compiled", compile_chain(_bond_generators(self.L, bonds, fields), sum))
 
 
 def _checked_term(kind: str, i, mat, last: int, dim: int) -> tuple[int, np.ndarray]:
@@ -147,17 +146,15 @@ def _checked_term(kind: str, i, mat, last: int, dim: int) -> tuple[int, np.ndarr
     return i, mat
 
 
-def bond_generators(L: int, bonds, fields) -> list[np.ndarray]:
+def _bond_generators(L: int, bonds, fields) -> list[np.ndarray]:
     """The 4x4 generators of bonds 1..L-1 (item i - 1 on bond i), whose embeddings sum to the terms.
 
-    ``bonds`` and ``fields`` are (i, matrix) pairs as in HamiltonianTerms;
-    an index off the chain raises ValueError.  Bond (i, i+1) takes its own
-    couplings, then, in the order given, each field on its sites: the whole
-    field at a chain end, half of it to each bond elsewhere.  All L - 1
-    bonds are returned, zero generators included.
+    ``bonds`` and ``fields`` are (i, matrix) pairs whose indices lie on the
+    chain: checked by HamiltonianTerms, or made by model_terms.  Bond (i, i+1)
+    takes its own couplings, then, in the order given, each field on its
+    sites: the whole field at a chain end, half of it to each bond
+    elsewhere.  All L - 1 bonds are returned, zero generators included.
     """
-    if not (all(1 <= i < L for i, _ in bonds) and all(1 <= i <= L for i, _ in fields)):
-        raise ValueError(f"term index off the {L}-site chain")
     gens = [np.zeros((4, 4), dtype=np.complex128) for _ in range(L - 1)]
     for i, mat in bonds:
         gens[i - 1] = gens[i - 1] + mat

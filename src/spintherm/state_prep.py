@@ -12,13 +12,14 @@ once by ``hilbert.compile_chain``, so the brick and the H matvec run
 through the same kernel.  ``scramble`` runs the brick on the rows of a
 (B, 2**L) array in lockstep, one kernel call per compiled entry for all B
 rows; the run command takes B from L (cli.BATCH_AMPLITUDES).  A sampler
-returns one state as a (2**L,) array; stacked, the draws are such rows.
+returns such rows, one per sample index it is given.
 
 Randomness is derived per sample from (master_seed, sample_index)
 through numpy's SeedSequence, so sample m is the same bit pattern no
-matter which worker draws it or in which order.  Every random draw in the
-package, the bootstrap's too, comes from a generator of
-``seeded_generator``, which loads only the parts of numpy.random it uses.
+matter which worker draws it, in which batch or in which order.  Every
+random draw in the package, the bootstrap's too, comes from a generator
+of ``seeded_generator``, which loads only the parts of numpy.random it
+uses.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .hamiltonian import ModelSpec, bond_generators, model_terms
+from .hamiltonian import ModelSpec, _bond_generators, model_terms
 from .hilbert import CompiledBlock, apply_two_site, checked_int, checked_matrix, compile_chain, row_norms
 
 if TYPE_CHECKING:
@@ -42,7 +43,6 @@ if TYPE_CHECKING:
 __all__ = [
     "MAX_TAU",
     "seeded_generator",
-    "SampleSeed",
     "TrotterCircuit",
     "sample_rpps",
     "sample_haar",
@@ -94,51 +94,47 @@ def _generator_classes() -> tuple[type, type, type]:
     return Generator, PCG64, SeedSequence
 
 
-@dataclass(frozen=True)
-class SampleSeed:
-    """Deterministic per-sample RNG root.
+def _rows(num_sites: int, master_seed: int, samples, draw) -> np.ndarray:
+    """The (B, 2**L) complex128 rows draw(generator) of the B sample indices ``samples``.
 
-    The generator is a pure function of (master_seed, sample_index):
-    distinct indices give statistically independent streams and the
-    same index always reproduces the same stream.
-    """
-
-    master_seed: int
-    sample_index: int
-
-    def __post_init__(self) -> None:
-        checked_int("master_seed", self.master_seed, 0)
-        checked_int("sample_index", self.sample_index, 0)
-
-    def generator(self) -> Generator:
-        return seeded_generator(self.master_seed, (self.sample_index,))
-
-
-def sample_rpps(num_sites: int, seed: SampleSeed) -> np.ndarray:
-    """Random-phase product state: (e^{i a_i}|up> + e^{i b_i}|down>)/sqrt(2).
-
-    Consumes exactly 2*num_sites uniform phases (site order, up before
-    down).  The result, a (2**L,) complex128 array, is unit-normalized with
-    every amplitude of modulus 2**(-L/2), and has zero entanglement across
-    every cut.
+    Row i is drawn alone from seeded_generator(master_seed, (samples[i],)),
+    so it does not depend on the rows beside it.  A ValueError names a bad
+    num_sites, master_seed or sample_index.  The rows are stacked once all
+    are drawn: an array made first would hold the batch through every draw.
     """
     checked_int("num_sites", num_sites, 2)
-    rng = seed.generator()
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(num_sites, 2))
-    local = np.exp(1j * phases) / np.sqrt(2.0)
-    amps = np.ones(1, dtype=np.complex128)
-    for site in local:
-        amps = (site[:, None] * amps).ravel()  # the new site occupies the next-higher bit
-    return amps
+    master_seed = checked_int("master_seed", master_seed, 0)
+    rows = [draw(seeded_generator(master_seed, (checked_int("sample_index", m, 0),))) for m in samples]
+    return np.array(rows, dtype=np.complex128).reshape(len(rows), 2**num_sites)
 
 
-def sample_haar(num_sites: int, seed: SampleSeed) -> np.ndarray:
-    """Haar-random state: 2**L complex standard Gaussians, normalized, as a (2**L,) array."""
-    checked_int("num_sites", num_sites, 2)
-    rng = seed.generator()
-    parts = rng.standard_normal((2, 2**num_sites))
-    amps = parts[0] + 1j * parts[1]
-    return amps / row_norms(amps[None])[0]
+def sample_rpps(num_sites: int, master_seed: int, samples) -> np.ndarray:
+    """Random-phase product states (e^{i a_i}|up> + e^{i b_i}|down>)/sqrt(2), one row per sample index.
+
+    Each row consumes exactly 2*num_sites uniform phases (site order, up
+    before down); it is unit-normalized with every amplitude of modulus
+    2**(-L/2), and has zero entanglement across every cut.
+    """
+
+    def draw(rng: Generator) -> np.ndarray:
+        local = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(num_sites, 2))) / np.sqrt(2.0)
+        amps = np.ones(1, dtype=np.complex128)
+        for site in local:
+            amps = (site[:, None] * amps).ravel()  # the new site occupies the next-higher bit
+        return amps
+
+    return _rows(num_sites, master_seed, samples, draw)
+
+
+def sample_haar(num_sites: int, master_seed: int, samples) -> np.ndarray:
+    """Haar-random states, one row per sample index: 2**L complex standard Gaussians, normalized."""
+
+    def draw(rng: Generator) -> np.ndarray:
+        parts = rng.standard_normal((2, 2**num_sites))
+        amps = parts[0] + 1j * parts[1]
+        return amps / row_norms(amps[None])[0]
+
+    return _rows(num_sites, master_seed, samples, draw)
 
 
 # Largest gate time tau a circuit accepts.  The paper's scramblers run at
@@ -154,7 +150,7 @@ class TrotterCircuit:
     """First-order Trotter steps U = exp(-i tau H_odd) exp(-i tau H_even), n_reps of them.
 
     ``bond_gates[i - 1]`` is the 4x4 gate on bond (i, i+1), left-major; it
-    absorbs the field terms of its two sites (``hamiltonian.bond_generators``).
+    absorbs the field terms of its two sites (``hamiltonian._bond_generators``).
     It needs at least one gate, each passing ``hilbert.checked_matrix`` as a
     4x4, and an integer n_reps >= 0; the ValueError otherwise names the
     fault.  The object is immutable, and ``gates`` holds one step compiled
@@ -185,7 +181,7 @@ def build_trotter_circuit(spec: ModelSpec, tau: float, n_reps: int) -> TrotterCi
     if not 0.0 <= tau <= MAX_TAU:
         raise ValueError(f"tau must be in [0, {MAX_TAU:g}], got {tau}")
     gates = []
-    for gen in bond_generators(spec.L, *model_terms(spec)):
+    for gen in _bond_generators(spec.L, *model_terms(spec)):
         lam, vec = np.linalg.eigh(gen)
         gates.append((vec * np.exp(-1j * tau * lam)) @ vec.conj().T)
     return TrotterCircuit(gates, n_reps)

@@ -21,7 +21,6 @@ from spintherm.hamiltonian import ModelSpec, build_hamiltonian
 from spintherm.hilbert import entanglement_entropy
 from spintherm.imagtime import BetaGrid, walk
 from spintherm.state_prep import (
-    SampleSeed,
     build_trotter_circuit,
     sample_haar,
     sample_rpps,
@@ -199,7 +198,7 @@ def test_a6_propagator_matches_exact_evolution():
             terms = build_hamiltonian(spec)
             op = dense_build(terms)
             for j, beta in enumerate((0.2, 3.0)):
-                state = sample_haar(L, SampleSeed(100 + L, j))
+                state = sample_haar(L, 100 + L, [j])[0]
                 ((got_log,),), ((got_energy,),) = walk(state[None], terms, BetaGrid((beta,)))
                 want, want_log = exact_evolve(op, state, beta / 2.0)
                 worst_log = max(worst_log, abs(got_log - 2.0 * want_log))
@@ -225,7 +224,7 @@ def test_a7_invariant_suite(tmp_path):
     if unitarity > 1e-12:
         failures.append(f"gate unitarity {unitarity:.2e}")
 
-    (scrambled,), (drift,) = scramble(sample_rpps(12, SampleSeed(0, 0))[None], circuit)
+    (scrambled,), (drift,) = scramble(sample_rpps(12, 0, [0]), circuit)
     drift = abs(drift)
     if drift > 1e-10 or abs(np.linalg.norm(scrambled) - 1.0) > 1e-12:
         failures.append(f"circuit norm drift {drift:.2e}")
@@ -245,7 +244,7 @@ def test_a7_invariant_suite(tmp_path):
     # beta -> 0: for a unit state, d^2/dbeta^2 ln <e^{-beta H}> = Var_beta(H) <= |H|^2,
     # so the ln-norm is -beta <H> within beta^2 |H|^2 / 2 and the energy <H> within beta |H|^2
     terms = build_hamiltonian(ModelSpec(kind="heisenberg", L=6, J=1.0))
-    probe = sample_haar(6, SampleSeed(2, 0))
+    probe = sample_haar(6, 2, [0])[0]
     beta, energy = 1e-6, expectation(terms, probe)
     h_sq = np.abs(np.linalg.eigvalsh(dense_build(terms).matrix)).max() ** 2
     ((log_sq_norm,),), ((walked,),) = walk(probe[None], terms, BetaGrid((beta,)))

@@ -590,7 +590,7 @@ def test_couplings_and_beta_run_at_their_bounds_and_are_refused_beyond(tmp_path,
 # The package's top-level names, and the names perfbench's tracer wraps per module.
 PUBLIC = {
     "ModelSpec", "HamiltonianTerms", "build_hamiltonian",
-    "SampleSeed", "TrotterCircuit", "sample_rpps", "sample_haar", "build_trotter_circuit", "scramble",
+    "TrotterCircuit", "sample_rpps", "sample_haar", "build_trotter_circuit", "scramble",
     "BetaGrid", "walk", "weights", "efficiency", "weighted_expectation",
     "simple_expectation", "entanglement_entropy", "bootstrap_sigma", "__version__",
 }
@@ -662,13 +662,13 @@ def test_runs_load_no_openssl_and_leave_the_stdlib_intact(tmp_path, threads):
         "import os, sys; os.cpu_count = lambda: 2; import spintherm.cli as cli; "
         f"assert cli.main(['run', '--config', {str(config)!r}]) == 0; "
         f"print(sorted(m for m in {absent + ['spintherm.workers']!r} if m in sys.modules)); "
-        "import secrets, hmac, hashlib, numpy.random; "
+        "import secrets, hmac, hashlib, numpy.random, spintherm.state_prep as sp; "
         "print(callable(hashlib.pbkdf2_hmac), callable(hmac.new), len(secrets.token_bytes(8)), "
         "numpy.random.SeedSequence().entropy != numpy.random.SeedSequence().entropy, "
         "numpy.random.RandomState(3).randint(0, 2**30) == 218_175_338, "
         "numpy.random.default_rng is numpy.random._generator.default_rng, "
         "numpy.random.bit_generator.SeedSequence is numpy.random.SeedSequence, "
-        "type(cli.SampleSeed(1, 0).generator()) is numpy.random.Generator)"
+        "type(sp.seeded_generator(1, (0,))) is numpy.random.Generator)"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True,
@@ -824,6 +824,11 @@ def test_run_config_is_frozen_hashable_and_valid_once_made(tmp_path):
     for key, value in (("M", 2.5), ("L_list", (4.0,)), ("n_reps", True), ("master_seed", True),
                        ("master_seed", 1.5), ("n_resamples", 2.5), ("threads", True), ("M", True)):
         with pytest.raises(ConfigError, match=f"^{key}: must be an integer >= "):
+            dataclasses.replace(cfg, **{key: value})
+    # every other field has its type, or the run would fail later, in a worker for system and beta_grid
+    for key, value in (("tau", "x"), ("tau", None), ("label", None), ("output_path", None),
+                       ("system", "heisenberg"), ("beta_grid", (1.0,))):
+        with pytest.raises(ConfigError, match=f"^{key}:"):
             dataclasses.replace(cfg, **{key: value})
     numpy_ints = dataclasses.replace(cfg, M=np.int64(3), L_list=(np.int64(4),), n_reps=np.int64(2),
                                      master_seed=np.int64(1), n_resamples=np.int64(8), threads=np.int64(1))

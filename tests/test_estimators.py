@@ -16,7 +16,7 @@ from spintherm.estimators import (
 )
 from helpers import basis_state, bootstrap_reference
 from spintherm.hilbert import entanglement_entropy
-from spintherm.state_prep import SampleSeed, sample_haar, sample_rpps
+from spintherm.state_prep import sample_haar, sample_rpps
 
 
 def test_weights_uniform_logs():
@@ -79,8 +79,7 @@ def test_weights_match_dense_norm_ratios():
     boltz = np.exp(-beta * (energies - energies[0]))
     norms = np.empty(16)
     logs = np.empty(16)
-    for m in range(16):
-        state = sample_haar(L, SampleSeed(50, m))
+    for m, state in enumerate(sample_haar(L, 50, range(16))):
         coeffs = np.abs(vectors.conj().T @ state) ** 2
         norms[m] = np.sum(coeffs * boltz)
         logs[m] = np.log(norms[m]) - beta * energies[0]
@@ -155,13 +154,13 @@ def test_entanglement_entropy_product_and_bell():
     bell = np.zeros(4, dtype=complex)
     bell[0b00] = bell[0b11] = 1.0 / np.sqrt(2.0)
     assert entanglement_entropy(bell) == pytest.approx(np.log(2.0), abs=1e-12)
-    assert entanglement_entropy(sample_rpps(7, SampleSeed(0, 0))) <= 1e-10
+    assert entanglement_entropy(sample_rpps(7, 0, [0])[0]) <= 1e-10
 
 
 def test_entanglement_entropy_of_stacked_rows_is_that_of_each_row():
     # one stacked SVD, the same bits per row as each row alone, at even and odd L
     for L in (2, 5, 8):
-        rows = np.array([sample_haar(L, SampleSeed(60, m)) for m in range(3)] + [basis_state(L, (1,))])
+        rows = np.vstack([sample_haar(L, 60, range(3)), basis_state(L, (1,))])
         ent = entanglement_entropy(rows)
         assert ent.shape == (4,)
         assert np.array_equal(ent, [entanglement_entropy(row) for row in rows])

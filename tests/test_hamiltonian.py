@@ -12,8 +12,8 @@ from helpers import basis_state, expectation
 from spintherm.hamiltonian import (
     SZ,
     HamiltonianTerms,
+    _bond_generators,
     apply_terms,
-    bond_generators,
     ModelSpec,
     build_hamiltonian,
 )
@@ -156,10 +156,11 @@ def test_terms_validation():
         HamiltonianTerms(L=3, fields=[(True, SZ)])
     with pytest.raises(ValueError, match="bond index"):
         HamiltonianTerms(L=3, bonds=[(True, good)])
-    # the fold indexes a list: an index off the chain must not wrap round to its end
-    for bonds, fields in (([(0, good)], []), ([(3, good)], []), ([], [(0, SZ)]), ([], [(4, SZ)])):
-        with pytest.raises(ValueError, match="off the 3-site chain"):
-            bond_generators(3, bonds, fields)
+    # the fold indexes a list: index 0 must not wrap round to the chain's end
+    with pytest.raises(ValueError, match="bond index"):
+        HamiltonianTerms(L=3, bonds=[(0, good)])
+    with pytest.raises(ValueError, match="field index"):
+        HamiltonianTerms(L=3, fields=[(0, SZ)])
 
 
 @pytest.mark.parametrize("kind", ["bond", "field"])
@@ -245,7 +246,7 @@ def test_apply_terms_field_only_matches_embedding():
         assert np.allclose(apply_terms(terms, amps), expected, atol=1e-13)
         # each bond touching the site carries its share: half at an interior site
         touching = [b for b in (site - 1, site) if 1 <= b <= 5]
-        for bond, gen in enumerate(bond_generators(terms.L, terms.bonds, terms.fields), start=1):
+        for bond, gen in enumerate(_bond_generators(terms.L, terms.bonds, terms.fields), start=1):
             share = 1.0 / len(touching) if bond in touching else 0.0
             want = share * ref.embed_site(mat, site, 6)
             assert np.allclose(ref.embed_pair_matrix(gen, bond, 6), want, atol=1e-14)
@@ -275,7 +276,7 @@ def test_bond_generators_fold_catalog_fields_bit_for_bit():
     for spec, _ in CATALOG:
         for L in range(2, 10):
             terms = hamiltonian.model_terms(dataclasses.replace(spec, L=L))
-            gens, want = bond_generators(L, *terms), presummed(L, *terms)
+            gens, want = _bond_generators(L, *terms), presummed(L, *terms)
             assert len(gens) == len(want) == L - 1
             assert all(np.array_equal(g, w) for g, w in zip(gens, want)), (spec.kind, L)
 

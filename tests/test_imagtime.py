@@ -11,7 +11,7 @@ import dense_reference as ref
 from helpers import expectation
 from spintherm.hamiltonian import HamiltonianTerms, ModelSpec, build_hamiltonian
 from spintherm.imagtime import MAX_BETA_POINTS, BetaGrid, walk
-from spintherm.state_prep import SampleSeed, sample_haar
+from spintherm.state_prep import sample_haar
 
 
 def test_ground_state_is_fixed_point(monkeypatch):
@@ -33,7 +33,7 @@ def test_ground_state_is_fixed_point(monkeypatch):
 def test_energy_decreases_along_checkpoints():
     spec = ModelSpec(kind="heisenberg", L=8, J=1.0)
     terms = build_hamiltonian(spec)
-    state = sample_haar(8, SampleSeed(5, 0))
+    state = sample_haar(8, 5, [0])[0]
     grid = BetaGrid.uniform(0.5, 4.0, 0.5)
     _, (obs,) = walk(state[None], terms, grid)
     assert all(b < a + 1e-12 for a, b in zip(obs, obs[1:]))
@@ -77,7 +77,7 @@ def test_walk_matches_dense_oracle(fields, matrix):
     grid = BetaGrid.uniform(0.1, 4.0, 0.1)
     for L in (2, 4, 6, 8):
         terms = build_hamiltonian(ModelSpec(L=L, **fields))
-        state = sample_haar(L, SampleSeed(17, L))
+        state = sample_haar(L, 17, [L])[0]
         rows = walk_one(state, terms, grid)
         assert_walk_matches_dense(rows, matrix(L), state, grid.checkpoints)
 
@@ -86,7 +86,7 @@ def test_walk_restarts_keep_large_beta_exact():
     # At beta ~ 40 the Boltzmann sum is about e^{-40 |E_0|}; the quadrature reads it
     # as a log-sum-exp of positive terms, so one Lanczos run stays exact there.
     spec = ModelSpec(kind="mixed_ising", L=6, J=1.0, h_x=1.0, h_z=1.0)
-    state = sample_haar(6, SampleSeed(4, 0))
+    state = sample_haar(6, 4, [0])[0]
     grid = BetaGrid.uniform(2.0, 40.0, 2.0)
     rows = walk_one(state, build_hamiltonian(spec), grid)
     assert_walk_matches_dense(rows, ref.mixed_ising_matrix(6, h_x=1.0, h_z=1.0), state, grid.checkpoints)
@@ -124,7 +124,7 @@ def test_walk_matches_dense_on_random_terms(L, data, seed):
 def test_single_checkpoint_matches_dense_oracle():
     spec = ModelSpec(kind="mixed_ising", L=6, J=1.0, h_x=1.0, h_z=1.0)
     terms = build_hamiltonian(spec)
-    state = sample_haar(6, SampleSeed(8, 0))
+    state = sample_haar(6, 8, [0])[0]
     rows = walk_one(state, terms, BetaGrid((3.0,)))
     assert_walk_matches_dense(rows, ref.mixed_ising_matrix(6, h_x=1.0, h_z=1.0), state, (3.0,))
 
@@ -147,7 +147,7 @@ def test_run_costs_the_walks_of_its_samples_and_nothing_more(monkeypatch, tmp_pa
     walks = 0
     for m in range(cfg.M):
         calls.clear()
-        walk(sample_haar(6, SampleSeed(8, m))[None], terms, grid)
+        walk(sample_haar(6, 8, [m]), terms, grid)
         walks += sum(calls)
     calls.clear()
     monkeypatch.setattr("spintherm.cli.emit_results", lambda *args: {})
@@ -158,7 +158,7 @@ def test_run_costs_the_walks_of_its_samples_and_nothing_more(monkeypatch, tmp_pa
     terms = build_hamiltonian(dataclasses.replace(spec, L=12))
     for m in range(3):
         calls.clear()
-        walk(sample_haar(12, SampleSeed(8, m))[None], terms, BetaGrid((3.0,)))
+        walk(sample_haar(12, 8, [m]), terms, BetaGrid((3.0,)))
         assert sum(calls) <= 25
 
 
@@ -167,7 +167,7 @@ def test_checkpoint_log_norms_match_dense_boltzmann_factor():
     terms = build_hamiltonian(spec)
     matrix = ref.heisenberg_matrix(8)
     energies, vectors = np.linalg.eigh(matrix)
-    state = sample_haar(8, SampleSeed(40, 0))
+    state = sample_haar(8, 40, [0])[0]
     grid = BetaGrid.uniform(0.5, 3.0, 0.5)
     (log_sq_norms,), _ = walk(state[None], terms, grid)
     coeffs = np.abs(vectors.conj().T @ state) ** 2
@@ -179,16 +179,16 @@ def test_checkpoint_log_norms_match_dense_boltzmann_factor():
 def test_small_beta_limit_recovers_initial_energy():
     spec = ModelSpec(kind="heisenberg", L=6, J=1.0)
     terms = build_hamiltonian(spec)
-    state = sample_haar(6, SampleSeed(3, 0))
+    state = sample_haar(6, 3, [0])[0]
     _, energy = walk(state[None], terms, BetaGrid((1e-6,)))
     assert abs(energy[0, 0] - expectation(terms, state)) <= 1e-5 * 6
 
 
 def test_walk_input_validation():
     terms = build_hamiltonian(ModelSpec(kind="heisenberg", L=4, J=1.0))
-    state = sample_haar(4, SampleSeed(0, 0))
+    state = sample_haar(4, 0, [0])[0]
     with pytest.raises(ValueError, match="sites"):
-        walk(sample_haar(5, SampleSeed(0, 0))[None], terms, BetaGrid((1.0,)))
+        walk(sample_haar(5, 0, [0]), terms, BetaGrid((1.0,)))
     zero = np.array([state, np.zeros(16, dtype=complex)])  # a zero row fails the batch
     with pytest.raises(ValueError, match="degenerate state: zero norm"):
         walk(zero, terms, BetaGrid((1.0,)))

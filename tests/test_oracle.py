@@ -18,7 +18,7 @@ from spintherm.hamiltonian import (
     apply_terms,
     build_hamiltonian,
 )
-from spintherm.state_prep import SampleSeed, sample_haar
+from spintherm.state_prep import sample_haar
 
 DATA = Path(__file__).parent / "data" / "thermal_reference.csv"
 
@@ -122,7 +122,7 @@ def test_frozen_thermal_energies(row):
 def test_exact_evolve_imag_time_matches_expm_with_offset():
     terms = build_hamiltonian(ModelSpec(kind="heisenberg", L=4, J=1.3))
     op = dense_build(terms)
-    state = sample_haar(4, SampleSeed(2, 0))
+    state = sample_haar(4, 2, [0])[0]
     theta = 1.7
     raw = scipy.linalg.expm(-theta * op.matrix) @ state
     nrm = np.linalg.norm(raw)
@@ -134,7 +134,7 @@ def test_exact_evolve_imag_time_matches_expm_with_offset():
 def test_exact_evolve_theta_zero_and_semigroup():
     terms = build_hamiltonian(ModelSpec(kind="heisenberg", L=4, J=1.0))
     op = dense_build(terms)
-    state = sample_haar(4, SampleSeed(3, 0))
+    state = sample_haar(4, 3, [0])[0]
     still, still_log = exact_evolve(op, state, 0.0)
     assert np.max(np.abs(still - state)) <= 1e-12
     assert still_log == pytest.approx(0.0, abs=1e-12)
@@ -148,11 +148,11 @@ def test_exact_evolve_theta_zero_and_semigroup():
 def test_exact_evolve_error_paths():
     terms = build_hamiltonian(ModelSpec(kind="heisenberg", L=4, J=1.0))
     op = dense_build(terms)
-    state = sample_haar(4, SampleSeed(4, 0))
+    state = sample_haar(4, 4, [0])[0]
     with pytest.raises(ValueError, match="theta"):
         exact_evolve(op, state, -1.0)
     with pytest.raises(ValueError, match="mismatch"):
-        exact_evolve(op, sample_haar(5, SampleSeed(4, 0)), 1.0)
+        exact_evolve(op, sample_haar(5, 4, [0])[0], 1.0)
     with pytest.raises(ValueError):
         DenseOperator(np.eye(8), 4)
 

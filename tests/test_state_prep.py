@@ -16,20 +16,20 @@ from helpers import expectation
 from spintherm.hamiltonian import (
     HamiltonianTerms,
     ModelSpec,
+    _bond_generators,
     apply_terms,
-    bond_generators,
     build_hamiltonian,
     model_terms,
 )
 from spintherm.hilbert import BLOCK_SITES, apply_two_site, compile_block, entanglement_entropy
 from spintherm.state_prep import (
     MAX_TAU,
-    SampleSeed,
     TrotterCircuit,
     build_trotter_circuit,
     sample_haar,
     sample_rpps,
     scramble,
+    seeded_generator,
 )
 
 MIXED = ModelSpec(kind="mixed_ising", L=6, J=1.0, h_x=1.0, h_z=1.0)
@@ -37,14 +37,14 @@ XXZ = ModelSpec(kind="xxz_staggered", L=6, J=1.0, delta=5.0, h_stag=1.0)
 
 
 def test_rpps_amplitude_moduli_and_norm():
-    state = sample_rpps(5, SampleSeed(3, 0))
+    state = sample_rpps(5, 3, [0])[0]
     assert state.shape == (2**5,) and state.dtype == np.complex128
     assert np.allclose(np.abs(state), 2.0 ** (-2.5), atol=1e-14)
     assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rpps_has_zero_entanglement():
-    state = sample_rpps(8, SampleSeed(5, 2))
+    state = sample_rpps(8, 5, [2])[0]
     for cut in range(1, 8):
         assert ref.reduced_density_eigs(state, cut, 8)[0] == pytest.approx(1.0, abs=1e-12)
     assert entanglement_entropy(state) <= 1e-10
@@ -53,30 +53,28 @@ def test_rpps_has_zero_entanglement():
 def test_rpps_consumes_two_phases_per_site():
     # reconstruct the state from the same stream: 2L uniform draws, site
     # order, up before down, then a kron chain
-    seed = SampleSeed(11, 4)
     L = 6
-    phases = seed.generator().uniform(0.0, 2.0 * np.pi, size=(L, 2))
+    phases = seeded_generator(11, (4,)).uniform(0.0, 2.0 * np.pi, size=(L, 2))
     expected = np.ones(1, dtype=complex)
     for i in range(L):
         expected = np.kron(np.exp(1j * phases[i]) / np.sqrt(2.0), expected)
-    state = sample_rpps(L, seed)
+    [state] = sample_rpps(L, 11, [4])
     assert np.array_equal(state, expected)
 
 
 def test_sampling_is_a_pure_function_of_seed():
-    a = sample_rpps(6, SampleSeed(7, 9))
+    a = sample_rpps(6, 7, [9])[0]
     # drawing other indices in between must not disturb index 9
-    for m in range(4):
-        sample_rpps(6, SampleSeed(7, m))
-    b = sample_rpps(6, SampleSeed(7, 9))
+    sample_rpps(6, 7, range(4))
+    b = sample_rpps(6, 7, [9])[0]
     assert np.array_equal(a, b)
-    assert not np.allclose(a, sample_rpps(6, SampleSeed(7, 10)))
-    assert not np.allclose(a, sample_rpps(6, SampleSeed(8, 9)))
+    assert not np.allclose(a, sample_rpps(6, 7, [10])[0])
+    assert not np.allclose(a, sample_rpps(6, 8, [9])[0])
 
 
 def test_haar_sample_normalized_and_deterministic():
-    a = sample_haar(6, SampleSeed(1, 3))
-    b = sample_haar(6, SampleSeed(1, 3))
+    a = sample_haar(6, 1, [3])[0]
+    b = sample_haar(6, 1, [3])[0]
     assert a.shape == (2**6,) and a.dtype == np.complex128
     assert np.array_equal(a, b)
     assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
@@ -86,9 +84,7 @@ def test_haar_mean_energy_is_trace_mean():
     # Tr H = 0 for the catalog, so <psi|H|psi> averages to zero
     terms = build_hamiltonian(ModelSpec(kind="heisenberg", L=4, J=1.0))
     n = 10_000
-    vals = np.empty(n)
-    for m in range(n):
-        vals[m] = expectation(terms, sample_haar(4, SampleSeed(123, m)))
+    vals = np.array([expectation(terms, state) for state in sample_haar(4, 123, range(n))])
     stderr = vals.std(ddof=1) / np.sqrt(n)
     assert abs(vals.mean()) <= 5.0 * stderr
 
@@ -96,7 +92,7 @@ def test_haar_mean_energy_is_trace_mean():
 def test_haar_entropy_near_page_value():
     L = 10
     page = (L / 2.0) * np.log(2.0) - 0.5
-    vals = [entanglement_entropy(sample_haar(L, SampleSeed(77, m))) for m in range(500)]
+    vals = entanglement_entropy(sample_haar(L, 77, range(500)))
     assert abs(np.mean(vals) - page) <= 0.05
 
 
@@ -117,8 +113,8 @@ def test_seeded_streams_match_an_ordinary_numpy_random_import():
         "seeded = lambda m, i: rnd.default_rng(rnd.SeedSequence(entropy=m, spawn_key=(i,))); " + draws
     )
     entry = (
-        "import sys; from spintherm.state_prep import SampleSeed, seeded_generator as resamples; "
-        "seeded = lambda m, i: SampleSeed(m, i).generator(); " + draws
+        "import sys; from spintherm.state_prep import seeded_generator as resamples; "
+        "seeded = lambda m, i: resamples(m, (i,)); " + draws
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     plain, through, after_secrets = (
@@ -133,20 +129,32 @@ def test_seeded_streams_match_an_ordinary_numpy_random_import():
 
 
 def test_seed_validation():
-    for master_seed, sample_index, field in ((-1, 0, "master_seed"), (0, -2, "sample_index"),
-                                             (True, 0, "master_seed"), (1.5, 0, "master_seed"),
-                                             (0, 2.0, "sample_index"), (0, False, "sample_index"),
-                                             ("3", 0, "master_seed")):
-        with pytest.raises(ValueError, match=field):
-            SampleSeed(master_seed, sample_index)
-    numpy_ints = SampleSeed(np.int64(3), np.uint8(1)).generator()
-    assert numpy_ints.integers(0, 2**62) == SampleSeed(3, 1).generator().integers(0, 2**62)
+    for sample in (sample_rpps, sample_haar):
+        for master_seed, index, field in ((-1, 0, "master_seed"), (0, -2, "sample_index"),
+                                          (True, 0, "master_seed"), (1.5, 0, "master_seed"),
+                                          (0, 2.0, "sample_index"), (0, False, "sample_index"),
+                                          ("3", 0, "master_seed")):
+            with pytest.raises(ValueError, match=field):
+                sample(3, master_seed, [index])
+        assert np.array_equal(sample(3, np.int64(3), [np.uint8(1)]), sample(3, 3, [1]))
     with pytest.raises(ValueError, match="num_sites"):
-        sample_rpps(1, SampleSeed(0, 0))
+        sample_rpps(1, 0, [0])
     for sample in (sample_rpps, sample_haar):
         with pytest.raises(ValueError, match="num_sites must be an integer"):
-            sample(3.0, SampleSeed(0, 0))
-        assert np.array_equal(sample(np.int64(3), SampleSeed(0, 0)), sample(3, SampleSeed(0, 0)))
+            sample(3.0, 0, [0])
+        assert np.array_equal(sample(np.int64(3), 0, [0]), sample(3, 0, [0]))
+
+
+@pytest.mark.parametrize("sample", [sample_rpps, sample_haar])
+def test_a_row_does_not_depend_on_its_batch(sample):
+    # what keeps samples.csv the same bytes whatever the worker count and batch size
+    for L in (2, 3, 6, 9):
+        for samples in (range(5), range(3, 11), [9, 2, 40, 2, 0], [7]):
+            rows = sample(L, 13, samples)
+            assert rows.shape == (len(samples), 2**L) and rows.dtype == np.complex128
+            for row, m in zip(rows, samples):
+                assert np.array_equal(row, sample(L, 13, [m])[0]), (L, m)
+    assert sample(4, 13, []).shape == (0, 16) and sample(4, 13, []).dtype == np.complex128
 
 
 def test_gates_are_unitary():
@@ -173,7 +181,7 @@ def test_field_partition_sums_to_full_hamiltonian():
         (ModelSpec(kind="heisenberg", L=2, J=1.0), ref.heisenberg_matrix(2)),
     ):
         total = np.zeros_like(matrix)
-        for i, gen in enumerate(bond_generators(spec.L, *model_terms(spec)), start=1):
+        for i, gen in enumerate(_bond_generators(spec.L, *model_terms(spec)), start=1):
             total += ref.embed_pair_matrix(gen, i, spec.L)
         assert np.max(np.abs(total - matrix)) <= 1e-13
 
@@ -184,13 +192,13 @@ def test_single_step_matches_expm_oracle(tau):
     terms = build_hamiltonian(spec)
     h_odd = np.zeros((2**5, 2**5), dtype=complex)
     h_even = np.zeros_like(h_odd)
-    for i, gen in enumerate(bond_generators(terms.L, terms.bonds, terms.fields), start=1):
+    for i, gen in enumerate(_bond_generators(terms.L, terms.bonds, terms.fields), start=1):
         block = ref.embed_pair_matrix(gen, i, 5)
         if i % 2 == 1:
             h_odd += block
         else:
             h_even += block
-    state = sample_rpps(5, SampleSeed(2, 0))
+    state = sample_rpps(5, 2, [0])[0]
     # even sublayer acts first
     want = scipy.linalg.expm(-1j * tau * h_odd) @ (
         scipy.linalg.expm(-1j * tau * h_even) @ state
@@ -201,7 +209,7 @@ def test_single_step_matches_expm_oracle(tau):
 
 def test_apply_circuit_zero_reps_returns_same_amplitudes():
     # no step: the rows are only divided by their norms
-    state = sample_rpps(6, SampleSeed(4, 1))
+    state = sample_rpps(6, 4, [1])[0]
     nrm = np.linalg.norm(state)
     out, log_norm = scramble(state[None], build_trotter_circuit(MIXED, tau=10.0, n_reps=0))
     assert np.array_equal(out, state[None] / nrm)
@@ -209,7 +217,7 @@ def test_apply_circuit_zero_reps_returns_same_amplitudes():
 
 
 def test_apply_circuit_preserves_norm_and_renormalizes():
-    state = sample_rpps(8, SampleSeed(6, 0))
+    state = sample_rpps(8, 6, [0])[0]
     spec = ModelSpec(kind="mixed_ising", L=8, J=1.0, h_x=1.0, h_z=1.0)
     (out,), (log_norm,) = scramble(state[None], build_trotter_circuit(spec, tau=10.0, n_reps=16))
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-13)
@@ -220,8 +228,8 @@ def test_apply_circuit_preserves_norm_and_renormalizes():
 def test_apply_circuit_preserves_inner_products():
     spec = ModelSpec(kind="mixed_ising", L=6, J=1.0, h_x=1.0, h_z=1.0)
     circuit = build_trotter_circuit(spec, tau=10.0, n_reps=4)
-    a = sample_rpps(6, SampleSeed(9, 0))
-    b = sample_haar(6, SampleSeed(9, 1))
+    a = sample_rpps(6, 9, [0])[0]
+    b = sample_haar(6, 9, [1])[0]
     before = np.vdot(a, b)
     (a_out, b_out), _ = scramble(np.array([a, b]), circuit)
     after = np.vdot(a_out, b_out)
@@ -233,9 +241,9 @@ def test_scrambled_entropy_approaches_haar_mean():
     spec = ModelSpec(kind="mixed_ising", L=L, J=1.0, h_x=1.0, h_z=1.0)
     circuit = build_trotter_circuit(spec, tau=10.0, n_reps=2 * L)
     n = 100
-    rows, _ = scramble(np.array([sample_rpps(L, SampleSeed(31, m)) for m in range(n)]), circuit)
+    rows, _ = scramble(sample_rpps(L, 31, range(n)), circuit)
     scrambled = entanglement_entropy(rows)
-    haar = entanglement_entropy(np.array([sample_haar(L, SampleSeed(32, m)) for m in range(n)]))
+    haar = entanglement_entropy(sample_haar(L, 32, range(n)))
     assert abs(scrambled.mean() - haar.mean()) <= 0.1 * haar.mean()
 
 
@@ -243,7 +251,7 @@ def test_apply_circuit_size_mismatch_raises():
     for n_reps in (0, 1):
         circuit = build_trotter_circuit(MIXED, tau=1.0, n_reps=n_reps)
         with pytest.raises(ValueError, match="circuit built for 6 sites"):
-            scramble(sample_rpps(8, SampleSeed(0, 0))[None], circuit)
+            scramble(sample_rpps(8, 0, [0]), circuit)
 
 
 def test_build_circuit_validation():
