@@ -1,10 +1,10 @@
 """Finite-temperature spin-1/2 chain observables from random product states.
 
 The package samples random initial states (Haar vectors or random-phase
-product states scrambled by a few Trotter layers), filters them with
-exp(-beta H / 2) applied matrix-free, and averages observables with
-norm weights.  See the module docstrings for conventions; README.md for
-the command-line interface.
+product states scrambled by a few Trotter layers), reads each one's
+<psi|exp(-beta H)|psi> and energy by Lanczos quadrature without building a
+filtered state, and averages observables with norm weights.  See the
+module docstrings for conventions; README.md for the command-line interface.
 
 Importing the package sets OPENBLAS_NUM_THREADS (OpenBLAS, numpy's
 bundled scipy-openblas too), OMP_NUM_THREADS (OpenMP builds) and

@@ -357,7 +357,7 @@ def _run_batch(cfg: RunConfig, L: int, samples: range) -> tuple[np.ndarray, np.n
     sample = sample_haar if cfg.init_class == "haar" else sample_rpps
     rows = sample(L, cfg.master_seed, samples)
     if circuit is not None:
-        rows = scramble(rows, circuit)[0]
+        rows = scramble(rows, circuit)
     return (entanglement_entropy(rows), *walk(rows, system, cfg.beta_grid))
 
 

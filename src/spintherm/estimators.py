@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hilbert import checked_int
+from .hilbert import _entropy, checked_int
 from .state_prep import seeded_generator
 
 __all__ = [
@@ -64,8 +64,7 @@ def efficiency(logs):
     weights and 1/M when one sample carries all the weight.
     """
     w = weights(logs)
-    ent = -np.sum(w * np.log(w, out=np.zeros_like(w), where=w > 0.0), axis=-1)
-    return np.exp(ent) / w.shape[-1]
+    return np.exp(_entropy(w)) / w.shape[-1]
 
 
 def weighted_expectation(logs, obs):

@@ -8,12 +8,10 @@ spin down.  Site 1 is therefore the fastest-running index of the
 amplitude array.  All logarithms are natural.
 
 States are the rows of an amplitude array of shape (..., 2**L): one
-state is a (2**L,) array, a batch of B states a (B, 2**L) one.  A routine
-that changes norms returns its rows at unit norm together with the ln of
-the norms it divided out, which keeps imaginary-time weights
-exp(-beta*E) representable far beyond float range.  The half-chain
-entropy, ``entanglement_entropy``, sits here because its reshape at the
-cut reads this convention.
+state is a (2**L,) array, a batch of B states a (B, 2**L) one.  A row
+need not be at unit norm: each routine that reads a norm takes it from
+the row.  The half-chain entropy, ``entanglement_entropy``, sits here
+because its reshape at the cut reads the basis convention.
 
 Every chain operator reaches a state through one kernel,
 ``apply_two_site``, which applies a block compiled once by
@@ -67,39 +65,48 @@ __all__ = [
 BLOCK_SITES = 5
 
 
-def row_norms(rows: np.ndarray) -> np.ndarray:
-    """|row| of each row of a (B, N) array; ValueError on a zero or non-finite norm.
+def _vdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re <a_i|b_i> for each row pair, one vdot per row: the same sum for a row alone or in a batch."""
+    return np.array([np.vdot(x, y).real for x, y in zip(a, b)])
 
-    One np.linalg.norm per row: the same sum for a row alone or in a batch.
-    """
+
+def _entropy(p: np.ndarray) -> np.ndarray:
+    """-sum p ln p along the last axis, with 0 ln 0 = 0."""
+    return -np.sum(p * np.log(p, out=np.zeros_like(p), where=p > 0.0), axis=-1)
+
+
+def _nonzero_finite(values: np.ndarray) -> np.ndarray:
+    """``values`` itself; ValueError naming a degenerate state unless every one is finite and nonzero."""
+    if not (np.isfinite(values).all() and values.all()):
+        raise ValueError("degenerate state: zero norm or non-finite amplitudes")
+    return values
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """|row| of each row of a (B, N) array, sqrt(_vdots(rows, rows)); ValueError on a zero or non-finite norm."""
     if rows.ndim != 2:
         raise ValueError(f"expected a (B, N) array of rows, got shape {rows.shape}")
-    nrm = np.array([np.linalg.norm(row) for row in rows])
-    if not (np.isfinite(nrm).all() and nrm.all()):
-        raise ValueError("degenerate state: zero norm or non-finite amplitudes")
-    return nrm
+    return np.sqrt(_nonzero_finite(_vdots(rows, rows)))
 
 
 def entanglement_entropy(amps: np.ndarray):
     """Half-chain von Neumann entropy in nats of each row of ``amps`` (..., 2**L), cut after site floor(L/2).
 
-    A float for one state, one value per row for a stack; ValueError unless
-    L >= 2.  Bounded by floor(L/2) ln 2; zero for any product state.  One
-    stacked SVD gives the squared Schmidt coefficients of every row.
+    A float for one state, one value per row for a stack, whatever the
+    row's norm; ValueError unless L >= 2, or on a zero or non-finite row.
+    Bounded by floor(L/2) ln 2; zero for any product state.  One stacked
+    SVD gives the Schmidt weights of every row.
     """
     size = amps.shape[-1] if amps.ndim else 0
     L = size.bit_length() - 1
     if L < 2 or size != 1 << L:
         raise ValueError(f"amplitude array of shape {amps.shape} is not (..., 2**L) with L >= 2 sites")
+    _nonzero_finite(abs(amps).max(axis=-1))  # before LAPACK's SVD fails on a NaN with its own message
     # Left sites live in the low bits, so the row index of the reshape
     # enumerates the right block.
     mat = amps.reshape(amps.shape[:-1] + (2 ** (L - L // 2), 2 ** (L // 2)))
     lam = np.linalg.svd(mat, compute_uv=False) ** 2
-    ent = []
-    for row in lam.reshape(-1, lam.shape[-1]):
-        row = row[row > 0.0]  # summed alone: the padded row would group the pairwise sum differently
-        ent.append(-np.sum(row * np.log(row)))
-    return np.reshape(ent, lam.shape[:-1])[()]
+    return _entropy(lam / lam.sum(axis=-1, keepdims=True))[()]
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

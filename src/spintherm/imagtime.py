@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import HamiltonianTerms, apply_terms
-from .hilbert import row_norms
+from .hilbert import _vdots, row_norms
 
 __all__ = [
     "MAX_BETA_POINTS",
@@ -86,11 +86,6 @@ class BetaGrid:
         return cls(tuple(round(start + k * step, 10) for k in range(round(span) + 1)))
 
 
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re <a_i|b_i> for each row pair, one vdot per row: the same sum for a row alone or in a batch."""
-    return np.array([np.vdot(x, y).real for x, y in zip(a, b)])
-
-
 def walk(rows: np.ndarray, terms: HamiltonianTerms, grid: BetaGrid) -> tuple[np.ndarray, np.ndarray]:
     """ln <psi|e^{-beta H}|psi> and <H>_beta of every row psi of ``rows`` (B, 2**L), each (B, K).
 
@@ -112,7 +107,7 @@ def walk(rows: np.ndarray, terms: HamiltonianTerms, grid: BetaGrid) -> tuple[np.
         w = apply_terms(terms, vec)
         if k == tri.shape[1]:
             tri = np.pad(tri, ((0, 0), (0, k), (0, k)))
-        alpha = _dots(vec, w)
+        alpha = _vdots(vec, w)
         tri[:, k, k] = alpha
         if k:
             tri[:, k, k - 1] = off
@@ -133,7 +128,7 @@ def walk(rows: np.ndarray, terms: HamiltonianTerms, grid: BetaGrid) -> tuple[np.
             w -= alpha[:, None] * vec
             if prev is not None:
                 w -= off[:, None] * prev
-            grown = np.sqrt(_dots(w, w))
+            grown = np.sqrt(_vdots(w, w))
             stop |= (grown <= 1e-12 * np.hypot(alpha, 0.0 if off is None else off)) | (k == size)
         for i in np.flatnonzero(stop):
             final[live[i]] = values[i]

@@ -187,13 +187,13 @@ def build_trotter_circuit(spec: ModelSpec, tau: float, n_reps: int) -> TrotterCi
     return TrotterCircuit(gates, n_reps)
 
 
-def scramble(rows: np.ndarray, circuit: TrotterCircuit) -> tuple[np.ndarray, np.ndarray]:
+def scramble(rows: np.ndarray, circuit: TrotterCircuit) -> np.ndarray:
     """Run n_reps Trotter steps (even bonds first within each step) on every row of ``rows``, shape (B, 2**L).
 
     The rows step in lockstep: each kernel call applies one compiled entry
     of ``circuit.gates`` to all of them, and a row's amplitudes do not
-    depend on the rows beside it.  Returns the rows re-normalized and the ln
-    of their norms; the drift is rounding-level since every gate is unitary.
+    depend on the rows beside it.  Returns the stepped rows; every gate is
+    unitary, so each keeps its norm to rounding.
     """
     num_sites = circuit.gates[0].num_sites
     if rows.shape[-1] != 1 << num_sites:
@@ -201,5 +201,4 @@ def scramble(rows: np.ndarray, circuit: TrotterCircuit) -> tuple[np.ndarray, np.
     for _ in range(circuit.n_reps):
         for gate in circuit.gates:
             rows = apply_two_site(rows, gate)
-    nrm = row_norms(rows)
-    return rows / nrm[:, None], np.log(nrm)
+    return rows

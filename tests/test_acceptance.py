@@ -224,8 +224,8 @@ def test_a7_invariant_suite(tmp_path):
     if unitarity > 1e-12:
         failures.append(f"gate unitarity {unitarity:.2e}")
 
-    (scrambled,), (drift,) = scramble(sample_rpps(12, 0, [0]), circuit)
-    drift = abs(drift)
+    (scrambled,) = scramble(sample_rpps(12, 0, [0]), circuit)
+    drift = abs(np.log(np.linalg.norm(scrambled)))
     if drift > 1e-10 or abs(np.linalg.norm(scrambled) - 1.0) > 1e-12:
         failures.append(f"circuit norm drift {drift:.2e}")
 

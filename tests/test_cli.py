@@ -105,6 +105,9 @@ def test_parse_rejects_unknown_missing_duplicate():
 def test_parse_rejects_bad_values():
     with pytest.raises(ConfigError, match="beta_grid"):
         parse_config(MINIMAL.replace("beta_grid = 1.0,2.0", "beta_grid = 1.0,zz"))
+    for grid in ("0.1:3.0", "0.1:1:0.1:5"):
+        with pytest.raises(ConfigError, match="range form is start:stop:step"):
+            parse_config(MINIMAL.replace("beta_grid = 1.0,2.0", f"beta_grid = {grid}"))
     with pytest.raises(ConfigError, match="M"):
         parse_config(MINIMAL.replace("M = 8", "M = eight"))
     with pytest.raises(ConfigError, match="system"):
@@ -825,9 +828,10 @@ def test_run_config_is_frozen_hashable_and_valid_once_made(tmp_path):
                        ("master_seed", 1.5), ("n_resamples", 2.5), ("threads", True), ("M", True)):
         with pytest.raises(ConfigError, match=f"^{key}: must be an integer >= "):
             dataclasses.replace(cfg, **{key: value})
-    # every other field has its type, or the run would fail later, in a worker for system and beta_grid
+    # every other field has its type, or the run would fail later, in a worker for system and beta_grid;
+    # L_list and output_path must also be nonempty
     for key, value in (("tau", "x"), ("tau", None), ("label", None), ("output_path", None),
-                       ("system", "heisenberg"), ("beta_grid", (1.0,))):
+                       ("system", "heisenberg"), ("beta_grid", (1.0,)), ("L_list", ()), ("output_path", "")):
         with pytest.raises(ConfigError, match=f"^{key}:"):
             dataclasses.replace(cfg, **{key: value})
     numpy_ints = dataclasses.replace(cfg, M=np.int64(3), L_list=(np.int64(4),), n_reps=np.int64(2),

@@ -70,14 +70,25 @@ def test_schmidt_matches_reduced_density_matrix():
         assert 0.0 <= ent <= (L // 2) * np.log(2.0) + 1e-12
 
 
+def test_entropy_does_not_depend_on_the_norm_or_phase():
+    for L in (2, 5, 8, 11):
+        rows = np.array([random_state(L, seed) for seed in range(4)])
+        ent = entanglement_entropy(rows)
+        for c in (0.5, 2.0, 1j, 3 - 4j):
+            assert np.max(np.abs(entanglement_entropy(c * rows) - ent)) <= 1e-14, (L, c)
+
+
 def test_state_vector_validation():
     # a state is a row of 2**L amplitudes, L >= 2; its norm must be nonzero and finite
     for shape in ((), (2,), (5,), (3, 6), (1, 0)):
         with pytest.raises(ValueError, match="is not"):
             entanglement_entropy(np.zeros(shape, dtype=complex))
-    for rows in (np.zeros((2, 4)), np.array([[1.0, 0, 0, 0], [np.inf, 0, 0, 0]]), np.full((1, 4), np.nan)):
-        with pytest.raises(ValueError, match="degenerate"):
-            row_norms(rows)
+    # the entropy refuses such a row itself, before LAPACK's SVD sees it
+    for rows in (np.zeros((2, 4)), np.array([[1.0, 0, 0, 0], [np.inf, 0, 0, 0]]), np.full((1, 4), np.nan),
+                 np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]])):
+        for check in (row_norms, entanglement_entropy):
+            with pytest.raises(ValueError, match="^degenerate state"):
+                check(rows)
     with pytest.raises(ValueError, match="rows"):
         row_norms(np.ones(4))
 
