@@ -10,8 +10,10 @@ amplitude array.  All logarithms are natural.
 States are the rows of an amplitude array of shape (..., 2**L): one
 state is a (2**L,) array, a batch of B states a (B, 2**L) one.  A row
 need not be at unit norm: each routine that reads a norm takes it from
-the row.  The half-chain entropy, ``entanglement_entropy``, sits here
-because its reshape at the cut reads the basis convention.
+the row through ``row_norms``, which refuses a degenerate row (|row|^2
+not a finite, nonzero, normal float), and ``_to_unit`` scales rows to
+unit norm in place.  The half-chain entropy sits here because its
+reshape at the cut reads the basis convention.
 
 Every chain operator reaches a state through one kernel,
 ``apply_two_site``, which applies a block compiled once by
@@ -75,33 +77,35 @@ def _entropy(p: np.ndarray) -> np.ndarray:
     return -np.sum(p * np.log(p, out=np.zeros_like(p), where=p > 0.0), axis=-1)
 
 
-def _nonzero_finite(values: np.ndarray) -> np.ndarray:
-    """``values`` itself; ValueError naming a degenerate state unless every one is finite and nonzero."""
-    if not (np.isfinite(values).all() and values.all()):
-        raise ValueError("degenerate state: zero norm or non-finite amplitudes")
-    return values
-
-
 def row_norms(rows: np.ndarray) -> np.ndarray:
-    """|row| of each row of a (B, N) array, sqrt(_vdots(rows, rows)); ValueError on a zero or non-finite norm."""
+    """|row| of each row of a (B, N) array; ValueError unless each |row|^2 is a finite, nonzero, normal float."""
     if rows.ndim != 2:
         raise ValueError(f"expected a (B, N) array of rows, got shape {rows.shape}")
-    return np.sqrt(_nonzero_finite(_vdots(rows, rows)))
+    sq = _vdots(rows, rows)
+    if not (np.isfinite(sq) & (sq >= np.finfo(np.float64).tiny)).all():
+        raise ValueError("degenerate state: zero norm, non-finite amplitudes or |row|^2 outside float range")
+    return np.sqrt(sq)
+
+
+def _to_unit(rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """``rows``, each complex128 row of the (B, N) array scaled in place to unit norm given its norm."""
+    rows.view(np.float64).__imul__((1.0 / norms)[:, None])  # rows / norms[:, None]'s bits, in real arithmetic
+    return rows
 
 
 def entanglement_entropy(amps: np.ndarray):
     """Half-chain von Neumann entropy in nats of each row of ``amps`` (..., 2**L), cut after site floor(L/2).
 
     A float for one state, one value per row for a stack, whatever the
-    row's norm; ValueError unless L >= 2, or on a zero or non-finite row.
-    Bounded by floor(L/2) ln 2; zero for any product state.  One stacked
-    SVD gives the Schmidt weights of every row.
+    row's norm among those ``row_norms`` accepts; ValueError unless L >= 2,
+    or on a row it refuses.  Bounded by floor(L/2) ln 2; zero for any
+    product state.  One stacked SVD gives the Schmidt weights of every row.
     """
     size = amps.shape[-1] if amps.ndim else 0
     L = size.bit_length() - 1
     if L < 2 or size != 1 << L:
         raise ValueError(f"amplitude array of shape {amps.shape} is not (..., 2**L) with L >= 2 sites")
-    _nonzero_finite(abs(amps).max(axis=-1))  # before LAPACK's SVD fails on a NaN with its own message
+    row_norms(amps.reshape(-1, size))  # the degenerate-row check, before LAPACK's SVD fails on a NaN its own way
     # Left sites live in the low bits, so the row index of the reshape
     # enumerates the right block.
     mat = amps.reshape(amps.shape[:-1] + (2 ** (L - L // 2), 2 ** (L // 2)))

@@ -19,9 +19,11 @@ The recurrence runs on the rows of a (B, 2**L) array in lockstep, as the
 finite-temperature Lanczos method runs independent random vectors
 (Jaklic & Prelovsek, PRB 49, 5065 (1994)).  A step is one H application
 to every running row, a dot per row, one stacked eigh of the B
-tridiagonals and a vectorised read-out; a row leaves at its own stop
-step, and its values do not depend on the rows beside it.  The run
-command takes B from L (cli.BATCH_AMPLITUDES).
+tridiagonals and a vectorised read-out; one stop mask per step takes
+out the rows that are done, and a row's values do not depend on the
+rows beside it.  Vectors are scaled to unit norm in place, and an empty
+batch returns two (0, K) arrays.  The run command takes B from L
+(cli.BATCH_AMPLITUDES).
 
 The Ritz values are the part of the spectrum the state sees, so no bound
 on the spectrum is estimated and nothing is restarted.  The vectors are
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import HamiltonianTerms, apply_terms
-from .hilbert import _vdots, row_norms
+from .hilbert import _to_unit, _vdots, row_norms
 
 __all__ = [
     "MAX_BETA_POINTS",
@@ -91,19 +93,18 @@ def walk(rows: np.ndarray, terms: HamiltonianTerms, grid: BetaGrid) -> tuple[np.
 
     The rows walk in lockstep, one Lanczos run each for the whole grid, and
     each stops at its own step; a row's values do not depend on the rows
-    beside it.  Builds no filtered state.  ValueError on a size mismatch
-    or a zero or non-finite norm.
+    beside it.  Builds no filtered state and leaves ``rows`` as it is; an
+    empty (0, 2**L) batch gives two (0, K) arrays and applies H to no row.
+    ValueError on a size mismatch or a row that ``row_norms`` refuses.
     """
     if rows.shape[-1] != 1 << terms.L:
         raise ValueError(f"size mismatch: operator on {terms.L} sites, state on {rows.shape[-1].bit_length() - 1}")
-    nrm = row_norms(rows)
-    betas = np.array(grid.checkpoints)
+    nrm, betas = row_norms(rows), np.array(grid.checkpoints)
     log_sq_norms = np.array([2.0 * math.log(n) for n in nrm])
-    size, live, final = rows.shape[1], np.arange(len(rows)), [None] * len(rows)
-    vec, prev, off, last = rows / nrm[:, None], None, None, None
+    live, out = np.arange(len(rows)), np.empty((len(rows), 2 * len(betas)))
+    vec, prev, off, last, k = _to_unit(rows.astype(np.complex128), nrm), None, None, np.full(out.shape, np.inf), 0
     tri = np.zeros((len(rows), 32, 32))  # each row's T_k in its leading k x k, lower triangle
-    k = 0
-    while True:
+    while live.size:
         w = apply_terms(terms, vec)
         if k == tri.shape[1]:
             tri = np.pad(tri, ((0, 0), (0, k), (0, k)))
@@ -116,28 +117,21 @@ def walk(rows: np.ndarray, terms: HamiltonianTerms, grid: BetaGrid) -> tuple[np.
         boltz = q[:, :1] ** 2 * np.exp(-betas[:, None] * (ritz - ritz[:, :1])[:, None])  # (row, beta, Ritz pair)
         total = boltz.sum(axis=2)
         values = np.concatenate(
-            (log_sq_norms[live, None] - betas * ritz[:, :1] + np.log(total),
+            (log_sq_norms[:, None] - betas * ritz[:, :1] + np.log(total),
              np.matmul(boltz, ritz[:, :, None])[:, :, 0] / total), axis=1)
-        # A row stops when none of its 2K values moved by more than
-        # 1e-14 max(1, |value|) since its last step, or when its Krylov space
-        # is exhausted: the next vector would be below 1e-12 of |H v_k|, or k = N.
-        stop = np.zeros(len(live), dtype=bool)
-        if last is not None:
-            stop = (abs(values - last) <= 1e-14 * np.maximum(1.0, abs(values))).all(axis=1)
-        if not stop.all():
-            w -= alpha[:, None] * vec
-            if prev is not None:
-                w -= off[:, None] * prev
-            grown = np.sqrt(_vdots(w, w))
-            stop |= (grown <= 1e-12 * np.hypot(alpha, 0.0 if off is None else off)) | (k == size)
-        for i in np.flatnonzero(stop):
-            final[live[i]] = values[i]
-        if stop.all():
-            break
+        w -= alpha[:, None] * vec
+        if prev is not None:
+            w -= off[:, None] * prev
+        grown = np.sqrt(_vdots(w, w))
+        # A row stops when its Krylov space is exhausted (the next vector would
+        # be below 1e-12 of |H v_k|, or k = N), or when none of its 2K values moved
+        # by more than 1e-14 max(1, |value|) since the last step (``last`` is inf at k = 1).
+        stop = ((grown <= 1e-12 * np.hypot(alpha, 0.0 if off is None else off)) | (k == rows.shape[1])
+                | (abs(values - last) <= 1e-14 * np.maximum(1.0, abs(values))).all(axis=1))
         if stop.any():  # the rest run on without the stopped rows
-            keep = ~stop
-            live, vec, w, grown, values, tri = live[keep], vec[keep], w[keep], grown[keep], values[keep], tri[keep]
-        w /= grown[:, None]  # in place: the next vector is w itself, so no old w lives through the next matvec
+            out[live[stop]] = values[stop]
+            live, vec, w, grown, values, tri, log_sq_norms = (
+                a[~stop] for a in (live, vec, w, grown, values, tri, log_sq_norms))
+        _to_unit(w, grown)  # in place: the next vector is w itself, so no old w lives through the next matvec
         prev, vec, off, last = vec, w, grown, values
-    final = np.array(final)
-    return final[:, : len(betas)], final[:, len(betas) :]
+    return out[:, : len(betas)], out[:, len(betas) :]

@@ -12,7 +12,8 @@ once by ``hilbert.compile_chain``, so the brick and the H matvec run
 through the same kernel.  ``scramble`` runs the brick on the rows of a
 (B, 2**L) array in lockstep, one kernel call per compiled entry for all B
 rows; the run command takes B from L (cli.BATCH_AMPLITUDES).  A sampler
-returns such rows, one per sample index it is given.
+returns such rows, one per sample index it is given; ``sample_haar``
+scales its stacked rows to unit norm in place (``hilbert._to_unit``).
 
 Randomness is derived per sample from (master_seed, sample_index)
 through numpy's SeedSequence, so sample m is the same bit pattern no
@@ -35,7 +36,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .hamiltonian import ModelSpec, _bond_generators, model_terms
-from .hilbert import CompiledBlock, apply_two_site, checked_int, checked_matrix, compile_chain, row_norms
+from .hilbert import CompiledBlock, _to_unit, apply_two_site, checked_int, checked_matrix, compile_chain, row_norms
 
 if TYPE_CHECKING:
     from numpy.random import Generator
@@ -131,10 +132,10 @@ def sample_haar(num_sites: int, master_seed: int, samples) -> np.ndarray:
 
     def draw(rng: Generator) -> np.ndarray:
         parts = rng.standard_normal((2, 2**num_sites))
-        amps = parts[0] + 1j * parts[1]
-        return amps / row_norms(amps[None])[0]
+        return parts[0] + 1j * parts[1]
 
-    return _rows(num_sites, master_seed, samples, draw)
+    rows = _rows(num_sites, master_seed, samples, draw)
+    return _to_unit(rows, row_norms(rows))
 
 
 # Largest gate time tau a circuit accepts.  The paper's scramblers run at

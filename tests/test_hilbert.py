@@ -83,9 +83,11 @@ def test_state_vector_validation():
     for shape in ((), (2,), (5,), (3, 6), (1, 0)):
         with pytest.raises(ValueError, match="is not"):
             entanglement_entropy(np.zeros(shape, dtype=complex))
-    # the entropy refuses such a row itself, before LAPACK's SVD sees it
+    # the entropy refuses such a row itself, before LAPACK's SVD sees it; so is a row whose
+    # |row|^2 overflows, underflows or is subnormal, though its amplitudes are finite and nonzero
     for rows in (np.zeros((2, 4)), np.array([[1.0, 0, 0, 0], [np.inf, 0, 0, 0]]), np.full((1, 4), np.nan),
-                 np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]])):
+                 np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]]), np.full((1, 4), 1e200), np.full((1, 4), 1e-200),
+                 np.full((1, 4), 1e-160)):
         for check in (row_norms, entanglement_entropy):
             with pytest.raises(ValueError, match="^degenerate state"):
                 check(rows)

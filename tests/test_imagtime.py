@@ -82,7 +82,7 @@ def test_walk_matches_dense_oracle(fields, matrix):
         assert_walk_matches_dense(rows, matrix(L), state, grid.checkpoints)
 
 
-def test_walk_restarts_keep_large_beta_exact():
+def test_walk_keeps_large_beta_exact():
     # At beta ~ 40 the Boltzmann sum is about e^{-40 |E_0|}; the quadrature reads it
     # as a log-sum-exp of positive terms, so one Lanczos run stays exact there.
     spec = ModelSpec(kind="mixed_ising", L=6, J=1.0, h_x=1.0, h_z=1.0)
@@ -184,7 +184,7 @@ def test_small_beta_limit_recovers_initial_energy():
     assert abs(energy[0, 0] - expectation(terms, state)) <= 1e-5 * 6
 
 
-def test_walk_input_validation():
+def test_walk_input_validation(monkeypatch):
     terms = build_hamiltonian(ModelSpec(kind="heisenberg", L=4, J=1.0))
     state = sample_haar(4, 0, [0])[0]
     with pytest.raises(ValueError, match="sites"):
@@ -192,6 +192,10 @@ def test_walk_input_validation():
     zero = np.array([state, np.zeros(16, dtype=complex)])  # a zero row fails the batch
     with pytest.raises(ValueError, match="degenerate state: zero norm"):
         walk(zero, terms, BetaGrid((1.0,)))
+    # an empty batch, as sample_rpps(L, s, []) draws it, gives two (0, K) arrays and applies H to no row
+    monkeypatch.setattr("spintherm.imagtime.apply_terms", None)
+    log_sq_norms, energy = walk(sample_haar(4, 0, []), terms, BetaGrid((1.0, 2.0)))
+    assert log_sq_norms.shape == energy.shape == (0, 2)
 
 
 def test_beta_grid_uniform_and_lookup():
