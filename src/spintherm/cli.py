@@ -14,21 +14,20 @@ whose echo would replace the config file it runs from with other text.
 A command runs as batch tasks, a list of them per (variant, L), on
 min(threads, M, os.cpu_count()) worker processes (threads = the cpu count
 when unset; the most any variant asks for; one where the platform cannot
-fork), forked once per command and shared by every preset variant and
-chain length (see workers.py), or in-process with one worker.  A task
-draws, scrambles, measures and walks B samples in lockstep, the rows of
-one (B, 2**L) array: B = BATCH_AMPLITUDES >> L, at least 1 and at most M /
-workers rounded up.  A worker inherits the task lists, which hold
-(RunConfig, L, samples), not the operators: each worker compiles the H and
-the circuit it applies, once per (variant, L), so the run process compiles
-none, and the workers run ahead while it gathers and bootstraps each
-(variant, L).  Sample m derives all of its randomness from (master_seed,
-m), a row's values do not depend on the rows beside it, and rows are
-made in file order (L ascending, then sample, then beta), so the output
-files are byte-identical whatever the worker count, the batch size or
-the order of L_list.  The error bars of one L come from one bootstrap stream seeded
-from (master_seed, L), which keeps them reproducible from samples.csv
-alone.
+fork), forked once per command (see workers.py), or in-process with one
+worker.  A task draws, scrambles, measures and walks B samples in lockstep,
+the rows of one (B, 2**L) array: B = BATCH_AMPLITUDES >> L, at least 1 and
+at most M / workers rounded up.  A worker inherits the task lists, which
+hold (RunConfig, L, samples), not the operators: each worker compiles the
+H and the circuit it applies, once per (variant, L), so the run process
+compiles none.  While the workers run ahead, the run process makes one
+pass per config: for each chain length, ascending, one step turns the
+(variant, L)'s batch results into its CSV lines, its error bars from one
+bootstrap stream seeded from (master_seed, L), and after the last length
+the config's files are written.  Sample m derives all of its randomness
+from (master_seed, m) and a row's values do not depend on the rows beside
+it, so the output files are byte-identical whatever the worker count, the
+batch size or the order of L_list.
 
 One schema reads every RunConfig: a table of keys (model fields are
 dotted, ``system.kind``, ``trotter.h_x``), each with a text-to-value and
@@ -40,9 +39,9 @@ spec is checked even when other values are bad (at L = 2 when L_list is).
 The rules across keys are RunConfig's own, checked whenever one is made,
 so they run only once every value parses.  A RunConfig refuses a label or
 output_path that one config line cannot hold, so every RunConfig
-round-trips through run.cfg.  The one bound on the chain length is
-memory: a length whose LIVE_VECTORS state vectors per worker exceed
-physical memory is refused.
+round-trips through run.cfg.  The bounds on the chain length and on M are
+memory: a length whose LIVE_VECTORS state vectors per worker, or an M whose
+samples.csv rows at ROW_BYTES each, exceed physical memory is refused.
 """
 
 from __future__ import annotations
@@ -54,6 +53,7 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +88,11 @@ BATCH_AMPLITUDES = 2**12
 # walk's three Lanczos vectors, the kernel's temporaries, the draw.
 LIVE_VECTORS = 8
 
+# Bytes the run process holds per samples.csv row: its line, its share of the
+# gathered arrays and, at one beta, its sample's batch task.  tracemalloc's peak
+# (batches faked) grew by 158 B per row at L = 4, K = 30 and 956 B at L = 14, K = 1.
+ROW_BYTES = 2**10
+
 
 class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending fields."""
@@ -98,7 +103,7 @@ class RunConfig:
     """Everything needed to reproduce one experiment; immutable and hashable.
 
     Making one, by ``dataclasses.replace`` too, raises ConfigError listing every invalid field.  Each
-    length, count and seed passes ``hilbert.checked_int``, and the memory bound runs only once they do;
+    length, count and seed passes ``hilbert.checked_int``, and the memory bounds run only once they do;
     every other field's range tests run only once it has its annotated type.
     """
 
@@ -142,13 +147,19 @@ class RunConfig:
                 refused.add(key)
         if "L_list" not in refused and len(set(self.L_list)) != len(self.L_list):
             problems.append(f"L_list: duplicate lengths in {self.L_list}")
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if not refused & {"L_list", "M", "threads"}:  # _workers reads M and threads
-            workers, memory = max(1, _workers(self)), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+            workers = max(1, _workers(self))
             fits = (memory // (LIVE_VECTORS * 16 * workers)).bit_length() - 1  # the longest chain whose vectors fit
             if max(self.L_list, default=2) > fits:
                 problems.append(f"L_list: L = {max(self.L_list)} needs {LIVE_VECTORS} state vectors of 2**L "
                                 f"amplitudes on each of {workers} workers, more than the {memory / 2**30:.1f} GiB "
                                 f"of physical memory hold (L <= {fits})")
+        if not refused & {"L_list", "M"} and "beta_grid" not in mistyped:
+            rows = self.M * len(self.beta_grid.checkpoints) * len(self.L_list)
+            if rows * ROW_BYTES > memory:
+                problems.append(f"M: M = {self.M} makes {rows} samples.csv rows (M x betas x chain lengths), more "
+                                f"than the {memory / 2**30:.1f} GiB of physical memory hold at {ROW_BYTES} B each")
         if "tau" not in mistyped and not 0.0 <= self.tau <= MAX_TAU:
             problems.append(f"tau: must be in [0, {MAX_TAU:g}], got {self.tau}")
         if self.output_path == "":
@@ -378,19 +389,15 @@ def _tasks(n: int, cfg: RunConfig, L: int) -> list[partial]:
     return [partial(_run_batch, cfg, L, range(start, min(start + size, cfg.M))) for start in range(0, cfg.M, size)]
 
 
-def _collect_samples(L: int, results) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Initial entropies, shape (M,), and ln-norms and energies, shape (K, M): one row per beta."""
-    s_ini, logs, obs = (np.concatenate(parts) for parts in zip(*results))
-    logs, obs = logs.T.copy(), obs.T.copy()  # contiguous rows: a strided one changes the dot's last bit
+def _csv_lines(cfg: RunConfig, L: int, batches: list) -> tuple[list[str], list[str]]:
+    """The summary.csv and samples.csv lines of one (variant, L) from its batch results, in sample order;
+    refuses non-finite ln-norms or energies and negative initial entropies."""
+    s_ini, logs, obs = (np.concatenate(parts) for parts in zip(*batches))
+    logs, obs = logs.T.copy(), obs.T.copy()  # (K, M), contiguous rows: a strided one changes the dot's last bit
     if not (np.all(np.isfinite(logs)) and np.all(np.isfinite(obs))):
         raise ValueError(f"L = {L}: ln-norms and energies must be finite")
     if not np.all(np.isfinite(s_ini)) or np.any(s_ini < -1e-12):
         raise ValueError(f"L = {L}: initial entropies must be nonnegative reals, got {s_ini.min()}")
-    return s_ini, logs, obs
-
-
-def _aggregate(cfg: RunConfig, L: int, s_ini: np.ndarray, logs: np.ndarray, obs: np.ndarray) -> list[str]:
-    """Per-(L, beta) summary.csv lines; one bootstrap per L, seeded from the run identity."""
     eta_sigma, weighted_sigma, simple_sigma, s_ini_sigma = (
         bootstrap_sigma(logs, obs, cfg.n_resamples, (cfg.master_seed, L), s_ini)
         if cfg.n_resamples >= 2
@@ -398,12 +405,13 @@ def _aggregate(cfg: RunConfig, L: int, s_ini: np.ndarray, logs: np.ndarray, obs:
     )
     eta, weighted, simple = efficiency(logs), weighted_expectation(logs, obs), simple_expectation(obs)
     s_ini_mean = float(simple_expectation(s_ini))
-    return [
-        f"{L},{beta:.17g},{cfg.resolved_label()},{eta[k]:.17g},{eta_sigma[k]:.17g},{s_ini_mean:.17g},"
-        f"{s_ini_sigma:.17g},{weighted[k]:.17g},{weighted_sigma[k]:.17g},"
-        f"{simple[k]:.17g},{simple_sigma[k]:.17g},{cfg.M},{cfg.master_seed}\n"
-        for k, beta in enumerate(cfg.beta_grid.checkpoints)
-    ]
+    betas = cfg.beta_grid.checkpoints
+    summary = [f"{L},{beta:.17g},{cfg.resolved_label()},{eta[k]:.17g},{eta_sigma[k]:.17g},{s_ini_mean:.17g},"
+               f"{s_ini_sigma:.17g},{weighted[k]:.17g},{weighted_sigma[k]:.17g},"
+               f"{simple[k]:.17g},{simple_sigma[k]:.17g},{cfg.M},{cfg.master_seed}\n" for k, beta in enumerate(betas)]
+    samples = [f"{L},{m},{beta:.17g},{logs[k, m]:.17g},{obs[k, m]:.17g},{s_ini[m]:.17g}\n"
+               for m in range(cfg.M) for k, beta in enumerate(betas)]
+    return summary, samples
 
 
 SUMMARY_HEADER = (
@@ -440,8 +448,9 @@ def emit_results(summary_lines: list[str], sample_lines: list[str], cfg: RunConf
 def run_experiments(cfgs: list[RunConfig]):
     """Execute configs in order, each into its output_path, on workers forked once for them all.
 
-    Yields each run's output paths, as emit_results returns them, once its
-    last chain length is written.
+    One pass per config: for each of its chain lengths, ascending, _csv_lines turns the next batch
+    results into CSV lines, and after the last length emit_results writes them.  Yields each run's
+    output paths, as emit_results returns them.
     """
     for cfg in cfgs:  # a directory that cannot be made ends the command before any batch
         try:
@@ -449,27 +458,17 @@ def run_experiments(cfgs: list[RunConfig]):
         except OSError as exc:
             raise ConfigError(f"output_path: {exc}") from exc
     n = max(map(_workers, cfgs))
-    jobs = [(cfg, L) for cfg in cfgs for L in sorted(cfg.L_list)]
-    tasks = [_tasks(n, cfg, L) for cfg, L in jobs]
+    tasks = [_tasks(n, cfg, L) for cfg in cfgs for L in sorted(cfg.L_list)]
     if n > 1:
         from . import workers  # a single-worker run never loads it
 
         results = workers.fork(n, tasks)  # the workers run ahead while each (variant, L) is bootstrapped
     else:
         results = ([task() for task in batches] for batches in tasks)
-    summary_lines, sample_lines = [], []
     try:
-        for (cfg, L), batches in zip(jobs, results):
-            s_ini, logs, obs = _collect_samples(L, batches)
-            summary_lines += _aggregate(cfg, L, s_ini, logs, obs)
-            sample_lines += [
-                f"{L},{m},{beta:.17g},{logs[k, m]:.17g},{obs[k, m]:.17g},{s_ini[m]:.17g}\n"
-                for m in range(cfg.M)
-                for k, beta in enumerate(cfg.beta_grid.checkpoints)
-            ]
-            if L == max(cfg.L_list):
-                yield emit_results(summary_lines, sample_lines, cfg)
-                summary_lines, sample_lines = [], []
+        for cfg in cfgs:
+            summary, samples = zip(*[_csv_lines(cfg, L, next(results)) for L in sorted(cfg.L_list)])
+            yield emit_results(list(chain(*summary)), list(chain(*samples)), cfg)
     finally:
         results.close()  # now, not when the frame is freed: the workers end with the run, however it ends
 

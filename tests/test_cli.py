@@ -427,7 +427,7 @@ def test_unreadable_config_and_unwritable_output_are_bad_input(tmp_path, capsys)
     assert capsys.readouterr().err.startswith(f"invalid: output_path: [Errno {errno.EISDIR}] ")
 
 
-def test_collect_samples_refuses_nonfinite_or_negative_entropy(tmp_path, monkeypatch):
+def test_csv_lines_refuse_nonfinite_or_negative_entropy(tmp_path, monkeypatch):
     cfg = dataclasses.replace(tiny_config(tmp_path / "bad"), threads=1)
     for faulty, reason in (
         ((0.1, [0.0, np.inf], [0.0, 0.0]), "finite"),
@@ -532,6 +532,8 @@ def test_run_cfg_reruns_a_preset_variant(tmp_path, monkeypatch):
                                             "system: unknown model kind 'heisenbrg'"),
     # a 2**40-amplitude state is 16 TiB: no worker could hold it
     ("L_list = 40", "L_list: L = 40 needs 8 state vectors of 2**L amplitudes"),
+    # its samples.csv rows alone would be terabytes, and its batch tasks billions
+    ("M = 1000000000000", "M: M = 1000000000000 makes 4000000000000 samples.csv rows (M x betas x chain lengths)"),
     ("full_scale = true", "unknown keys: full_scale"),
     # printed and written to summary.csv whatever the locale's encoding
     ("label = β-scan", "label: must not contain a comma, quote or any character but printable ASCII, "
@@ -834,6 +836,9 @@ def test_run_config_is_frozen_hashable_and_valid_once_made(tmp_path):
                        ("system", "heisenberg"), ("beta_grid", (1.0,)), ("L_list", ()), ("output_path", "")):
         with pytest.raises(ConfigError, match=f"^{key}:"):
             dataclasses.replace(cfg, **{key: value})
+    # an M whose samples.csv rows the run process could not hold is refused before any batch task is made
+    with pytest.raises(ConfigError, match=r"^M: M = 1000000000000 makes 4000000000000 samples\.csv rows"):
+        dataclasses.replace(cfg, M=10**12)
     numpy_ints = dataclasses.replace(cfg, M=np.int64(3), L_list=(np.int64(4),), n_reps=np.int64(2),
                                      master_seed=np.int64(1), n_resamples=np.int64(8), threads=np.int64(1))
     assert numpy_ints == dataclasses.replace(cfg, M=3, L_list=(4,), n_reps=2, master_seed=1, n_resamples=8, threads=1)
