@@ -22,12 +22,12 @@ hold (RunConfig, L, samples), not the operators: each worker compiles the
 H and the circuit it applies, once per (variant, L), so the run process
 compiles none.  While the workers run ahead, the run process makes one
 pass per config: for each chain length, ascending, one step turns the
-(variant, L)'s batch results into its CSV lines, its error bars from one
-bootstrap stream seeded from (master_seed, L), and after the last length
-the config's files are written.  Sample m derives all of its randomness
-from (master_seed, m) and a row's values do not depend on the rows beside
-it, so the output files are byte-identical whatever the worker count, the
-batch size or the order of L_list.
+(variant, L)'s batch results into its CSV lines, its error bars from the
+resample streams of seed (master_seed, L), and after the last length the
+config's files are written.  Sample m's draws are a pure function of
+(master_seed, m) (``state_prep.uniforms``) and a row's values do not depend
+on the rows beside it, so the output files are byte-identical whatever the
+worker count, the batch size or the order of L_list.
 
 One schema reads every RunConfig: a table of keys (model fields are
 dotted, ``system.kind``, ``trotter.h_x``), each with a text-to-value and
@@ -136,12 +136,12 @@ class RunConfig:
         if not self.L_list:
             problems.append("L_list: must be nonempty")
         refused: set[str] = set()  # the integer fields checked_int refuses; unset threads and 2L check as 1
-        for key, value, low in (*(("L_list", L, 2) for L in self.L_list), ("M", self.M, 1),
-                                ("threads", 1 if self.threads is None else self.threads, 1),
-                                ("master_seed", self.master_seed, 0), ("n_resamples", self.n_resamples, 0),
-                                ("n_reps", 1 if self.n_reps == "2L" else self.n_reps, 1)):
+        for key, value, *bounds in (*(("L_list", L, 2) for L in self.L_list), ("M", self.M, 1),
+                                    ("threads", 1 if self.threads is None else self.threads, 1),
+                                    ("master_seed", self.master_seed, 0), ("n_resamples", self.n_resamples, 0, 2**32),
+                                    ("n_reps", 1 if self.n_reps == "2L" else self.n_reps, 1)):
             try:
-                checked_int(f"{key}:", value, low)
+                checked_int(f"{key}:", value, *bounds)
             except ValueError as exc:
                 problems.append(str(exc))
                 refused.add(key)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hilbert import _entropy, checked_int
-from .state_prep import seeded_generator
+from .state_prep import BOOTSTRAP_INDICES, uniforms
 
 __all__ = [
     "weights",
@@ -88,27 +88,25 @@ def bootstrap_sigma(logs, obs, n_resamples: int, seed, s_ini):
     """Bootstrap sigmas of eta, the weighted and simple energies per beta, and the mean S_ini.
 
     ``logs`` and ``obs`` are (K, M), one row per beta, and ``s_ini`` is (M,).
-    The resamples are the rows of one (n_resamples, M) index draw from
-    ``state_prep.seeded_generator(seed)``, the stream of
-    numpy.random.default_rng(seed), taken in blocks; a drawn sample keeps
-    its values at every beta.  n_resamples is an integer >= 2.  Returns
-    the standard deviations over the resamples: (eta_sigma[K],
-    weighted_sigma[K], simple_sigma[K], s_ini_sigma).
+    Resample r draws samples floor(M u_j), j < M, with u_j draw j of stream
+    (seed, BOOTSTRAP_INDICES, r) of ``state_prep.uniforms``, so its indices
+    do not depend on the block it is summed in; a drawn sample keeps its
+    values at every beta.  seed is an integer >= 0 or a tuple of them, and
+    n_resamples an integer in [2, 2**32].  Returns the standard deviations
+    over the resamples: (eta_sigma[K], weighted_sigma[K], simple_sigma[K],
+    s_ini_sigma).
     """
     logs, obs, s_ini = (np.asarray(a, dtype=np.float64) for a in (logs, obs, s_ini))
     if logs.ndim != 2 or logs.shape[1] == 0 or obs.shape != logs.shape or s_ini.shape != logs.shape[1:]:
         raise ValueError(f"need (K, M >= 1) logs and obs and (M,) s_ini, got {logs.shape}, {obs.shape}, {s_ini.shape}")
-    checked_int("n_resamples", n_resamples, 2)
+    checked_int("n_resamples", n_resamples, 2, 2**32)
     k, n = logs.shape
     d = logs - logs.max(axis=1, keepdims=True)
     e = np.exp(d)
     table = np.concatenate([e, d * e, e * obs, obs, s_ini[None]]).T.copy()
-    rng = seeded_generator(seed)
-    rows = max(1, BOOTSTRAP_BLOCK // table.size)
     moments = np.zeros((2, 3 * k + 1))
-    for done in range(0, n_resamples, rows):
-        idx = rng.integers(0, n, size=(min(rows, n_resamples - done), n))
-        sums = table[idx].sum(axis=1)
+    for done, idx in enumerate(_resamples(seed, n, n_resamples, max(1, BOOTSTRAP_BLOCK // table.size))):
+        sums = np.take(table, idx, axis=0).sum(axis=1)  # table[idx], gathered faster
         z, de, eo = sums[:, :k], sums[:, k : 2 * k], sums[:, 2 * k : 3 * k]
         with np.errstate(divide="ignore", invalid="ignore"):  # eta = e^I / M with I = ln Z - sum(d e) / Z
             x = np.concatenate([np.exp(np.log(z) - de / z) / n, eo / z, sums[:, 3 * k :] / n], axis=1)
@@ -124,3 +122,13 @@ def bootstrap_sigma(logs, obs, n_resamples: int, seed, s_ini):
     mean, square = moments / n_resamples
     sigma = np.sqrt(np.maximum(square - mean * mean, 0.0))
     return sigma[:k], sigma[k : 2 * k], sigma[2 * k : 3 * k], float(sigma[3 * k])
+
+
+def _resamples(seed, n: int, n_resamples: int, rows: int):
+    """Resamples 0 .. n_resamples-1's (rows, n) sample indices, a block at a time, drawn whole blocks and
+    about BOOTSTRAP_BLOCK indices per call of the stream: a call per block costs more than its sums."""
+    chunk = rows * max(1, BOOTSTRAP_BLOCK // (rows * n))
+    for start in range(0, n_resamples, chunk):
+        drawn = uniforms(seed, BOOTSTRAP_INDICES, np.arange(start, min(start + chunk, n_resamples), dtype=np.uint64), n)
+        drawn = np.multiply(drawn, n, out=drawn).astype(np.intp)
+        yield from (drawn[i : i + rows] for i in range(0, len(drawn), rows))

@@ -15,35 +15,27 @@ rows; the run command takes B from L (cli.BATCH_AMPLITUDES).  A sampler
 returns such rows, one per sample index it is given; ``sample_haar``
 scales its stacked rows to unit norm in place (``hilbert._to_unit``).
 
-Randomness is derived per sample from (master_seed, sample_index)
-through numpy's SeedSequence, so sample m is the same bit pattern no
-matter which worker draws it, in which batch or in which order.  Every
-random draw in the package, the bootstrap's too, comes from a generator
-of ``seeded_generator``, which loads only the parts of numpy.random it
-uses.
+Every random draw in the package, the bootstrap's too, is a value of one
+counter-based stream, ``uniforms``: draw j of stream (seed, domain, index)
+is a pure function of those four, the SplitMix64 finaliser of a counter
+built from them (Steele, Lea & Flood, OOPSLA 2014).  So sample m is the
+same bit pattern no matter which worker draws it, in which batch or in
+which order, and no module of numpy.random is loaded.
 """
 
 from __future__ import annotations
 
-import os
-import random
-import sys
-import types
 from dataclasses import dataclass, field
-from functools import cache, reduce
-from typing import TYPE_CHECKING
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .hamiltonian import ModelSpec, _bond_generators, model_terms
 from .hilbert import CompiledBlock, _to_unit, apply_two_site, checked_int, checked_matrix, compile_chain, row_norms
 
-if TYPE_CHECKING:
-    from numpy.random import Generator
-
 __all__ = [
     "MAX_TAU",
-    "seeded_generator",
+    "uniforms",
     "TrotterCircuit",
     "sample_rpps",
     "sample_haar",
@@ -51,90 +43,98 @@ __all__ = [
     "scramble",
 ]
 
+# A stream's domain: what its draws are for.
+RPPS_PHASES, HAAR_GAUSSIANS, BOOTSTRAP_INDICES = 0, 1, 2
+# SplitMix64's counter step (2**64 over the golden ratio), the step of 2**32 counters between the streams
+# of one (seed, domain), and the finaliser's multipliers and shifts, as uint64: int operands cost more.
+_GAMMA, _STREAM_STEP = np.uint64(0x9E3779B97F4A7C15), np.uint64((0x9E3779B97F4A7C15 << 32) % 2**64)
+_M1, _M2, _S1, _S2, _S3 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB), *np.uint64([30, 27, 31])
 
-def seeded_generator(entropy, spawn_key=()) -> Generator:
-    """numpy's Generator(PCG64(SeedSequence(entropy, spawn_key=spawn_key))): default_rng's stream, bit for bit.
 
-    numpy.random.default_rng itself is not called: reaching it through numpy
-    imports the whole of numpy.random.
+def _mix(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64's finaliser (Stafford's variant 13) of each uint64 of the array z, in place, wrapping
+    silently (numpy scalars would warn); ``scratch``, an array like z or None, holds the shifted copies."""
+    shifted = np.right_shift(z, _S1, out=scratch)
+    z ^= shifted
+    z *= _M1
+    z ^= np.right_shift(z, _S2, out=shifted)
+    z *= _M2
+    z ^= np.right_shift(z, _S3, out=shifted)
+    return z
+
+
+@lru_cache(maxsize=256)  # a run uses a few (seed, domain) pairs; a caller may use millions
+def _start(seed: tuple[int, ...], domain: int) -> np.ndarray:
+    """The (1,) state h of (seed, domain): from h = 0, h <- mix(h + w + GAMMA) for each word w of each
+    seed part (its count of 64-bit words, then those words, least significant first), then the domain."""
+    h = np.zeros(1, dtype=np.uint64)
+    for part in seed:
+        count = -(-part.bit_length() // 64)
+        for word in (count, *((part >> 64 * i) & (2**64 - 1) for i in range(count))):
+            h = _mix(h + word + _GAMMA)
+    h = _mix(h + domain + _GAMMA)
+    h.flags.writeable = False  # shared by every caller
+    return h
+
+
+def uniforms(seed, domain: int, indices, n: int) -> np.ndarray:
+    """(len(indices), n) doubles in [0, 1): row i holds draws 0 .. n-1 of stream (seed, domain, indices[i]).
+
+    Draw j of stream (seed, domain, m) is mix(h + (m 2**32 + j + 1) GAMMA): output m 2**32 + j + 1
+    of the SplitMix64 generator (Steele, Lea & Flood, OOPSLA 2014) started at h = _start(seed, domain),
+    mix being its finaliser; its double is its top 53 bits times 2**-53.  ``seed`` is an integer >= 0
+    or a tuple of them; an index below 2**32 and n <= 2**32 keep every draw's counter its own.
     """
-    generator, pcg64, seed_sequence = _generator_classes()
-    return generator(pcg64(seed_sequence(entropy, spawn_key=spawn_key)))
+    seed = tuple(checked_int("seed", part, 0) for part in (seed if isinstance(seed, tuple) else (seed,)))
+    # Two (B, n) arrays, as each fresh one costs page faults: u holds the steps (j + 1) GAMMA, then the mix's scratch.
+    u = np.empty((len(indices), n))
+    steps = u.view(np.uint64)[:1]
+    steps.fill(_GAMMA)
+    starts = np.asarray(indices, dtype=np.uint64) * _STREAM_STEP + _start(seed, domain)
+    bits = _mix(starts[:, None] + np.cumsum(steps, axis=1, out=steps), u.view(np.uint64))
+    bits >>= np.uint64(11)
+    return np.multiply(bits, 2.0**-53, out=u)
 
 
-@cache
-def _generator_classes() -> tuple[type, type, type]:
-    """numpy.random's Generator, PCG64 and SeedSequence, loaded without the rest of numpy.random.
-
-    Its __init__ also loads the legacy RandomState, MT19937, Philox and SFC64
-    (0.7 MB resident), and its ``secrets`` import loads hmac, hashlib and
-    libcrypto (3.6 MB) for unseeded generators; no run uses any of them.
-    So unless numpy.random is loaded, the three modules are imported under a
-    stand-in package on numpy's random/ directory and, unless ``secrets`` is
-    loaded, a stand-in whose ``randbits`` is the real one's,
-    SystemRandom().getrandbits.  Both are removed after, with the
-    numpy.random submodules loaded under them: a later import of either runs
-    the real module, and numpy.random's binds its submodules again, the
-    three among them (a Cython module imported again is the one already made).
-    """
-    if "numpy.random" in sys.modules:
-        rnd = sys.modules["numpy.random"]
-        return rnd.Generator, rnd.PCG64, rnd.SeedSequence
-    stand_ins = {name: types.ModuleType(name) for name in ("numpy.random", "secrets") if name not in sys.modules}
-    stand_ins["numpy.random"].__path__ = [os.path.join(np.__path__[0], "random")]
-    if "secrets" in stand_ins:
-        stand_ins["secrets"].randbits = random.SystemRandom().getrandbits
-    sys.modules.update(stand_ins)
-    try:
-        from numpy.random._generator import Generator
-        from numpy.random._pcg64 import PCG64
-        from numpy.random.bit_generator import SeedSequence
-    finally:
-        for name in [*stand_ins, *(m for m in sys.modules if m.startswith("numpy.random."))]:
-            del sys.modules[name]
-    return Generator, PCG64, SeedSequence
-
-
-def _rows(num_sites: int, master_seed: int, samples, draw) -> np.ndarray:
-    """The (B, 2**L) complex128 rows draw(generator) of the B sample indices ``samples``.
-
-    Row i is drawn alone from seeded_generator(master_seed, (samples[i],)),
-    so it does not depend on the rows beside it.  A ValueError names a bad
-    num_sites, master_seed or sample_index.  The rows are stacked once all
-    are drawn: an array made first would hold the batch through every draw.
-    """
+def _checked(num_sites: int, master_seed: int, samples) -> list[int]:
+    """The sample indices; a ValueError names a bad num_sites, master_seed or sample_index."""
     checked_int("num_sites", num_sites, 2)
-    master_seed = checked_int("master_seed", master_seed, 0)
-    rows = [draw(seeded_generator(master_seed, (checked_int("sample_index", m, 0),))) for m in samples]
-    return np.array(rows, dtype=np.complex128).reshape(len(rows), 2**num_sites)
+    checked_int("master_seed", master_seed, 0)
+    return [checked_int("sample_index", m, 0, 2**32 - 1) for m in samples]
 
 
 def sample_rpps(num_sites: int, master_seed: int, samples) -> np.ndarray:
     """Random-phase product states (e^{i a_i}|up> + e^{i b_i}|down>)/sqrt(2), one row per sample index.
 
-    Each row consumes exactly 2*num_sites uniform phases (site order, up
-    before down); it is unit-normalized with every amplitude of modulus
-    2**(-L/2), and has zero entanglement across every cut.
+    Sample m's phases are 2 pi times draws 0 .. 2L-1 of stream (master_seed, RPPS_PHASES, m), site order,
+    up before down.  Every amplitude has modulus 2**(-L/2), and every cut zero entanglement.
     """
-
-    def draw(rng: Generator) -> np.ndarray:
-        local = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(num_sites, 2))) / np.sqrt(2.0)
-        amps = np.ones(1, dtype=np.complex128)
-        for site in local:
-            amps = (site[:, None] * amps).ravel()  # the new site occupies the next-higher bit
-        return amps
-
-    return _rows(num_sites, master_seed, samples, draw)
+    samples = _checked(num_sites, master_seed, samples)
+    phases = np.exp(2j * np.pi * uniforms(master_seed, RPPS_PHASES, samples, 2 * num_sites))
+    amps = np.full((len(samples), 1, 1), 2.0 ** (-num_sites / 2), dtype=np.complex128)
+    for site in phases.reshape(len(samples), num_sites, 2, 1).transpose(1, 0, 2, 3):  # each (B, 2, 1)
+        amps = (site * amps).reshape(len(samples), 1, 2 * amps.shape[-1])  # the new site takes the next-higher bit
+    return amps.reshape(len(samples), 2**num_sites)
 
 
 def sample_haar(num_sites: int, master_seed: int, samples) -> np.ndarray:
-    """Haar-random states, one row per sample index: 2**L complex standard Gaussians, normalized."""
+    """Haar-random states, one row per sample index: 2**L complex standard Gaussians, normalized.
 
-    def draw(rng: Generator) -> np.ndarray:
-        parts = rng.standard_normal((2, 2**num_sites))
-        return parts[0] + 1j * parts[1]
-
-    rows = _rows(num_sites, master_seed, samples, draw)
+    Amplitude j of sample m is the Box-Muller pair sqrt(-2 ln(1 - u_j)) e^{i theta}, theta = 2 pi u_{N+j} - pi,
+    with N = 2**L and u_j draw j of stream (master_seed, HAAR_GAUSSIANS, m).  e^{i theta} is taken as
+    (1 - t^2 + 2it) / (1 + t^2), t = tan(theta / 2): numpy vectorizes float64 tan, not cos and sin.
+    """
+    samples = _checked(num_sites, master_seed, samples)
+    size = 2**num_sites
+    u = uniforms(master_seed, HAAR_GAUSSIANS, samples, 2 * size)
+    radius, t = u[:, :size], u[:, size:]  # in place, as in uniforms
+    np.sqrt(np.multiply(np.log(np.subtract(1.0, radius, out=radius), out=radius), -2.0, out=radius), out=radius)
+    np.tan(np.multiply(np.subtract(t, 0.5, out=t), np.pi, out=t), out=t)
+    rows = np.empty((len(samples), size), dtype=np.complex128)
+    square = np.multiply(t, t, out=rows.real)
+    radius /= np.add(square, 1.0, out=rows.imag)
+    np.multiply(radius, np.subtract(1.0, square, out=square), out=rows.real)
+    np.multiply(np.multiply(radius, 2.0, out=radius), t, out=rows.imag)
     return _to_unit(rows, row_norms(rows))
 
 

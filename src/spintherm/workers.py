@@ -5,12 +5,7 @@ sent nothing: worker w of n runs tasks w, w + n, ... of every list in order
 and pickles each result, or the exception that ended it, down its own pipe.
 The run process reads task i of each list from pipe i mod n, the order each
 worker writes in, so no pipe can deadlock.  Only a run with more than one
-worker imports this module; numpy's seeded generator is loaded here,
-through ``state_prep.seeded_generator``, before the workers fork, so they
-share its pages instead of each loading it.  That entry point loads only
-Generator, PCG64 and SeedSequence, not the rest of numpy.random or the
-OpenSSL its ``secrets`` import would load: 4.3 MB the run process would
-hold and that no seeded draw uses.
+worker imports this module.
 """
 
 from __future__ import annotations
@@ -18,10 +13,6 @@ from __future__ import annotations
 import os
 import pickle
 import signal
-
-from .state_prep import seeded_generator
-
-seeded_generator(0)  # before the workers fork, not at each one's first draw
 
 __all__ = ["fork"]
 

@@ -4,6 +4,7 @@ import numpy as np
 
 from spintherm.estimators import efficiency, simple_expectation, weighted_expectation
 from spintherm.hamiltonian import HamiltonianTerms, apply_terms
+from spintherm.state_prep import BOOTSTRAP_INDICES, uniforms
 
 
 def basis_state(num_sites: int, down_sites: tuple[int, ...] = ()) -> np.ndarray:
@@ -24,9 +25,10 @@ def expectation(terms: HamiltonianTerms, amps: np.ndarray) -> float:
 def bootstrap_reference(logs, obs, s_ini, n_resamples: int, seed):
     """bootstrap_sigma's four sigmas from an explicit loop of the row-wise estimators, one resample at a time.
 
-    The resamples are the rows of one default_rng(seed).integers(0, M, (n_resamples, M))
-    draw.  The spread is taken of the deviations from the full-sample values, the same
-    standard deviation, so that a set of identical resamples gives exactly 0.
+    Resample r draws samples floor(M u_j), u_j draw j < M of the package's stream
+    (seed, BOOTSTRAP_INDICES, r), all n_resamples of them at once.  The spread is
+    taken of the deviations from the full-sample values, the same standard
+    deviation, so that a set of identical resamples gives exactly 0.
     """
     logs, obs, s_ini = (np.asarray(a, dtype=np.float64) for a in (logs, obs, s_ini))
     k, n = logs.shape
@@ -37,6 +39,6 @@ def bootstrap_reference(logs, obs, s_ini, n_resamples: int, seed):
         )
 
     full = statistics(logs, obs, s_ini)
-    draws = np.random.default_rng(seed).integers(0, n, size=(n_resamples, n))
+    draws = np.floor(n * uniforms(seed, BOOTSTRAP_INDICES, range(n_resamples), n)).astype(int)
     sigma = np.std([statistics(logs[:, i], obs[:, i], s_ini[i]) - full for i in draws], axis=0)
     return sigma[:k], sigma[k : 2 * k], sigma[2 * k : 3 * k], sigma[3 * k]

@@ -253,6 +253,15 @@ def test_run_cfg_round_trip(tmp_path):
     cfg = tiny_config(tmp_path / "r")
     [paths] = run_experiments([cfg])
     assert load_config(paths["config"]) == cfg
+    # a master seed past 2**64 round-trips, and draws otherwise than its low word
+    big = dataclasses.replace(cfg, master_seed=2**64 + 3, output_path=str(tmp_path / "big"))
+    low = dataclasses.replace(cfg, master_seed=3, output_path=str(tmp_path / "low"))
+    [big_paths, low_paths] = run_experiments([big, low])
+    assert load_config(big_paths["config"]) == big
+    assert "master_seed = 18446744073709551619\n" in big_paths["config"].read_text()
+    big_rows, low_rows = (p["samples"].read_text().splitlines()[1:] for p in (big_paths, low_paths))
+    assert [row.split(",")[:3] for row in big_rows] == [row.split(",")[:3] for row in low_rows]
+    assert all(b != lo for b, lo in zip(big_rows, low_rows))
 
 
 def test_output_shape_and_sorting(tmp_path):
@@ -520,6 +529,8 @@ def test_run_cfg_reruns_a_preset_variant(tmp_path, monkeypatch):
     ("system.J = abc", "system.J: could not convert"),
     ("threads = 0", "threads: must be an integer >= 1"),
     ("n_reps = 0", "n_reps: must be an integer >= 1"),
+    # a resample's stream index is below 2**32
+    ("n_resamples = 4294967297", "n_resamples: must be an integer in [0, 4294967296]"),
     ("n_reps_rule = explicit", "unknown keys: n_reps_rule"),
     ("system.delta = 5.0", "system: delta not used by kind 'heisenberg'"),
     ("label = a,b", "label: must not contain a comma"),
@@ -622,8 +633,8 @@ def test_runtime_imports_no_scipy():
     scipy_and_oracle, json_loaded, lazy = out.stdout.splitlines()
     assert scipy_and_oracle == "[]"
     assert json_loaded == "False"  # the run echo is a config file, not JSON
-    # numpy's seeded generator (1.1 MB resident, without the rest of numpy.random) and the worker pool
-    # load only when a run needs them
+    # the worker pool loads only when a run needs it, and no draw loads numpy.random (see
+    # test_runs_load_no_openssl_and_leave_the_stdlib_intact)
     assert lazy == "[]"
     assert set(spintherm.__all__) == PUBLIC
     for module, names in TRACED.items():
@@ -652,12 +663,11 @@ def test_pooled_run_loads_no_executor(tmp_path):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_runs_load_no_openssl_and_leave_the_stdlib_intact(tmp_path, threads):
-    # A run loads numpy's Generator, PCG64 and SeedSequence alone: not the rest
-    # of numpy.random (its __init__, the legacy RandomState and bit generators),
-    # nor the hmac, hashlib and OpenSSL its import of secrets would load, and it
-    # leaves no numpy.random module in sys.modules.  A later import of each gets
-    # the real, whole module, whose submodules are bound as its attributes and
-    # whose three classes are the ones the run drew from.
+    # Every draw, the bootstrap's too, comes from the package's own counter-based
+    # stream: a run loads no module of numpy.random (its __init__, Generator, the
+    # legacy RandomState and bit generators) and maps none of its extension
+    # libraries, nor the hmac, hashlib and OpenSSL that its import of secrets would
+    # load.  A later import of each gets the real, whole module.
     config = tmp_path / "run.cfg"
     config.write_text(MINIMAL + f"n_resamples = 8\nthreads = {threads}\noutput_path = {tmp_path / 'out'}\n")
     absent = ["numpy.random", *(f"numpy.random.{m}" for m in ("mtrand", "_mt19937", "_philox", "_sfc64", "_pickle")),
@@ -667,20 +677,25 @@ def test_runs_load_no_openssl_and_leave_the_stdlib_intact(tmp_path, threads):
         "import os, sys; os.cpu_count = lambda: 2; import spintherm.cli as cli; "
         f"assert cli.main(['run', '--config', {str(config)!r}]) == 0; "
         f"print(sorted(m for m in {absent + ['spintherm.workers']!r} if m in sys.modules)); "
-        "import secrets, hmac, hashlib, numpy.random, spintherm.state_prep as sp; "
+        # the run process's mapped files, where /proc shows them
+        "maps = open('/proc/self/maps').read() if os.path.exists('/proc/self/maps') else None; "
+        "print(None if maps is None else sorted({line.split()[-1] for line in maps.splitlines() "
+        "if os.sep.join(('numpy', 'random', '')) in line})); "
+        "import secrets, hmac, hashlib, numpy.random; "
         "print(callable(hashlib.pbkdf2_hmac), callable(hmac.new), len(secrets.token_bytes(8)), "
         "numpy.random.SeedSequence().entropy != numpy.random.SeedSequence().entropy, "
         "numpy.random.RandomState(3).randint(0, 2**30) == 218_175_338, "
         "numpy.random.default_rng is numpy.random._generator.default_rng, "
-        "numpy.random.bit_generator.SeedSequence is numpy.random.SeedSequence, "
-        "type(sp.seeded_generator(1, (0,))) is numpy.random.Generator)"
+        "numpy.random.bit_generator.SeedSequence is numpy.random.SeedSequence)"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True,
                          timeout=300)
-    loaded, later = out.stdout.splitlines()[-2:]
+    loaded, mapped, later = out.stdout.splitlines()[-3:]
     assert loaded == str(["spintherm.workers"] if threads == 2 else [])
-    assert later == "True True 8 True True True True True"  # unseeded generators still draw fresh entropy
+    if mapped != "None":  # no /proc: nothing to read the mappings from
+        assert mapped == "[]"
+    assert later == "True True 8 True True True True"  # unseeded generators still draw fresh entropy
 
 
 def test_traced_run_counts_each_bootstrap_draw(tmp_path):
@@ -828,7 +843,7 @@ def test_run_config_is_frozen_hashable_and_valid_once_made(tmp_path):
     # a run.cfg that does not read back (M = True)
     for key, value in (("M", 2.5), ("L_list", (4.0,)), ("n_reps", True), ("master_seed", True),
                        ("master_seed", 1.5), ("n_resamples", 2.5), ("threads", True), ("M", True)):
-        with pytest.raises(ConfigError, match=f"^{key}: must be an integer >= "):
+        with pytest.raises(ConfigError, match=rf"^{key}: must be an integer (>= |in \[)"):
             dataclasses.replace(cfg, **{key: value})
     # every other field has its type, or the run would fail later, in a worker for system and beta_grid;
     # L_list and output_path must also be nonempty

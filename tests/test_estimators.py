@@ -1,13 +1,17 @@
 """Weight, efficiency, and bootstrap estimators."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference as ref
+import spintherm.estimators as estimators
 from spintherm.estimators import (
     BOOTSTRAP_BLOCK,
+    _resamples,
     bootstrap_sigma,
     efficiency,
     simple_expectation,
@@ -16,7 +20,7 @@ from spintherm.estimators import (
 )
 from helpers import basis_state, bootstrap_reference
 from spintherm.hilbert import entanglement_entropy
-from spintherm.state_prep import sample_haar, sample_rpps
+from spintherm.state_prep import BOOTSTRAP_INDICES, sample_haar, sample_rpps, uniforms
 
 
 def test_weights_uniform_logs():
@@ -193,7 +197,7 @@ def test_bootstrap_sigma_accepts_lists():
 def test_bootstrap_sigma_validation():
     with pytest.raises(ValueError):
         bootstrap_sigma(np.zeros((1, 0)), np.zeros((1, 0)), 10, 0, np.zeros(0))
-    for n_resamples in (1, 2.5, 4.0, True, "8"):
+    for n_resamples in (1, 2.5, 4.0, True, "8", 2**32 + 1):
         with pytest.raises(ValueError, match="n_resamples"):
             bootstrap_sigma(np.ones((1, 5)), np.ones((1, 5)), n_resamples, 0, np.ones(5))
     for obs, s_ini in ((np.ones((1, 5)), np.ones(5)), (np.ones(5), np.ones(5)), (np.ones((2, 5)), np.ones(4))):
@@ -231,3 +235,13 @@ def test_blocked_bootstrap_equals_one_resample_at_a_time(k, n, blocks, tail, gap
     want = bootstrap_reference(logs, obs, s_ini, n_resamples, seed)
     for g, w in zip(got, want):
         assert g == pytest.approx(w, rel=1e-12, abs=0.0)
+    # Resample r's indices are draws of stream (seed, BOOTSTRAP_INDICES, r), whatever the
+    # block size: the blocks of any BOOTSTRAP_BLOCK join into the one (n_resamples, M) draw,
+    # and the sigmas stay those of the one-at-a-time reference.
+    draws = np.floor(n * uniforms(seed, BOOTSTRAP_INDICES, range(n_resamples), n)).astype(int)
+    for block in (61, 2**20):
+        with mock.patch.object(estimators, "BOOTSTRAP_BLOCK", block):
+            rows = max(1, block // (n * (4 * k + 1)))
+            assert np.array_equal(np.concatenate(list(_resamples(seed, n, n_resamples, rows))), draws)
+            for g, w in zip(bootstrap_sigma(logs, obs, n_resamples, seed, s_ini), want):
+                assert g == pytest.approx(w, rel=1e-12, abs=0.0)

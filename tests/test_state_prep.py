@@ -1,9 +1,6 @@
 """Random initial states and the Trotter scrambling circuit."""
 
 import dataclasses
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -23,13 +20,16 @@ from spintherm.hamiltonian import (
 )
 from spintherm.hilbert import BLOCK_SITES, apply_two_site, compile_block, entanglement_entropy
 from spintherm.state_prep import (
+    BOOTSTRAP_INDICES,
+    HAAR_GAUSSIANS,
     MAX_TAU,
+    RPPS_PHASES,
     TrotterCircuit,
     build_trotter_circuit,
     sample_haar,
     sample_rpps,
     scramble,
-    seeded_generator,
+    uniforms,
 )
 
 MIXED = ModelSpec(kind="mixed_ising", L=6, J=1.0, h_x=1.0, h_z=1.0)
@@ -52,12 +52,12 @@ def test_rpps_has_zero_entanglement():
 
 def test_rpps_consumes_two_phases_per_site():
     # reconstruct the state from the same stream: 2L uniform draws, site
-    # order, up before down, then a kron chain
+    # order, up before down, then a kron chain from the common modulus
     L = 6
-    phases = seeded_generator(11, (4,)).uniform(0.0, 2.0 * np.pi, size=(L, 2))
-    expected = np.ones(1, dtype=complex)
+    phases = np.exp(2j * np.pi * uniforms(11, RPPS_PHASES, [4], 2 * L)).reshape(L, 2)
+    expected = np.array([2.0 ** (-L / 2)], dtype=complex)
     for i in range(L):
-        expected = np.kron(np.exp(1j * phases[i]) / np.sqrt(2.0), expected)
+        expected = np.kron(phases[i], expected)
     [state] = sample_rpps(L, 11, [4])
     assert np.array_equal(state, expected)
 
@@ -96,36 +96,65 @@ def test_haar_entropy_near_page_value():
     assert abs(np.mean(vals) - page) <= 0.05
 
 
-def test_seeded_streams_match_an_ordinary_numpy_random_import():
-    # a sample's draws and the bootstrap's resamples (even and odd M), through
-    # seeded_generator in fresh processes, with and without secrets loaded
-    # before, and through a plain numpy.random import in another; the entry
-    # point loads neither numpy.random nor secrets
-    draws = (
-        "[print(seeded(m, i).uniform(0.0, 6.0, size=(4, 2)).tobytes().hex(), "
-        "seeded(m, i).standard_normal((2, 8)).tobytes().hex()) for m, i in ((42, 0), (42, 7), (0, 3))]; "
-        "[print(resamples((42, L)).integers(0, m, size=(5, m)).tobytes().hex()) "
-        "for L, m in ((8, 16), (12, 16), (9, 7))]; "
-        "print(sorted(m for m in ('numpy.random', 'secrets') if m in sys.modules))"
-    )
-    ordinary = (
-        "import sys; import numpy.random as rnd; resamples = rnd.default_rng; "
-        "seeded = lambda m, i: rnd.default_rng(rnd.SeedSequence(entropy=m, spawn_key=(i,))); " + draws
-    )
-    entry = (
-        "import sys; from spintherm.state_prep import seeded_generator as resamples; "
-        "seeded = lambda m, i: resamples(m, (i,)); " + draws
-    )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    plain, through, after_secrets = (
-        subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
-        for code in (ordinary, entry, "import secrets; " + entry)
-    )
-    *plain_draws, plain_loaded = plain.splitlines()
-    *entry_draws, entry_loaded = through.splitlines()
-    *secrets_draws, secrets_loaded = after_secrets.splitlines()
-    assert plain_loaded == "['numpy.random', 'secrets']" and entry_loaded == "[]" and secrets_loaded == "['secrets']"
-    assert len(entry_draws) == 6 and entry_draws == plain_draws == secrets_draws
+_MASK, _GAMMA = 2**64 - 1, 0x9E3779B97F4A7C15
+
+
+def _splitmix_finaliser(z):
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+    return z ^ (z >> 31)
+
+
+def _draw(seed, domain, index, j):
+    """Draw j of stream (seed, domain, index) in Python integers, from the definition in uniforms' docstring."""
+    h = 0
+    for part in seed:
+        count = -(-part.bit_length() // 64)
+        for word in [count, *((part >> 64 * i) & _MASK for i in range(count))]:
+            h = _splitmix_finaliser((h + word + _GAMMA) & _MASK)
+    h = _splitmix_finaliser((h + domain + _GAMMA) & _MASK)
+    return _splitmix_finaliser((h + (index * 2**32 + j + 1) * _GAMMA) & _MASK)
+
+
+def test_stream_known_answers():
+    # the finaliser is SplitMix64's: the generator seeded with 0 starts with these outputs
+    assert [_splitmix_finaliser(k * _GAMMA & _MASK) for k in (1, 2, 3)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    # frozen draws of fixed (seed, domain, index, j): the stream of every sample and resample
+    for seed, domain, index, j, bits, double in (
+        ((42,), RPPS_PHASES, 0, 0, 0xFBEAD1C72E8AFD34, 0.9840518103870116),
+        ((42,), RPPS_PHASES, 7, 3, 0xE3425264FB4FC36B, 0.8877307411706274),
+        ((0,), HAAR_GAUSSIANS, 1, 1023, 0x26C4EDB88DD18CED, 0.15144239192688336),
+        ((2**64 + 3,), RPPS_PHASES, 5, 2, 0x8F268B405C3ADE1D, 0.5591818840150425),
+        ((42, 12), BOOTSTRAP_INDICES, 3999, 15, 0xC19CECF77C1A6282, 0.756300745411957),
+        ((2**32 - 1,), HAAR_GAUSSIANS, 2**32 - 1, 0, 0x1DFB242A8BF0683A, 0.1171133617280603),
+    ):
+        assert _draw(seed, domain, index, j) == bits
+        assert (bits >> 11) * 2.0**-53 == double
+        row = uniforms(seed if len(seed) > 1 else seed[0], domain, [index], j + 1)
+        assert row.shape == (1, j + 1) and row.dtype == np.float64 and row[0, j] == double
+    assert uniforms((42,), RPPS_PHASES, [7], 4)[0, 3] == 0.8877307411706274  # a seed and its 1-tuple
+    assert uniforms(42, RPPS_PHASES, [], 3).shape == (0, 3)
+
+
+def test_stream_moments_and_lag_correlations():
+    # 2**20 draws of 2**16 samples: uniform mean and variance, no lag-1 correlation
+    # between a sample's draws or between neighbouring samples (5 standard errors)
+    u = uniforms(7, RPPS_PHASES, range(2**16), 16)
+    assert abs(u.mean() - 0.5) <= 5 * np.sqrt(1 / 12 / u.size)
+    assert abs(12 * u.var() - 1) <= 5 * 12 * np.sqrt((1 / 80 - 1 / 144) / u.size)
+    for a, b in ((u[:, :-1], u[:, 1:]), (u[:-1], u[1:])):
+        assert abs(np.corrcoef(a.ravel(), b.ravel())[0, 1]) <= 5 / np.sqrt(a.size)
+    assert 0.0 <= u.min() and u.max() < 1.0
+    # Haar rows: sqrt(N) times an amplitude has real and imaginary parts of mean 0 and
+    # variance 1/2, uncorrelated, and E|a|^4 = 2N / (N + 1) of normalized Gaussians
+    N = 2**8
+    a = np.sqrt(N) * sample_haar(8, 7, range(2**12)).ravel()
+    for part in (a.real, a.imag):
+        assert abs(part.mean()) <= 5 * np.sqrt(0.5 / a.size)
+        assert abs(part.var() - 0.5) <= 5 * np.sqrt(0.5 / a.size)
+    assert abs(np.mean(a.real * a.imag)) <= 5 * np.sqrt(0.25 / a.size)
+    assert abs(np.mean(np.abs(a) ** 4) - 2 * N / (N + 1)) <= 5 * np.sqrt(20 / a.size)
 
 
 def test_seed_validation():
@@ -133,28 +162,54 @@ def test_seed_validation():
         for master_seed, index, field in ((-1, 0, "master_seed"), (0, -2, "sample_index"),
                                           (True, 0, "master_seed"), (1.5, 0, "master_seed"),
                                           (0, 2.0, "sample_index"), (0, False, "sample_index"),
-                                          ("3", 0, "master_seed")):
+                                          ("3", 0, "master_seed"), (0, 2**32, "sample_index")):
             with pytest.raises(ValueError, match=field):
                 sample(3, master_seed, [index])
         assert np.array_equal(sample(3, np.int64(3), [np.uint8(1)]), sample(3, 3, [1]))
+        # every seed >= 0 stays valid, and one past 2**64 is not its low word
+        assert not np.allclose(sample(3, 2**64 + 3, [1]), sample(3, 3, [1]))
+        assert sample(3, 2**200, [2**32 - 1]).shape == (1, 8)
     with pytest.raises(ValueError, match="num_sites"):
         sample_rpps(1, 0, [0])
     for sample in (sample_rpps, sample_haar):
         with pytest.raises(ValueError, match="num_sites must be an integer"):
             sample(3.0, 0, [0])
         assert np.array_equal(sample(np.int64(3), 0, [0]), sample(3, 0, [0]))
+    for seed in (-1, True, 1.0, (1, -1)):
+        with pytest.raises(ValueError, match="seed"):
+            uniforms(seed, RPPS_PHASES, [0], 2)
 
 
 @pytest.mark.parametrize("sample", [sample_rpps, sample_haar])
 def test_a_row_does_not_depend_on_its_batch(sample):
     # what keeps samples.csv the same bytes whatever the worker count and batch size
-    for L in (2, 3, 6, 9):
-        for samples in (range(5), range(3, 11), [9, 2, 40, 2, 0], [7]):
+    for L in (2, 3, 6, 9, 10):
+        for samples in (range(5), range(3, 11), [9, 2, 40, 2, 0], [7], range(21)):
             rows = sample(L, 13, samples)
             assert rows.shape == (len(samples), 2**L) and rows.dtype == np.complex128
             for row, m in zip(rows, samples):
                 assert np.array_equal(row, sample(L, 13, [m])[0]), (L, m)
-    assert sample(4, 13, []).shape == (0, 16) and sample(4, 13, []).dtype == np.complex128
+
+
+@pytest.mark.parametrize("sample", [sample_rpps, sample_haar])
+def test_an_empty_index_list_draws_no_rows(sample):
+    for L in (2, 4, 7):
+        rows = sample(L, 13, [])
+        assert rows.shape == (0, 2**L) and rows.dtype == np.complex128
+
+
+def test_vectorized_ufuncs_ignore_a_rows_place():
+    # The samplers' elementwise ufuncs run SIMD loops over a whole (B, n) table, with
+    # a masked or scalar tail: each row must come out with the bits it has alone, at
+    # any row length and any place in the table (the batch test above relies on it).
+    table = uniforms(5, RPPS_PHASES, range(19), 67)
+    for n in (1, 3, 4, 7, 8, 9, 16, 17, 31, 67):
+        part = table[:, :n]
+        for f in (np.log, np.sqrt, np.exp, np.cos, np.sin, np.tan, lambda x: np.exp(2j * np.pi * x)):
+            whole, flat = f(part), f(np.ascontiguousarray(part).ravel()).reshape(part.shape)
+            for i in range(len(part)):
+                alone = f(part[i].copy())
+                assert np.array_equal(whole[i], alone) and np.array_equal(flat[i], alone), (f, n, i)
 
 
 def test_gates_are_unitary():
